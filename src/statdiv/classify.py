@@ -16,6 +16,9 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg
 
+from .density import _read_only
+from .divergence import _read_json_fields
+
 __all__ = [
     "KfdaModel",
     "nn_classify",
@@ -79,12 +82,8 @@ class KfdaModel:
 
     def __post_init__(self):
         for name in ("coefficients", "train_latent", "train_row_means"):
-            arr = np.asarray(getattr(self, name), dtype=float).copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        labels = np.asarray(self.labels, dtype=int).copy()
-        labels.flags.writeable = False
-        object.__setattr__(self, "labels", labels)
+            object.__setattr__(self, name, _read_only(np.asarray(getattr(self, name), dtype=float)))
+        object.__setattr__(self, "labels", _read_only(np.asarray(self.labels, dtype=int)))
         if not np.all(np.isfinite(self.train_latent)):
             raise ValueError("training latent coordinates are not finite")
 
@@ -100,6 +99,16 @@ def _class_block_matrix(labels: np.ndarray) -> np.ndarray:
         members = np.flatnonzero(labels == label)
         block[np.ix_(members, members)] = 1.0 / members.size
     return block
+
+
+def _fix_column_signs(mat: np.ndarray) -> np.ndarray:
+    """Flip columns of `mat` in place so that each column's largest-magnitude
+    entry (the first one, on ties) is positive; returns `mat`."""
+    for j in range(mat.shape[1]):
+        k = int(np.argmax(np.abs(mat[:, j])))
+        if mat[k, j] < 0:
+            mat[:, j] = -mat[:, j]
+    return mat
 
 
 def kfda_fit(gram_train, labels, latent_dim: int | None = None,
@@ -154,11 +163,7 @@ def kfda_fit(gram_train, labels, latent_dim: int | None = None,
         ) from exc
 
     order = np.argsort(eigvals)[::-1][:latent_dim]
-    coeff = eigvecs[:, order]
-    for j in range(coeff.shape[1]):
-        k = int(np.argmax(np.abs(coeff[:, j])))
-        if coeff[k, j] < 0:
-            coeff[:, j] = -coeff[:, j]
+    coeff = _fix_column_signs(eigvecs[:, order])
 
     train_latent = centered @ coeff
     return KfdaModel(
@@ -212,7 +217,8 @@ def save_kfda_model(model: KfdaModel, directory) -> None:
 
 def load_kfda_model(directory) -> KfdaModel:
     directory = Path(directory)
-    meta = json.loads((directory / "model.json").read_text())
+    meta = _read_json_fields(directory / "model.json",
+                             ("latent_dim", "regularization", "labels", "train_grand_mean"))
     coefficients = np.loadtxt(directory / "coefficients.csv", delimiter=",", ndmin=2)
     train_latent = np.loadtxt(directory / "train_latent.csv", delimiter=",", ndmin=2)
     row_means = np.loadtxt(directory / "train_row_means.csv", delimiter=",", ndmin=1)

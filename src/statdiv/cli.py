@@ -18,11 +18,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .classify import accuracy, latent_nn_classify, load_kfda_model, nn_classify, save_kfda_model
+from .classify import accuracy, kfda_fit, latent_nn_classify, load_kfda_model, nn_classify, save_kfda_model
 from .dataset import SyntheticSpec, generate_synthetic, load_dataset, save_dataset
 from .dimred import DrConfig, learn_projection
 from .divergence import (
     DivergenceKind,
+    _read_json_fields,
     cross_divergence_matrix,
     divergence_matrix,
     save_divergence_matrix,
@@ -47,6 +48,15 @@ def _divergence_kind(raw: str) -> DivergenceKind:
     except ValueError:
         raise ConfigError(
             f"divergence: must be 'hellinger' or 'jeffrey', got {raw!r}"
+        ) from None
+
+
+def _kernel_family(raw: str) -> KernelFamily:
+    try:
+        return KernelFamily(raw)
+    except ValueError:
+        raise ConfigError(
+            f"kernel: must be one of {[f.value for f in KernelFamily]}, got {raw!r}"
         ) from None
 
 
@@ -82,12 +92,7 @@ def _cmd_dist(args) -> int:
 
 def _cmd_gram(args) -> int:
     dataset = load_dataset(args.manifest)
-    try:
-        family = KernelFamily(args.kernel)
-    except ValueError:
-        raise ConfigError(
-            f"kernel: must be one of {[f.value for f in KernelFamily]}, got {args.kernel!r}"
-        ) from None
+    family = _kernel_family(args.kernel)
     spec = KernelSpec(family=family, sigma=args.sigma, subspace_dim=args.dim)
     matrix = gram(dataset.sets, spec, _parse_bw(args.bw))
     out = Path(args.out)
@@ -143,8 +148,9 @@ def _cmd_classify(args) -> int:
         raise ConfigError("classify: exactly one of --model or --divergence is required")
     if args.model is not None:
         model = load_kfda_model(args.model)
-        meta = json.loads((Path(args.model) / "kernel.json").read_text())
-        spec = KernelSpec(family=KernelFamily(meta["family"]), sigma=meta["sigma"],
+        meta = _read_json_fields(Path(args.model) / "kernel.json",
+                                 ("family", "sigma", "subspace_dim", "bandwidth_policy"))
+        spec = KernelSpec(family=_kernel_family(meta["family"]), sigma=meta["sigma"],
                           subspace_dim=meta["subspace_dim"])
         cross = cross_gram(gallery.sets, probe.sets, spec, _parse_bw(meta["bandwidth_policy"]))
         predicted = latent_nn_classify(model, cross)
@@ -165,15 +171,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_train_kfda(args) -> int:
-    from .classify import kfda_fit
-
     dataset = load_dataset(args.manifest)
-    try:
-        family = KernelFamily(args.kernel)
-    except ValueError:
-        raise ConfigError(
-            f"kernel: must be one of {[f.value for f in KernelFamily]}, got {args.kernel!r}"
-        ) from None
+    family = _kernel_family(args.kernel)
     spec = KernelSpec(family=family, sigma=args.sigma, subspace_dim=args.dim)
     gram_train = gram(dataset.sets, spec, _parse_bw(args.bw))
     model = kfda_fit(gram_train.values, dataset.labels,

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .density import _read_only
+
 __all__ = [
     "FeatureSet",
     "Dataset",
@@ -47,9 +49,7 @@ class FeatureSet:
             raise ValueError(f"set {self.id!r}: features contain non-finite entries")
         if int(self.label) < 0:
             raise ValueError(f"set {self.id!r}: label must be >= 0, got {self.label}")
-        features = features.copy()
-        features.flags.writeable = False
-        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "features", _read_only(features))
         object.__setattr__(self, "label", int(self.label))
         object.__setattr__(self, "id", str(self.id))
 
@@ -149,17 +149,19 @@ def load_dataset(manifest_path) -> Dataset:
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"manifest {manifest_path} is not valid JSON: {exc}") from exc
-    entries = manifest.get("sets")
+    entries = manifest.get("sets") if isinstance(manifest, dict) else None
     if not isinstance(entries, list) or not entries:
-        raise ValueError(f"manifest {manifest_path} must contain a non-empty 'sets' list")
+        raise ValueError(f"manifest {manifest_path} must be a JSON object with a non-empty 'sets' list")
 
     label_map: dict[str, int] = {}
     sets: list[FeatureSet] = []
     base = manifest_path.parent
     for idx, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValueError(f"manifest {manifest_path} entry {idx} must be an object, got {entry!r}")
         for key in ("id", "label", "path"):
             if key not in entry:
-                raise ValueError(f"manifest entry {idx} is missing the {key!r} field")
+                raise ValueError(f"manifest {manifest_path} entry {idx} is missing the {key!r} field")
         raw_label = str(entry["label"])
         if raw_label not in label_map:
             label_map[raw_label] = len(label_map)

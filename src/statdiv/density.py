@@ -24,12 +24,24 @@ __all__ = [
 ]
 
 
-def _as_sample_matrix(samples) -> np.ndarray:
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """A copy of `arr` that cannot be written to, for frozen dataclass fields."""
+    arr = arr.copy()
+    arr.flags.writeable = False
+    return arr
+
+
+def _features_of(samples) -> np.ndarray:
     """Coerce to an n x D float matrix, accepting objects with a `.features` attribute."""
-    samples = getattr(samples, "features", samples)
-    mat = np.asarray(samples, dtype=float)
+    mat = np.asarray(getattr(samples, "features", samples), dtype=float)
     if mat.ndim != 2:
         raise ValueError(f"expected an n x D sample matrix, got shape {mat.shape}")
+    return mat
+
+
+def _as_sample_matrix(samples) -> np.ndarray:
+    """:func:`_features_of` plus the KDE's requirements: n >= 2, finite entries."""
+    mat = _features_of(samples)
     if mat.shape[0] < 2:
         raise ValueError(f"n >= 2 violated: got {mat.shape[0]} samples")
     if not np.all(np.isfinite(mat)):
@@ -49,9 +61,7 @@ class Bandwidth:
             raise ValueError(f"bandwidth diagonal must be a vector, got shape {diag.shape}")
         if not np.all(np.isfinite(diag)) or np.any(diag <= 0):
             raise ValueError("bandwidth diagonal entries must be positive and finite")
-        diag = diag.copy()
-        diag.flags.writeable = False
-        object.__setattr__(self, "diag", diag)
+        object.__setattr__(self, "diag", _read_only(diag))
 
     @property
     def dim(self) -> int:
@@ -103,8 +113,7 @@ class DensityModel:
     log_norm: float
 
     def __post_init__(self):
-        samples = _as_sample_matrix(self.samples).copy()
-        samples.flags.writeable = False
+        samples = _read_only(_as_sample_matrix(self.samples))
         object.__setattr__(self, "samples", samples)
         if samples.shape[1] != self.bandwidth.dim:
             raise ValueError(
@@ -123,6 +132,12 @@ class DensityModel:
         return self.samples.shape[1]
 
 
+def _log_norm(n: int, diag: np.ndarray) -> float:
+    """Log normalizer of an n-component mixture of N(., diag) kernels:
+    -log(n) - 0.5 log det(2 pi diag)."""
+    return -np.log(n) - 0.5 * float(np.sum(np.log(2.0 * np.pi * diag)))
+
+
 def fit_kde(samples, bandwidth: Bandwidth | str | None = "auto") -> DensityModel:
     """Fit the Gaussian KDE of `samples` (n x D, rows are points).
 
@@ -134,8 +149,7 @@ def fit_kde(samples, bandwidth: Bandwidth | str | None = "auto") -> DensityModel
         bandwidth = silverman_bandwidth(mat)
     elif isinstance(bandwidth, str):
         raise ValueError(f"unknown bandwidth mode {bandwidth!r}; expected 'auto' or a Bandwidth")
-    n = mat.shape[0]
-    log_norm = -np.log(n) - 0.5 * float(np.sum(np.log(2.0 * np.pi * bandwidth.diag)))
+    log_norm = _log_norm(mat.shape[0], bandwidth.diag)
     return DensityModel(samples=mat, bandwidth=bandwidth, log_norm=log_norm)
 
 

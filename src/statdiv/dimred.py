@@ -16,10 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import logsumexp
 
-from .density import Bandwidth
+from .classify import _fix_column_signs
+from .density import Bandwidth, _features_of, _log_kernel_matrix, _log_norm, _read_only
 from .divergence import (
     T_CLAMP,
     DivergenceKind,
+    _stable_logistic,
     divergence_matrix,
     pair_divergence,
     resolve_bandwidths,
@@ -58,9 +60,7 @@ class AffinityMatrix:
             raise ValueError("affinity diagonal must be zero")
         if not np.all(np.isin(values, (-1, 0, 1))):
             raise ValueError("affinity entries must be in {-1, 0, 1}")
-        values = values.copy()
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _read_only(values))
 
     @property
     def size(self) -> int:
@@ -135,7 +135,7 @@ def build_affinity(sets, labels, nu_w="auto", nu_b: int = 1,
 def project_sets(sets, w: np.ndarray) -> list[np.ndarray]:
     """Project each set's features through a D x d frame."""
     w = np.asarray(w, dtype=float)
-    return [np.asarray(getattr(s, "features", s), dtype=float) @ w for s in sets]
+    return [_features_of(s) @ w for s in sets]
 
 
 def _active_pairs(affinity: AffinityMatrix) -> list[tuple[int, int, float]]:
@@ -149,10 +149,6 @@ def _active_pairs(affinity: AffinityMatrix) -> list[tuple[int, int, float]]:
     ]
 
 
-def _resolve_projected_bandwidths(projected, bw_policy) -> list[Bandwidth]:
-    return resolve_bandwidths(projected, bw_policy)
-
-
 def dr_cost(w: np.ndarray, sets, affinity: AffinityMatrix,
             kind: DivergenceKind, bw_policy="isotropic") -> float:
     """Sum over unordered neighbor pairs of (sign) * divergence of the
@@ -163,7 +159,7 @@ def dr_cost(w: np.ndarray, sets, affinity: AffinityMatrix,
     policies recompute bandwidths from the current projection.
     """
     projected = project_sets(sets, w)
-    bandwidths = _resolve_projected_bandwidths(projected, bw_policy)
+    bandwidths = resolve_bandwidths(projected, bw_policy)
     total = 0.0
     for i, j, sign in _active_pairs(affinity):
         total += sign * pair_divergence(projected[i], projected[j], kind,
@@ -171,10 +167,14 @@ def dr_cost(w: np.ndarray, sets, affinity: AffinityMatrix,
     return total
 
 
-def _log_kernel_rows(points_proj: np.ndarray, anchors_proj: np.ndarray,
-                     diag: np.ndarray) -> np.ndarray:
-    diff = points_proj[:, None, :] - anchors_proj[None, :, :]
-    return -0.5 * np.einsum("aij,j->ai", diff * diff, 1.0 / diag)
+def _log_density_and_softmax(points_proj: np.ndarray, anchors_proj: np.ndarray,
+                             diag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Log density of the projected-anchor KDE at each projected point, and
+    the softmax weights of its mixture components there."""
+    rows = _log_kernel_matrix(points_proj, anchors_proj, diag)
+    lse = logsumexp(rows, axis=1)
+    log_density = lse + _log_norm(anchors_proj.shape[0], diag)
+    return log_density, np.exp(rows - lse[:, None])
 
 
 def _weighted_grad_sum(omega: np.ndarray, soft: np.ndarray,
@@ -200,8 +200,8 @@ def _pair_gradient_pieces(w, p_samples, q_samples, bandwidth_p: Bandwidth,
                           bandwidth_q: Bandwidth):
     """Shared per-pair quantities: logits at all evaluation points plus the
     softmax weights needed for density gradients."""
-    p = np.asarray(getattr(p_samples, "features", p_samples), dtype=float)
-    q = np.asarray(getattr(q_samples, "features", q_samples), dtype=float)
+    p = _features_of(p_samples)
+    q = _features_of(q_samples)
     points = np.vstack([p, q])
     points_proj = points @ w
     p_proj = points_proj[: p.shape[0]]
@@ -210,21 +210,11 @@ def _pair_gradient_pieces(w, p_samples, q_samples, bandwidth_p: Bandwidth,
     pieces = []
     logdens = []
     for anchors, anchors_proj, bw in ((p, p_proj, bandwidth_p), (q, q_proj, bandwidth_q)):
-        rows = _log_kernel_rows(points_proj, anchors_proj, bw.diag)
-        lse = logsumexp(rows, axis=1)
-        log_norm = -np.log(anchors.shape[0]) - 0.5 * float(np.sum(np.log(2.0 * np.pi * bw.diag)))
-        logdens.append(lse + log_norm)
-        pieces.append((np.exp(rows - lse[:, None]), anchors, anchors_proj, bw.diag))
+        logdens_at, soft = _log_density_and_softmax(points_proj, anchors_proj, bw.diag)
+        logdens.append(logdens_at)
+        pieces.append((soft, anchors, anchors_proj, bw.diag))
     z = logdens[0] - logdens[1]
     return points, points_proj, z, pieces
-
-
-def _logistic_pair(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    zpos = np.maximum(z, 0.0)
-    ez = np.exp(z - zpos)
-    e0 = np.exp(-zpos)
-    denom = e0 + ez
-    return ez / denom, e0 / denom
 
 
 def t_ratio_gradient(w: np.ndarray, x, p_samples, q_samples,
@@ -237,29 +227,26 @@ def t_ratio_gradient(w: np.ndarray, x, p_samples, q_samples,
     """
     w = np.asarray(w, dtype=float)
     x = np.asarray(x, dtype=float).reshape(1, -1)
-    p = np.asarray(getattr(p_samples, "features", p_samples), dtype=float)
-    q = np.asarray(getattr(q_samples, "features", q_samples), dtype=float)
+    p = _features_of(p_samples)
+    q = _features_of(q_samples)
     x_proj = x @ w
 
     grads = []
     logdens = []
     for anchors, bw in ((p, bandwidth_p), (q, bandwidth_q)):
         anchors_proj = anchors @ w
-        rows = _log_kernel_rows(x_proj, anchors_proj, bw.diag)
-        lse = logsumexp(rows, axis=1)
-        log_norm = -np.log(anchors.shape[0]) - 0.5 * float(np.sum(np.log(2.0 * np.pi * bw.diag)))
-        logdens.append(float(lse[0]) + log_norm)
-        soft = np.exp(rows - lse[:, None])
+        logdens_at, soft = _log_density_and_softmax(x_proj, anchors_proj, bw.diag)
+        logdens.append(float(logdens_at[0]))
         grads.append(_weighted_grad_sum(np.ones(1), soft, x, x_proj, anchors, anchors_proj, bw.diag))
-    t, u = _logistic_pair(np.array([logdens[0] - logdens[1]]))
-    return float(t[0] * u[0]) * (grads[0] - grads[1])
+    z = np.array([logdens[0] - logdens[1]])
+    return float(_stable_logistic(z)[0] * _stable_logistic(-z)[0]) * (grads[0] - grads[1])
 
 
 def _pair_weights(z: np.ndarray, kind: DivergenceKind) -> np.ndarray:
     """d(per-sample divergence term)/dT times T(1-T), as a function of the
     log ratio z. The clamped Jeffrey term is flat outside the clamp, so its
     weight is masked there; the Hellinger term needs no clamp."""
-    t, u = _logistic_pair(z)
+    t, u = _stable_logistic(z), _stable_logistic(-z)
     if kind is DivergenceKind.HELLINGER_SQUARED:
         return (t - u) * np.sqrt(t * u)
     weights = 2.0 * z * t * u + (t - u)
@@ -272,8 +259,8 @@ def dr_euclidean_gradient(w: np.ndarray, sets, affinity: AffinityMatrix,
     """Matrix of partial derivatives of :func:`dr_cost` with respect to W."""
     w = np.asarray(w, dtype=float)
     projected = project_sets(sets, w)
-    bandwidths = _resolve_projected_bandwidths(projected, bw_policy)
-    mats = [np.asarray(getattr(s, "features", s), dtype=float) for s in sets]
+    bandwidths = resolve_bandwidths(projected, bw_policy)
+    mats = [_features_of(s) for s in sets]
     total = np.zeros_like(w)
     for i, j, sign in _active_pairs(affinity):
         p, q = mats[i], mats[j]
@@ -339,12 +326,7 @@ def _pca_frame(mats: list[np.ndarray], d: int) -> np.ndarray:
     pooled = np.vstack(mats)
     centered = pooled - pooled.mean(axis=0)
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    frame = vt[:d].T.copy()
-    for j in range(d):
-        k = int(np.argmax(np.abs(frame[:, j])))
-        if frame[k, j] < 0:
-            frame[:, j] = -frame[:, j]
-    return frame
+    return _fix_column_signs(vt[:d].T.copy())
 
 
 def learn_projection(sets, labels, config: DrConfig) -> DrResult:
@@ -357,7 +339,7 @@ def learn_projection(sets, labels, config: DrConfig) -> DrResult:
     cost over frames.
     """
     sets = list(sets)
-    mats = [np.asarray(getattr(s, "features", s), dtype=float) for s in sets]
+    mats = [_features_of(s) for s in sets]
     dim = mats[0].shape[1]
     if not 1 <= config.target_dim < dim:
         raise ValueError(f"target_dim must satisfy 1 <= d < D={dim}, got {config.target_dim}")
@@ -370,9 +352,7 @@ def learn_projection(sets, labels, config: DrConfig) -> DrResult:
     else:
         w0 = random_orthonormal(dim, config.target_dim, np.random.default_rng(config.seed))
 
-    bandwidths = tuple(
-        _resolve_projected_bandwidths(project_sets(mats, w0), config.bw_policy)
-    )
+    bandwidths = tuple(resolve_bandwidths(project_sets(mats, w0), config.bw_policy))
 
     def cost(w: np.ndarray) -> float:
         return dr_cost(w, mats, affinity, config.kind, bandwidths)

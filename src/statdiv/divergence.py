@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .density import Bandwidth, DensityModel, fit_kde, isotropic_silverman_bandwidth, log_density_batch, silverman_bandwidth
+from .density import Bandwidth, DensityModel, _features_of, _read_only, fit_kde, isotropic_silverman_bandwidth, log_density_batch, silverman_bandwidth
 
 __all__ = [
     "T_CLAMP",
@@ -118,7 +118,7 @@ def resolve_bandwidths(sample_matrices, bw_policy, kind: DivergenceKind | None =
       - a positive float: one shared isotropic variance for every set;
       - a sequence of Bandwidth / diagonal vectors, one per set.
     """
-    mats = [np.asarray(getattr(m, "features", m), dtype=float) for m in sample_matrices]
+    mats = [_features_of(m) for m in sample_matrices]
     if isinstance(bw_policy, str):
         if bw_policy == "silverman":
             if kind is DivergenceKind.HELLINGER_SQUARED:
@@ -148,18 +148,21 @@ def describe_bandwidth_policy(bw_policy) -> str:
     return "fixed"
 
 
-def _features_of(obj) -> np.ndarray:
-    mat = np.asarray(getattr(obj, "features", obj), dtype=float)
-    if mat.ndim != 2:
-        raise ValueError(f"expected an n x D sample matrix, got shape {mat.shape}")
-    return mat
-
-
 def _check_same_dim(p: np.ndarray, q: np.ndarray):
     if p.shape[1] != q.shape[1]:
         raise ValueError(
             f"dimension mismatch: first set has D={p.shape[1]}, second has D={q.shape[1]}"
         )
+
+
+def _fit_models(sets, bw_policy, kind: DivergenceKind | None = None) -> list[DensityModel]:
+    """One KDE per set, bandwidths by :func:`resolve_bandwidths`; the sets
+    must share one dimension."""
+    mats = [_features_of(s) for s in sets]
+    for m in mats[1:]:
+        _check_same_dim(mats[0], m)
+    bandwidths = resolve_bandwidths(mats, bw_policy, kind)
+    return [fit_kde(m, b) for m, b in zip(mats, bandwidths)]
 
 
 def _pair_logits(model_p: DensityModel, model_q: DensityModel,
@@ -201,11 +204,7 @@ def pair_divergence(p_samples, q_samples, kind: DivergenceKind,
                     bandwidth_p: Bandwidth, bandwidth_q: Bandwidth) -> float:
     """Symmetric empirical divergence between two sample matrices with
     explicitly fixed bandwidths. Identical inputs give exactly 0."""
-    p = _features_of(p_samples)
-    q = _features_of(q_samples)
-    _check_same_dim(p, q)
-    model_p = fit_kde(p, bandwidth_p)
-    model_q = fit_kde(q, bandwidth_q)
+    model_p, model_q = _fit_models([p_samples, q_samples], [bandwidth_p, bandwidth_q])
     z_P, z_Q = _pair_logits(model_p, model_q)
     return _FROM_LOGITS[kind](z_P, z_Q)
 
@@ -245,17 +244,10 @@ def hellinger_naive(p_samples, q_samples, direction: str = "overP",
     """
     if direction not in ("overP", "overQ"):
         raise ValueError(f"direction must be 'overP' or 'overQ', got {direction!r}")
-    p = _features_of(p_samples)
-    q = _features_of(q_samples)
-    _check_same_dim(p, q)
-    bw_p, bw_q = resolve_bandwidths([p, q], bw_policy)
-    model_p = fit_kde(p, bw_p)
-    model_q = fit_kde(q, bw_q)
-    if direction == "overP":
-        points = p
-    else:
-        points = q
+    model_p, model_q = _fit_models([p_samples, q_samples], bw_policy)
+    if direction == "overQ":
         model_p, model_q = model_q, model_p
+    points = model_p.samples
     log_own = log_density_batch(model_p, points)
     log_other = log_density_batch(model_q, points)
     # exp can blow up where the "other" density dominates; cap the exponent
@@ -287,9 +279,7 @@ class DivergenceMatrix:
             raise ValueError("divergence matrix has negative entries")
         if self.kind is DivergenceKind.HELLINGER_SQUARED and np.max(values, initial=0.0) > 2.0 + 1e-10:
             raise ValueError("squared-Hellinger entries must not exceed 2")
-        values = values.copy()
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _read_only(values))
         object.__setattr__(self, "set_ids", tuple(self.set_ids))
 
     @property
@@ -312,6 +302,25 @@ def _map_pairs(fn, pairs):
         return dict(zip(pairs, results))
 
 
+def _pair_divergences(sets, kind: DivergenceKind, bw_policy, pairs) -> dict:
+    """Divergences between `sets[i]` and `sets[j]` for each index pair (i, j).
+
+    Every KDE and its self-density are computed once, however many pairs
+    share the set. Pairs may be evaluated in parallel (STATDIV_THREADS);
+    results are keyed by pair, so they are identical for any worker count.
+    """
+    models = _fit_models(sets, bw_policy, kind)
+    self_logs = [log_density_batch(model, model.samples) for model in models]
+    estimator = _FROM_LOGITS[kind]
+
+    def one_pair(pair):
+        i, j = pair
+        z_P, z_Q = _pair_logits(models[i], models[j], self_p=self_logs[i], self_q=self_logs[j])
+        return estimator(z_P, z_Q)
+
+    return _map_pairs(one_pair, pairs)
+
+
 def divergence_matrix(sets, kind: DivergenceKind, bw_policy="silverman") -> DivergenceMatrix:
     """All pairwise divergences among `sets`.
 
@@ -322,25 +331,10 @@ def divergence_matrix(sets, kind: DivergenceKind, bw_policy="silverman") -> Dive
     sets = list(sets)
     if not sets:
         raise ValueError("divergence_matrix needs at least one set")
-    mats = [_features_of(s) for s in sets]
-    for i, m in enumerate(mats[1:], start=1):
-        _check_same_dim(mats[0], m)
-    bandwidths = resolve_bandwidths(mats, bw_policy, kind)
-    models = [fit_kde(m, b) for m, b in zip(mats, bandwidths)]
-    self_logs = [log_density_batch(model, model.samples) for model in models]
-    estimator = _FROM_LOGITS[kind]
-
     m = len(sets)
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-
-    def one_pair(pair):
-        i, j = pair
-        z_P, z_Q = _pair_logits(models[i], models[j], self_p=self_logs[i], self_q=self_logs[j])
-        return estimator(z_P, z_Q)
-
-    results = _map_pairs(one_pair, pairs)
     values = np.zeros((m, m))
-    for (i, j), value in results.items():
+    for (i, j), value in _pair_divergences(sets, kind, bw_policy, pairs).items():
         values[i, j] = values[j, i] = value
     return DivergenceMatrix(values=values, kind=kind, set_ids=_ids_of(sets),
                             bw_policy=describe_bandwidth_policy(bw_policy))
@@ -353,46 +347,52 @@ def cross_divergence_matrix(sets_a, sets_b, kind: DivergenceKind, bw_policy="sil
     sets_b = list(sets_b)
     if not sets_a or not sets_b:
         raise ValueError("cross_divergence_matrix needs non-empty collections")
-    mats_a = [_features_of(s) for s in sets_a]
-    mats_b = [_features_of(s) for s in sets_b]
-    for m_ in mats_a + mats_b:
-        _check_same_dim(mats_a[0], m_)
-    bandwidths = resolve_bandwidths(mats_a + mats_b, bw_policy, kind)
-    models = [fit_kde(m_, b) for m_, b in zip(mats_a + mats_b, bandwidths)]
-    self_logs = [log_density_batch(model, model.samples) for model in models]
-    estimator = _FROM_LOGITS[kind]
     na = len(sets_a)
-
     pairs = [(i, na + j) for i in range(na) for j in range(len(sets_b))]
-
-    def one_pair(pair):
-        i, j = pair
-        z_P, z_Q = _pair_logits(models[i], models[j], self_p=self_logs[i], self_q=self_logs[j])
-        return estimator(z_P, z_Q)
-
-    results = _map_pairs(one_pair, pairs)
     values = np.zeros((na, len(sets_b)))
-    for (i, j), value in results.items():
+    for (i, j), value in _pair_divergences(sets_a + sets_b, kind, bw_policy, pairs).items():
         values[i, j - na] = value
     return values
 
 
-def save_divergence_matrix(matrix: DivergenceMatrix, csv_path) -> None:
-    """Write the values as CSV plus a JSON sidecar (same stem, .json suffix)."""
+def _save_with_sidecar(csv_path, values: np.ndarray, sidecar: dict) -> None:
+    """Write `values` as CSV plus `sidecar` as JSON (same stem, .json suffix)."""
     csv_path = Path(csv_path)
-    np.savetxt(csv_path, matrix.values, delimiter=",", fmt="%.17g")
-    sidecar = {
-        "kind": matrix.kind.value,
-        "set_ids": list(matrix.set_ids),
-        "bandwidth_policy": matrix.bw_policy,
-    }
+    np.savetxt(csv_path, values, delimiter=",", fmt="%.17g")
     csv_path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
 
 
-def load_divergence_matrix(csv_path) -> DivergenceMatrix:
+def _read_json_fields(path, fields) -> dict:
+    """The JSON object in `path`; a missing field is a ValueError naming the
+    file and the field."""
+    path = Path(path)
+    meta = json.loads(path.read_text())
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path} must hold a JSON object")
+    for key in fields:
+        if key not in meta:
+            raise ValueError(f"{path} is missing the {key!r} field")
+    return meta
+
+
+def _load_with_sidecar(csv_path, fields) -> tuple[np.ndarray, dict]:
+    """Values and sidecar written by :func:`_save_with_sidecar`."""
     csv_path = Path(csv_path)
     values = np.loadtxt(csv_path, delimiter=",", ndmin=2)
-    sidecar = json.loads(csv_path.with_suffix(".json").read_text())
+    return values, _read_json_fields(csv_path.with_suffix(".json"), fields)
+
+
+def save_divergence_matrix(matrix: DivergenceMatrix, csv_path) -> None:
+    """Write the values as CSV plus a JSON sidecar (same stem, .json suffix)."""
+    _save_with_sidecar(csv_path, matrix.values, {
+        "kind": matrix.kind.value,
+        "set_ids": list(matrix.set_ids),
+        "bandwidth_policy": matrix.bw_policy,
+    })
+
+
+def load_divergence_matrix(csv_path) -> DivergenceMatrix:
+    values, sidecar = _load_with_sidecar(csv_path, ("kind", "set_ids", "bandwidth_policy"))
     return DivergenceMatrix(
         values=values,
         kind=DivergenceKind(sidecar["kind"]),

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +18,9 @@ import numpy as np
 from .classify import KfdaModel, accuracy, kfda_fit, latent_nn_classify, nn_classify
 from .dataset import Dataset, SyntheticSpec, generate_synthetic, load_dataset, split_gallery_probe, standardize_dataset
 from .dimred import DrConfig, learn_projection, project_sets
-from .divergence import DivergenceKind, cross_divergence_matrix
-from .kernels import SIGMA_GRID, KernelFamily, KernelSpec, cross_gram, gram
-from .manifold import CgOptions
+from .divergence import DivergenceKind, DivergenceMatrix, cross_divergence_matrix, divergence_matrix
+from .kernels import _DIVERGENCE_FAMILIES, SIGMA_GRID, KernelFamily, KernelSpec, _gram_from_divergences, cross_gram, gram
+from .manifold import CgOptions, save_trace
 
 __all__ = [
     "ConfigError",
@@ -275,25 +275,14 @@ def _gallery_loo_accuracy(model: KfdaModel) -> float:
     return accuracy(model.labels[nearest], model.labels)
 
 
-def _choose_sigma(gallery: Dataset, config: ExperimentConfig) -> float:
-    """Grid search over the kernel scale, scored by gallery-only LOO-NN.
-
-    Reuses one divergence matrix across the grid; ties prefer the smallest
-    scale.
-    """
-    from .divergence import divergence_matrix
-    from .kernels import _DIVERGENCE_FAMILIES, kernel_from_divergence
-
-    family = config.kernel.family
-    if family not in _DIVERGENCE_FAMILIES:
-        return config.kernel.sigma
-    div = divergence_matrix(gallery.sets, _DIVERGENCE_FAMILIES[family], config.bandwidth_policy)
+def _choose_sigma(gallery_div: DivergenceMatrix, labels, config: ExperimentConfig) -> float:
+    """Grid search over the kernel scale, scored by gallery-only LOO-NN on
+    Grams of the given gallery divergence matrix; ties prefer the smallest
+    scale."""
     best_sigma, best_score = None, -1.0
     for sigma in SIGMA_GRID:
-        spec = KernelSpec(family=family, sigma=sigma, subspace_dim=config.kernel.subspace_dim)
-        values = np.asarray(kernel_from_divergence(div.values, spec))
-        np.fill_diagonal(values, 1.0)
-        model = kfda_fit(values, gallery.labels, config.kfda_latent_dim, config.kfda_regularization)
+        values = _gram_from_divergences(gallery_div, replace(config.kernel, sigma=sigma)).values
+        model = kfda_fit(values, labels, config.kfda_latent_dim, config.kfda_regularization)
         score = _gallery_loo_accuracy(model)
         if score > best_score:
             best_sigma, best_score = sigma, score
@@ -315,15 +304,21 @@ def _run_repetition(dataset: Dataset, config: ExperimentConfig,
                                         config.bandwidth_policy)
         predicted = nn_classify(cross, gallery.labels)
     elif config.pipeline == "kfda":
-        sigma = _choose_sigma(gallery, config) if config.sigma_grid_search else config.kernel.sigma
-        spec = KernelSpec(family=config.kernel.family, sigma=sigma,
-                          subspace_dim=config.kernel.subspace_dim)
-        gram_train = gram(gallery.sets, spec, config.bandwidth_policy)
+        spec = config.kernel
+        if spec.family in _DIVERGENCE_FAMILIES:
+            # One gallery matrix serves the sigma search and the training Gram.
+            gallery_div = divergence_matrix(gallery.sets, _DIVERGENCE_FAMILIES[spec.family],
+                                            config.bandwidth_policy)
+            if config.sigma_grid_search:
+                spec = replace(spec, sigma=_choose_sigma(gallery_div, gallery.labels, config))
+            gram_train = _gram_from_divergences(gallery_div, spec)
+        else:
+            gram_train = gram(gallery.sets, spec, config.bandwidth_policy)
         model = kfda_fit(gram_train.values, gallery.labels,
                          config.kfda_latent_dim, config.kfda_regularization)
         gram_cross = cross_gram(gallery.sets, probe.sets, spec, config.bandwidth_policy)
         predicted = latent_nn_classify(model, gram_cross)
-        record["sigma"] = sigma
+        record["sigma"] = spec.sigma
     else:  # nn_dr
         dr_config = DrConfig(
             target_dim=config.dr_target_dim,
@@ -398,8 +393,6 @@ def emit_report(report: Report, out_dir) -> None:
         fh.write("repetition,accuracy\n")
         for record in report.repetitions:
             fh.write(f"{record['index']},{record['accuracy']:.17g}\n")
-    from .manifold import save_trace
-
     for rep, trace in enumerate(report.traces):
         save_trace(trace, out_dir / f"trace_rep{rep}.csv")
     (out_dir / "timings.json").write_text(

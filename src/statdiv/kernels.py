@@ -9,14 +9,23 @@ covariances).
 
 from __future__ import annotations
 
-import json
+import numbers
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
-from .divergence import DivergenceKind, cross_divergence_matrix, divergence_matrix
+from .classify import _fix_column_signs
+from .density import _features_of, _read_only
+from .divergence import (
+    DivergenceKind,
+    DivergenceMatrix,
+    _ids_of,
+    _load_with_sidecar,
+    _save_with_sidecar,
+    cross_divergence_matrix,
+    divergence_matrix,
+)
 
 __all__ = [
     "KernelFamily",
@@ -65,8 +74,8 @@ class KernelSpec:
     subspace_dim: int | None = None
 
     def __post_init__(self):
-        if self.sigma <= 0 or not np.isfinite(self.sigma):
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not isinstance(self.sigma, numbers.Real) or self.sigma <= 0 or not np.isfinite(self.sigma):
+            raise ValueError(f"sigma must be a positive number, got {self.sigma!r}")
         if self.family is KernelFamily.GRASSMANN_PROJECTION:
             if self.subspace_dim is None or int(self.subspace_dim) < 1:
                 raise ValueError("the projection kernel needs subspace_dim >= 1")
@@ -123,18 +132,12 @@ class GramMatrix:
         if self.spec.family in _DIVERGENCE_FAMILIES:
             if np.max(np.abs(np.diag(values) - 1.0), initial=0.0) > 1e-12:
                 raise ValueError("divergence-kernel gram diagonals must equal 1")
-        values = values.copy()
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _read_only(values))
         object.__setattr__(self, "set_ids", tuple(self.set_ids))
 
     @property
     def size(self) -> int:
         return self.values.shape[0]
-
-
-def _features_of(obj) -> np.ndarray:
-    return np.asarray(getattr(obj, "features", obj), dtype=float)
 
 
 def set_to_subspace(samples, p: int) -> np.ndarray:
@@ -149,12 +152,7 @@ def set_to_subspace(samples, p: int) -> np.ndarray:
         raise ValueError(f"subspace dimension p={p} must be in [1, min(n, D)] = [1, {min(n, d)}]")
     centered = mat - mat.mean(axis=0)
     u, _, _ = np.linalg.svd(centered.T, full_matrices=False)
-    basis = u[:, :p].copy()
-    for j in range(p):
-        k = int(np.argmax(np.abs(basis[:, j])))
-        if basis[k, j] < 0:
-            basis[:, j] = -basis[:, j]
-    return basis
+    return _fix_column_signs(u[:, :p].copy())
 
 
 def set_to_covariance(samples, ridge: float | None = None) -> np.ndarray:
@@ -181,6 +179,29 @@ def _spd_log(mat: np.ndarray) -> np.ndarray:
     return (v * np.log(w)) @ v.T
 
 
+def _gram_from_divergences(div: DivergenceMatrix, spec: KernelSpec) -> GramMatrix:
+    """Gram of a divergence family: `div` mapped entrywise, unit diagonal."""
+    values = kernel_from_divergence(div.values, spec)
+    np.fill_diagonal(values, 1.0)
+    return GramMatrix(values=values, spec=spec, set_ids=div.set_ids, bw_policy=div.bw_policy)
+
+
+def _summaries(sets, spec: KernelSpec) -> list[np.ndarray]:
+    """Per-set summary of a baseline kernel: the subspace basis for the
+    projection kernel, the covariance log for the log-Euclidean one."""
+    if spec.family is KernelFamily.GRASSMANN_PROJECTION:
+        return [set_to_subspace(s, spec.subspace_dim) for s in sets]
+    return [_spd_log(set_to_covariance(s)) for s in sets]
+
+
+def _summary_inner(a: np.ndarray, b: np.ndarray, spec: KernelSpec) -> float:
+    """Baseline kernel value of two summaries: ||A' B||_F^2 between subspace
+    bases, Tr(A' B) between covariance logs."""
+    if spec.family is KernelFamily.GRASSMANN_PROJECTION:
+        return float(np.sum((a.T @ b) ** 2))
+    return float(np.sum(a * b))
+
+
 def gram(sets, spec: KernelSpec, bw_policy="silverman") -> GramMatrix:
     """Pairwise kernel matrix over `sets`.
 
@@ -192,28 +213,16 @@ def gram(sets, spec: KernelSpec, bw_policy="silverman") -> GramMatrix:
     sets = list(sets)
     if not sets:
         raise ValueError("gram needs at least one set")
-    ids = tuple(str(getattr(s, "id", f"set{i}")) for i, s in enumerate(sets))
     if spec.family in _DIVERGENCE_FAMILIES:
         div = divergence_matrix(sets, _DIVERGENCE_FAMILIES[spec.family], bw_policy)
-        values = kernel_from_divergence(div.values, spec)
-        np.fill_diagonal(values, 1.0)
-        return GramMatrix(values=values, spec=spec, set_ids=ids, bw_policy=div.bw_policy)
-    if spec.family is KernelFamily.GRASSMANN_PROJECTION:
-        bases = [set_to_subspace(s, spec.subspace_dim) for s in sets]
-        m = len(bases)
-        values = np.empty((m, m))
-        for i in range(m):
-            for j in range(i, m):
-                values[i, j] = values[j, i] = float(np.sum((bases[i].T @ bases[j]) ** 2))
-        return GramMatrix(values=values, spec=spec, set_ids=ids, bw_policy="n/a")
-    # SPD log-Euclidean
-    logs = [_spd_log(set_to_covariance(s)) for s in sets]
-    m = len(logs)
+        return _gram_from_divergences(div, spec)
+    summaries = _summaries(sets, spec)
+    m = len(summaries)
     values = np.empty((m, m))
     for i in range(m):
         for j in range(i, m):
-            values[i, j] = values[j, i] = float(np.sum(logs[i] * logs[j]))
-    return GramMatrix(values=values, spec=spec, set_ids=ids, bw_policy="n/a")
+            values[i, j] = values[j, i] = _summary_inner(summaries[i], summaries[j], spec)
+    return GramMatrix(values=values, spec=spec, set_ids=_ids_of(sets), bw_policy="n/a")
 
 
 def cross_gram(sets_a, sets_b, spec: KernelSpec, bw_policy="silverman") -> np.ndarray:
@@ -223,13 +232,9 @@ def cross_gram(sets_a, sets_b, spec: KernelSpec, bw_policy="silverman") -> np.nd
     if spec.family in _DIVERGENCE_FAMILIES:
         cross = cross_divergence_matrix(sets_a, sets_b, _DIVERGENCE_FAMILIES[spec.family], bw_policy)
         return np.asarray(kernel_from_divergence(cross, spec))
-    if spec.family is KernelFamily.GRASSMANN_PROJECTION:
-        bases_a = [set_to_subspace(s, spec.subspace_dim) for s in sets_a]
-        bases_b = [set_to_subspace(s, spec.subspace_dim) for s in sets_b]
-        return np.array([[float(np.sum((a.T @ b) ** 2)) for b in bases_b] for a in bases_a])
-    logs_a = [_spd_log(set_to_covariance(s)) for s in sets_a]
-    logs_b = [_spd_log(set_to_covariance(s)) for s in sets_b]
-    return np.array([[float(np.sum(a * b)) for b in logs_b] for a in logs_a])
+    summaries_a = _summaries(sets_a, spec)
+    summaries_b = _summaries(sets_b, spec)
+    return np.array([[_summary_inner(a, b, spec) for b in summaries_b] for a in summaries_a])
 
 
 def min_eigenvalue(gram_values) -> float:
@@ -245,22 +250,18 @@ def min_eigenvalue(gram_values) -> float:
 
 def save_gram_matrix(matrix: GramMatrix, csv_path) -> None:
     """Write values as CSV plus a JSON sidecar describing the kernel."""
-    csv_path = Path(csv_path)
-    np.savetxt(csv_path, matrix.values, delimiter=",", fmt="%.17g")
-    sidecar = {
+    _save_with_sidecar(csv_path, matrix.values, {
         "family": matrix.spec.family.value,
         "sigma": matrix.spec.sigma,
         "subspace_dim": matrix.spec.subspace_dim,
         "set_ids": list(matrix.set_ids),
         "bandwidth_policy": matrix.bw_policy,
-    }
-    csv_path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    })
 
 
 def load_gram_matrix(csv_path) -> GramMatrix:
-    csv_path = Path(csv_path)
-    values = np.loadtxt(csv_path, delimiter=",", ndmin=2)
-    sidecar = json.loads(csv_path.with_suffix(".json").read_text())
+    values, sidecar = _load_with_sidecar(
+        csv_path, ("family", "sigma", "subspace_dim", "set_ids", "bandwidth_policy"))
     spec = KernelSpec(
         family=KernelFamily(sidecar["family"]),
         sigma=sidecar["sigma"],

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -80,6 +81,28 @@ class TestLoadDataset:
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps({"sets": [{"id": "s", "label": "a", "path": "gone.csv"}]}))
         with pytest.raises(ValueError, match="gone.csv"):
+            load_dataset(manifest)
+
+    @pytest.mark.parametrize("content", [[], [{"id": "s"}], "sets", {"sets": {}}])
+    def test_manifest_that_is_not_an_object_reported(self, tmp_path, content):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(content))
+        with pytest.raises(ValueError, match=f"manifest {re.escape(str(manifest))} must be a JSON object"):
+            load_dataset(manifest)
+
+    @pytest.mark.parametrize("entry", ["s1", ["s1", "a", "x.csv"], None, 3])
+    def test_entry_that_is_not_an_object_reported(self, tmp_path, entry):
+        (tmp_path / "x.csv").write_text("1.0,2.0\n3.0,4.0\n")
+        good = {"id": "s0", "label": "a", "path": "x.csv"}
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"sets": [good, entry]}))
+        with pytest.raises(ValueError, match=f"manifest {re.escape(str(manifest))} entry 1 must be an object"):
+            load_dataset(manifest)
+
+    def test_entry_missing_field_names_manifest_and_index(self, tmp_path):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"sets": [{"id": "s", "path": "x.csv"}]}))
+        with pytest.raises(ValueError, match="entry 0 is missing the 'label' field"):
             load_dataset(manifest)
 
     def test_ragged_row_reports_row_index(self, tmp_path):

@@ -246,6 +246,15 @@ class TestDivergenceMatrix:
             for j, p in enumerate(probe):
                 assert cross[i, j] == hellinger_empirical(g, p)
 
+    @pytest.mark.parametrize("kind", list(DivergenceKind))
+    @pytest.mark.parametrize("bw", ["silverman", "isotropic", 0.3])
+    def test_cross_of_a_collection_with_itself_equals_square(self, kind, bw):
+        rng = np.random.default_rng(14)
+        sets = [random_set(rng, n=12 + i, dim=3) for i in range(4)]
+        cross = cross_divergence_matrix(sets, sets, kind, bw)
+        square = divergence_matrix(sets, kind, bw).values
+        assert cross.tobytes() == square.tobytes()
+
     def test_round_trip_serialization(self, tmp_path):
         rng = np.random.default_rng(13)
         sets = [random_set(rng) for _ in range(4)]

@@ -133,6 +133,27 @@ class TestRunExperiment:
         assert all(r["sigma"] in SIGMA_GRID for r in report.repetitions)
         assert report.hyperparameters["sigma_grid"] == list(SIGMA_GRID)
 
+    def test_sigma_grid_builds_gallery_matrix_once_per_repetition(self, monkeypatch):
+        # the sigma search and the training Gram share one gallery matrix
+        import statdiv.divergence as divergence_mod
+        import statdiv.experiment as experiment_mod
+        import statdiv.kernels as kernels_mod
+
+        real = divergence_mod.divergence_matrix
+        calls = []
+
+        def counting(sets, *args, **kwargs):
+            sets = list(sets)
+            calls.append(len(sets))
+            return real(sets, *args, **kwargs)
+
+        for module in (divergence_mod, kernels_mod, experiment_mod):
+            monkeypatch.setattr(module, "divergence_matrix", counting, raising=False)
+        raw = synthetic_config("kfda")
+        raw["kernel"]["sigma"] = "grid"
+        report = run_experiment(ExperimentConfig.from_dict(raw))
+        assert calls == [len(r["gallery_ids"]) for r in report.repetitions]
+
     def test_dr_pipeline_produces_traces(self):
         report = run_experiment(ExperimentConfig.from_dict(synthetic_config("nn_dr")))
         assert len(report.traces) == 2
@@ -234,6 +255,44 @@ class TestCli:
     def test_missing_manifest_is_validation_error(self, tmp_path):
         assert self.run("dist", "--manifest", str(tmp_path / "nope.json"),
                         "--divergence", "hellinger", "--out", str(tmp_path / "out")) == 1
+
+    def test_manifest_not_an_object_is_validation_error(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text("[]")
+        assert self.run("dist", "--manifest", str(manifest), "--divergence", "hellinger",
+                        "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: manifest") and str(manifest) in err
+
+    @pytest.mark.parametrize("filename, field, value", [("kernel.json", "sigma", None),
+                                                        ("kernel.json", "family", None),
+                                                        ("model.json", "labels", None),
+                                                        ("model.json", "latent_dim", None),
+                                                        ("kernel.json", "sigma", "abc"),
+                                                        ("kernel.json", "family", "svm")])
+    def test_classify_with_bad_model_directory(self, tmp_path, capsys, filename, field, value):
+        data = tmp_path / "data"
+        assert self.run("gen", "--classes", "2", "--sets-per-class", "3",
+                        "--samples-per-set", "10", "--dim", "3", "--out", str(data)) == 0
+        manifest = str(data / "manifest.json")
+        model = tmp_path / "model"
+        assert self.run("train-kfda", "--manifest", manifest, "--kernel", "hg",
+                        "--out", str(model)) == 0
+        meta = json.loads((model / filename).read_text())
+        if value is None:
+            del meta[field]
+        else:
+            meta[field] = value
+        (model / filename).write_text(json.dumps(meta))
+        capsys.readouterr()
+        assert self.run("classify", "--gallery", manifest, "--probe", manifest,
+                        "--model", str(model), "--out", str(tmp_path / "cls")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        if value is None:
+            assert str(model / filename) in err and repr(field) in err
+        else:
+            assert repr(value) in err
 
     def test_io_error_exit_code(self, tmp_path):
         blocker = tmp_path / "blocker"
