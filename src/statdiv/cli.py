@@ -28,8 +28,8 @@ from .divergence import (
     divergence_matrix,
     save_divergence_matrix,
 )
-from .experiment import ConfigError, ExperimentConfig, emit_report, run_experiment
-from .kernels import KernelFamily, KernelSpec, cross_gram, gram, save_gram_matrix
+from .experiment import ConfigError, ExperimentConfig, _divergence_kind, _kernel_family, emit_report, run_experiment
+from .kernels import KernelSpec, cross_gram, gram, save_gram_matrix
 from .manifold import CgOptions, save_trace
 from .validation import run_validation
 
@@ -41,23 +41,10 @@ def _parse_bw(raw: str):
         return raw
 
 
-def _divergence_kind(raw: str) -> DivergenceKind:
+def _divergence_arg(raw: str) -> DivergenceKind:
+    """A --divergence value; the CLI also accepts "h" and "j"."""
     aliases = {"h": "hellinger", "j": "jeffrey"}
-    try:
-        return DivergenceKind(aliases.get(raw, raw))
-    except ValueError:
-        raise ConfigError(
-            f"divergence: must be 'hellinger' or 'jeffrey', got {raw!r}"
-        ) from None
-
-
-def _kernel_family(raw: str) -> KernelFamily:
-    try:
-        return KernelFamily(raw)
-    except ValueError:
-        raise ConfigError(
-            f"kernel: must be one of {[f.value for f in KernelFamily]}, got {raw!r}"
-        ) from None
+    return _divergence_kind(aliases.get(raw, raw), "divergence")
 
 
 def _cmd_gen(args) -> int:
@@ -81,7 +68,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_dist(args) -> int:
     dataset = load_dataset(args.manifest)
-    kind = _divergence_kind(args.divergence)
+    kind = _divergence_arg(args.divergence)
     matrix = divergence_matrix(dataset.sets, kind, _parse_bw(args.bw))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -92,7 +79,7 @@ def _cmd_dist(args) -> int:
 
 def _cmd_gram(args) -> int:
     dataset = load_dataset(args.manifest)
-    family = _kernel_family(args.kernel)
+    family = _kernel_family(args.kernel, "kernel")
     spec = KernelSpec(family=family, sigma=args.sigma, subspace_dim=args.dim)
     matrix = gram(dataset.sets, spec, _parse_bw(args.bw))
     out = Path(args.out)
@@ -106,7 +93,7 @@ def _cmd_train_dr(args) -> int:
     dataset = load_dataset(args.manifest)
     config = DrConfig(
         target_dim=args.dim,
-        kind=_divergence_kind(args.divergence),
+        kind=_divergence_arg(args.divergence),
         nu_b=args.nu_b,
         cg=CgOptions(max_iters=args.max_iters),
         init=args.init,
@@ -150,12 +137,12 @@ def _cmd_classify(args) -> int:
         model = load_kfda_model(args.model)
         meta = _read_json_fields(Path(args.model) / "kernel.json",
                                  ("family", "sigma", "subspace_dim", "bandwidth_policy"))
-        spec = KernelSpec(family=_kernel_family(meta["family"]), sigma=meta["sigma"],
+        spec = KernelSpec(family=_kernel_family(meta["family"], "kernel"), sigma=meta["sigma"],
                           subspace_dim=meta["subspace_dim"])
         cross = cross_gram(gallery.sets, probe.sets, spec, _parse_bw(meta["bandwidth_policy"]))
         predicted = latent_nn_classify(model, cross)
     else:
-        kind = _divergence_kind(args.divergence)
+        kind = _divergence_arg(args.divergence)
         cross = cross_divergence_matrix(gallery.sets, probe.sets, kind, _parse_bw(args.bw))
         predicted = nn_classify(cross, gallery.labels)
     out = Path(args.out)
@@ -172,7 +159,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_train_kfda(args) -> int:
     dataset = load_dataset(args.manifest)
-    family = _kernel_family(args.kernel)
+    family = _kernel_family(args.kernel, "kernel")
     spec = KernelSpec(family=family, sigma=args.sigma, subspace_dim=args.dim)
     gram_train = gram(dataset.sets, spec, _parse_bw(args.bw))
     model = kfda_fit(gram_train.values, dataset.labels,

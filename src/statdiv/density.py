@@ -103,6 +103,16 @@ def isotropic_silverman_bandwidth(samples) -> Bandwidth:
     return Bandwidth(np.full(d, max(h2, floor)))
 
 
+def _kde_samples(samples, bandwidth: Bandwidth) -> np.ndarray:
+    """:func:`_as_sample_matrix`, whose dimension must also be the bandwidth's."""
+    mat = _as_sample_matrix(samples)
+    if mat.shape[1] != bandwidth.dim:
+        raise ValueError(
+            f"bandwidth dimension {bandwidth.dim} does not match sample dimension {mat.shape[1]}"
+        )
+    return mat
+
+
 @dataclass(frozen=True)
 class DensityModel:
     """A fitted kernel density: samples, bandwidth, and the precomputed
@@ -113,13 +123,7 @@ class DensityModel:
     log_norm: float
 
     def __post_init__(self):
-        samples = _read_only(_as_sample_matrix(self.samples))
-        object.__setattr__(self, "samples", samples)
-        if samples.shape[1] != self.bandwidth.dim:
-            raise ValueError(
-                f"bandwidth dimension {self.bandwidth.dim} does not match "
-                f"sample dimension {samples.shape[1]}"
-            )
+        object.__setattr__(self, "samples", _read_only(_kde_samples(self.samples, self.bandwidth)))
         if not np.isfinite(self.log_norm):
             raise ValueError("log normalizer is not finite")
 
@@ -159,6 +163,15 @@ def _log_kernel_matrix(points: np.ndarray, samples: np.ndarray, diag: np.ndarray
     return -0.5 * np.einsum("aij,j->ai", diff * diff, 1.0 / diag)
 
 
+def _log_mixture(log_kernels: np.ndarray, log_norm: float) -> tuple[np.ndarray, np.ndarray]:
+    """KDE log density from its log-kernel matrix (a row per evaluation
+    point, a column per mixture component): the row log-sum-exp plus the
+    log normalizer. Also returns that log-sum-exp, from which a caller forms
+    the component weights exp(L - lse) without a second reduction."""
+    lse = logsumexp(log_kernels, axis=1)
+    return lse + log_norm, lse
+
+
 def log_density_batch(model: DensityModel, points) -> np.ndarray:
     """Log density at each row of `points` (m x D). Always finite for finite input."""
     pts = np.asarray(points, dtype=float)
@@ -167,7 +180,7 @@ def log_density_batch(model: DensityModel, points) -> np.ndarray:
     if not np.all(np.isfinite(pts)):
         raise ValueError("evaluation points contain non-finite entries")
     log_kernels = _log_kernel_matrix(pts, model.samples, model.bandwidth.diag)
-    return logsumexp(log_kernels, axis=1) + model.log_norm
+    return _log_mixture(log_kernels, model.log_norm)[0]
 
 
 def log_density(model: DensityModel, x) -> float:
@@ -187,7 +200,7 @@ def log_density_loo(model: DensityModel, sample_index: int | None = None) -> np.
     log_kernels = _log_kernel_matrix(model.samples, model.samples, model.bandwidth.diag)
     np.fill_diagonal(log_kernels, -np.inf)
     log_norm = model.log_norm + np.log(model.n) - np.log(model.n - 1)
-    out = logsumexp(log_kernels, axis=1) + log_norm
+    out = _log_mixture(log_kernels, log_norm)[0]
     if sample_index is not None:
         return out[sample_index]
     return out

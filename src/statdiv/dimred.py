@@ -7,6 +7,10 @@ different-class neighbors apart. The affinity and the projected-space
 bandwidths are data: both are computed once and stay fixed during the
 optimization, which runs a projection-based conjugate gradient over
 orthonormal frames.
+
+The cost and both gradients share one per-pair pass, `_pair_pass`, which
+evaluates each projected mixture once at the stacked points of the pair
+through the package's one KDE log-density step, `density._log_mixture`.
 """
 
 from __future__ import annotations
@@ -14,16 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .classify import _fix_column_signs
-from .density import Bandwidth, _features_of, _log_kernel_matrix, _log_norm, _read_only
+from .density import Bandwidth, _features_of, _kde_samples, _log_kernel_matrix, _log_mixture, _log_norm, _read_only
 from .divergence import (
+    _FROM_LOGITS,
     T_CLAMP,
     DivergenceKind,
     _stable_logistic,
     divergence_matrix,
-    pair_divergence,
     resolve_bandwidths,
 )
 from .manifold import CgOptions, CgResult, cg_minimize, random_orthonormal
@@ -149,44 +152,65 @@ def _active_pairs(affinity: AffinityMatrix) -> list[tuple[int, int, float]]:
     ]
 
 
+def _checked_projection(w: np.ndarray, sets, bw_policy) -> tuple[list[np.ndarray], list[Bandwidth]]:
+    """Projected sets and one projected-space bandwidth per set, with the
+    checks the cost and both gradients share, run once per call: n >= 2
+    finite projected samples per set (which catches a NaN in W), and one
+    bandwidth per set, of dimension d."""
+    projected = project_sets(sets, w)
+    bandwidths = resolve_bandwidths(projected, bw_policy)
+    return [_kde_samples(m, bw) for m, bw in zip(projected, bandwidths)], bandwidths
+
+
+def _pair_pass(points_proj: np.ndarray, p_proj: np.ndarray, q_proj: np.ndarray,
+               bandwidth_p: Bandwidth, bandwidth_q: Bandwidth):
+    """The per-pair evaluation behind the cost and both gradients: the
+    logits z = log p - log q of the projected-sample KDEs of P and Q at the
+    projected points, and per mixture what :func:`_mixture_gradient` needs
+    to form the component weights, which the cost never pays for."""
+    logdens = []
+    mixtures = []
+    for anchors_proj, bw in ((p_proj, bandwidth_p), (q_proj, bandwidth_q)):
+        rows = _log_kernel_matrix(points_proj, anchors_proj, bw.diag)
+        log_density, lse = _log_mixture(rows, _log_norm(anchors_proj.shape[0], bw.diag))
+        logdens.append(log_density)
+        mixtures.append((rows, lse, anchors_proj, bw.diag))
+    return logdens[0] - logdens[1], mixtures
+
+
 def dr_cost(w: np.ndarray, sets, affinity: AffinityMatrix,
             kind: DivergenceKind, bw_policy="isotropic") -> float:
     """Sum over unordered neighbor pairs of (sign) * divergence of the
     projected sets.
 
-    Pass an explicit bandwidth list (one per set, already in the projected
+    Each term is the symmetric estimator of
+    :func:`statdiv.divergence.pair_divergence` on the projected pair. Pass
+    an explicit bandwidth list (one per set, already in the projected
     dimension) to keep the objective a pure function of `w`; string
     policies recompute bandwidths from the current projection.
     """
-    projected = project_sets(sets, w)
-    bandwidths = resolve_bandwidths(projected, bw_policy)
+    projected, bandwidths = _checked_projection(w, sets, bw_policy)
+    estimator = _FROM_LOGITS[kind]
     total = 0.0
     for i, j, sign in _active_pairs(affinity):
-        total += sign * pair_divergence(projected[i], projected[j], kind,
-                                        bandwidths[i], bandwidths[j])
+        n_p = projected[i].shape[0]
+        z, _ = _pair_pass(np.vstack([projected[i], projected[j]]), projected[i], projected[j],
+                          bandwidths[i], bandwidths[j])
+        total += sign * estimator(z[:n_p], z[n_p:])
     return total
 
 
-def _log_density_and_softmax(points_proj: np.ndarray, anchors_proj: np.ndarray,
-                             diag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Log density of the projected-anchor KDE at each projected point, and
-    the softmax weights of its mixture components there."""
-    rows = _log_kernel_matrix(points_proj, anchors_proj, diag)
-    lse = logsumexp(rows, axis=1)
-    log_density = lse + _log_norm(anchors_proj.shape[0], diag)
-    return log_density, np.exp(rows - lse[:, None])
+def _mixture_gradient(omega: np.ndarray, points: np.ndarray, points_proj: np.ndarray,
+                      anchors: np.ndarray, mixture) -> np.ndarray:
+    """sum_x omega[x] * d(log density at point x)/dW for one mixture of
+    :func:`_pair_pass`.
 
-
-def _weighted_grad_sum(omega: np.ndarray, soft: np.ndarray,
-                       points: np.ndarray, points_proj: np.ndarray,
-                       anchors: np.ndarray, anchors_proj: np.ndarray,
-                       diag: np.ndarray) -> np.ndarray:
-    """sum_x omega[x] * d(log density at point x)/dW for one mixture.
-
-    `soft` holds the softmax weights of the mixture components at each
-    point; the gradient of each log kernel is the outer product of the
-    full-dimensional offset with the scaled projected offset.
+    The softmax weights of the mixture components at each point come from
+    its log kernels; the gradient of each log kernel is the outer product
+    of the full-dimensional offset with the scaled projected offset.
     """
+    rows, lse, anchors_proj, diag = mixture
+    soft = np.exp(rows - lse[:, None])
     inv = 1.0 / diag
     b = omega[:, None] * soft
     row_sum = b.sum(axis=1)
@@ -194,27 +218,6 @@ def _weighted_grad_sum(omega: np.ndarray, soft: np.ndarray,
     left = points.T @ ((row_sum[:, None] * points_proj - b @ anchors_proj) * inv)
     right = anchors.T @ ((b.T @ points_proj - col_sum[:, None] * anchors_proj) * inv)
     return -(left - right)
-
-
-def _pair_gradient_pieces(w, p_samples, q_samples, bandwidth_p: Bandwidth,
-                          bandwidth_q: Bandwidth):
-    """Shared per-pair quantities: logits at all evaluation points plus the
-    softmax weights needed for density gradients."""
-    p = _features_of(p_samples)
-    q = _features_of(q_samples)
-    points = np.vstack([p, q])
-    points_proj = points @ w
-    p_proj = points_proj[: p.shape[0]]
-    q_proj = points_proj[p.shape[0]:]
-
-    pieces = []
-    logdens = []
-    for anchors, anchors_proj, bw in ((p, p_proj, bandwidth_p), (q, q_proj, bandwidth_q)):
-        logdens_at, soft = _log_density_and_softmax(points_proj, anchors_proj, bw.diag)
-        logdens.append(logdens_at)
-        pieces.append((soft, anchors, anchors_proj, bw.diag))
-    z = logdens[0] - logdens[1]
-    return points, points_proj, z, pieces
 
 
 def t_ratio_gradient(w: np.ndarray, x, p_samples, q_samples,
@@ -229,17 +232,12 @@ def t_ratio_gradient(w: np.ndarray, x, p_samples, q_samples,
     x = np.asarray(x, dtype=float).reshape(1, -1)
     p = _features_of(p_samples)
     q = _features_of(q_samples)
+    (p_proj, q_proj), (bw_p, bw_q) = _checked_projection(w, [p, q], [bandwidth_p, bandwidth_q])
     x_proj = x @ w
-
-    grads = []
-    logdens = []
-    for anchors, bw in ((p, bandwidth_p), (q, bandwidth_q)):
-        anchors_proj = anchors @ w
-        logdens_at, soft = _log_density_and_softmax(x_proj, anchors_proj, bw.diag)
-        logdens.append(float(logdens_at[0]))
-        grads.append(_weighted_grad_sum(np.ones(1), soft, x, x_proj, anchors, anchors_proj, bw.diag))
-    z = np.array([logdens[0] - logdens[1]])
-    return float(_stable_logistic(z)[0] * _stable_logistic(-z)[0]) * (grads[0] - grads[1])
+    z, (mix_p, mix_q) = _pair_pass(x_proj, p_proj, q_proj, bw_p, bw_q)
+    ones = np.ones(1)
+    grad = _mixture_gradient(ones, x, x_proj, p, mix_p) - _mixture_gradient(ones, x, x_proj, q, mix_q)
+    return float(_stable_logistic(z)[0] * _stable_logistic(-z)[0]) * grad
 
 
 def _pair_weights(z: np.ndarray, kind: DivergenceKind) -> np.ndarray:
@@ -258,43 +256,34 @@ def dr_euclidean_gradient(w: np.ndarray, sets, affinity: AffinityMatrix,
                           kind: DivergenceKind, bw_policy="isotropic") -> np.ndarray:
     """Matrix of partial derivatives of :func:`dr_cost` with respect to W."""
     w = np.asarray(w, dtype=float)
-    projected = project_sets(sets, w)
-    bandwidths = resolve_bandwidths(projected, bw_policy)
     mats = [_features_of(s) for s in sets]
+    _, bandwidths = _checked_projection(w, mats, bw_policy)
     total = np.zeros_like(w)
     for i, j, sign in _active_pairs(affinity):
         p, q = mats[i], mats[j]
-        points, points_proj, z, pieces = _pair_gradient_pieces(
-            w, p, q, bandwidths[i], bandwidths[j]
-        )
-        per_point = _pair_weights(z, kind)
-        scale = np.concatenate([
-            np.full(p.shape[0], 1.0 / p.shape[0]),
-            np.full(q.shape[0], 1.0 / q.shape[0]),
-        ])
-        omega = sign * per_point * scale
-        soft_p, anchors_p, proj_p, diag_p = pieces[0]
-        soft_q, anchors_q, proj_q, diag_q = pieces[1]
-        grad_p = _weighted_grad_sum(omega, soft_p, points, points_proj, anchors_p, proj_p, diag_p)
-        grad_q = _weighted_grad_sum(omega, soft_q, points, points_proj, anchors_q, proj_q, diag_q)
+        n_p = p.shape[0]
+        points = np.vstack([p, q])
+        # One product for the stacked pair; it can differ in the last bit
+        # from the cost's per-set products.
+        points_proj = points @ w
+        z, (mix_p, mix_q) = _pair_pass(points_proj, points_proj[:n_p], points_proj[n_p:],
+                                       bandwidths[i], bandwidths[j])
+        n_q = q.shape[0]
+        omega = sign * _pair_weights(z, kind) * np.repeat([1.0 / n_p, 1.0 / n_q], [n_p, n_q])
+        grad_p = _mixture_gradient(omega, points, points_proj, p, mix_p)
+        grad_q = _mixture_gradient(omega, points, points_proj, q, mix_q)
         total += grad_p - grad_q
     return total
 
 
 @dataclass(frozen=True)
 class DrConfig:
-    """Options for learning the projection.
-
-    `bw_policy` fixes how projected-space bandwidths are derived at the
-    starting point (they are then frozen for the whole run); "isotropic"
-    keeps the objective exactly invariant to the choice of basis.
-    """
+    """Options for learning the projection."""
 
     target_dim: int
     kind: DivergenceKind = DivergenceKind.HELLINGER_SQUARED
     nu_w: int | str = "auto"
     nu_b: int = 1
-    bw_policy: object = "isotropic"
     cg: CgOptions = field(default_factory=CgOptions)
     init: str = "pca"
     seed: int = 0
@@ -352,7 +341,9 @@ def learn_projection(sets, labels, config: DrConfig) -> DrResult:
     else:
         w0 = random_orthonormal(dim, config.target_dim, np.random.default_rng(config.seed))
 
-    bandwidths = tuple(resolve_bandwidths(project_sets(mats, w0), config.bw_policy))
+    # Isotropic bandwidths, fixed at the starting frame, keep the cost exactly
+    # invariant to the choice of basis of W.
+    bandwidths = tuple(resolve_bandwidths(project_sets(mats, w0), "isotropic"))
 
     def cost(w: np.ndarray) -> float:
         return dr_cost(w, mats, affinity, config.kind, bandwidths)

@@ -42,6 +42,24 @@ def _require(cond: bool, path: str, message: str):
         raise ConfigError(f"{path}: {message}")
 
 
+def _divergence_kind(raw, path: str) -> DivergenceKind:
+    """`raw` as a DivergenceKind; a ConfigError naming `path` otherwise."""
+    try:
+        return DivergenceKind(raw)
+    except ValueError:
+        raise ConfigError(f"{path}: must be 'hellinger' or 'jeffrey', got {raw!r}") from None
+
+
+def _kernel_family(raw, path: str) -> KernelFamily:
+    """`raw` as a KernelFamily; a ConfigError naming `path` otherwise."""
+    try:
+        return KernelFamily(raw)
+    except ValueError:
+        raise ConfigError(
+            f"{path}: must be one of {[f.value for f in KernelFamily]}, got {raw!r}"
+        ) from None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated description of one experiment."""
@@ -97,12 +115,7 @@ class ExperimentConfig:
 
         divergence = None
         if raw.get("divergence") is not None:
-            try:
-                divergence = DivergenceKind(raw["divergence"])
-            except ValueError:
-                raise ConfigError(
-                    f"divergence: must be 'hellinger' or 'jeffrey', got {raw['divergence']!r}"
-                ) from None
+            divergence = _divergence_kind(raw["divergence"], "divergence")
 
         kernel = None
         sigma_grid_search = False
@@ -110,13 +123,7 @@ class ExperimentConfig:
         if kernel_raw is not None:
             _require(pipeline == "kfda", "kernel", "only valid with the kfda pipeline")
             _require(isinstance(kernel_raw, dict), "kernel", "must be an object")
-            try:
-                family = KernelFamily(kernel_raw.get("family"))
-            except ValueError:
-                raise ConfigError(
-                    f"kernel.family: must be one of "
-                    f"{[f.value for f in KernelFamily]}, got {kernel_raw.get('family')!r}"
-                ) from None
+            family = _kernel_family(kernel_raw.get("family"), "kernel.family")
             sigma = kernel_raw.get("sigma", 0.1)
             if sigma == "grid":
                 sigma_grid_search = True

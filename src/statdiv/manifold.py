@@ -28,6 +28,13 @@ __all__ = [
 
 ORTHONORMAL_TOL = 1e-10
 
+# Backtracking line search: Armijo sufficient-decrease constant, step
+# shrink factor, first trial step of every search, and trials per search.
+ARMIJO_C1 = 1e-4
+BACKTRACK_FACTOR = 0.5
+INITIAL_STEP = 1.0
+MAX_BACKTRACKS = 40
+
 
 def random_orthonormal(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random D x d orthonormal matrix with a deterministic sign fix."""
@@ -88,24 +95,18 @@ def retract(w: np.ndarray, direction: np.ndarray, step: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CgOptions:
-    """Stopping and line-search controls for the conjugate gradient loop."""
+    """Stopping controls for the conjugate gradient loop."""
 
     max_iters: int = 50
     grad_tol: float = 1e-5
-    armijo_c1: float = 1e-4
-    backtrack_factor: float = 0.5
-    initial_step: float = 1.0
     rel_cost_tol: float = 1e-6
-    max_backtracks: int = 40
 
     def __post_init__(self):
-        if self.max_iters < 1 or self.max_backtracks < 1:
-            raise ValueError("iteration counts must be >= 1")
-        for name in ("grad_tol", "armijo_c1", "initial_step", "rel_cost_tol"):
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
+        for name in ("grad_tol", "rel_cost_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ValueError("backtrack_factor must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -161,19 +162,19 @@ def cg_minimize(cost: Callable[[np.ndarray], float],
             direction = -g
             slope = -_inner(g, g)
 
-        step = opts.initial_step
+        step = INITIAL_STEP
         accepted = None
-        for _ in range(opts.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             try:
                 candidate = retract(w, direction, step)
             except np.linalg.LinAlgError:
-                step *= opts.backtrack_factor
+                step *= BACKTRACK_FACTOR
                 continue
             f_new = float(cost(candidate))
-            if f_new <= f + opts.armijo_c1 * step * slope:
+            if f_new <= f + ARMIJO_C1 * step * slope:
                 accepted = (candidate, f_new, step)
                 break
-            step *= opts.backtrack_factor
+            step *= BACKTRACK_FACTOR
         if accepted is None:
             stop_reason = "line_search_failed"
             break

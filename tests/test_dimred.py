@@ -3,7 +3,7 @@ import pytest
 
 from statdiv.dataset import SyntheticSpec, generate_synthetic
 from statdiv.density import Bandwidth
-from statdiv.divergence import DivergenceKind, divergence_matrix, resolve_bandwidths
+from statdiv.divergence import DivergenceKind, divergence_matrix, pair_divergence, resolve_bandwidths
 from statdiv.dimred import (
     AffinityMatrix,
     DrConfig,
@@ -127,6 +127,52 @@ class TestDrCost:
             rot, _ = np.linalg.qr(rng.standard_normal((2, 2)))
             rotated = dr_cost(w @ rot, mats, affinity, kind, bandwidths)
             assert rotated == pytest.approx(base, abs=1e-8)
+
+    @pytest.mark.parametrize("kind", list(DivergenceKind))
+    def test_equals_signed_sum_of_pair_divergences(self, kind):
+        # the cost is the paper's pair estimator on the projected sets, bit for bit
+        rng = np.random.default_rng(13)
+        mats = [rng.normal(c, 1.0, size=(n, 5)) for c, n in ((0.0, 7), (0.4, 11), (2.0, 9), (2.5, 14))]
+        values = np.array([[0, 1, -1, 0], [1, 0, 0, -1], [-1, 0, 0, 1], [0, -1, 1, 0]])
+        affinity = AffinityMatrix(values=values, nu_w=1, nu_b=1)
+        w = random_orthonormal(5, 2, rng)
+        bandwidths = [Bandwidth(rng.uniform(0.2, 1.0, size=2)) for _ in mats]
+        expected = 0.0
+        for i in range(4):
+            for j in range(i + 1, 4):
+                if values[i, j]:
+                    expected += float(values[i, j]) * pair_divergence(
+                        mats[i] @ w, mats[j] @ w, kind, bandwidths[i], bandwidths[j])
+        assert dr_cost(w, mats, affinity, kind, bandwidths) == expected
+
+
+def _objective_and_gradients(w, mats, affinity, bandwidths):
+    kind = DivergenceKind.HELLINGER_SQUARED
+    return {
+        "dr_cost": lambda: dr_cost(w, mats, affinity, kind, bandwidths),
+        "dr_euclidean_gradient": lambda: dr_euclidean_gradient(w, mats, affinity, kind, bandwidths),
+        "t_ratio_gradient": lambda: t_ratio_gradient(w, mats[0][0], mats[0], mats[1],
+                                                     bandwidths[0], bandwidths[1]),
+    }
+
+
+class TestSharedInputChecks:
+    @pytest.mark.parametrize("fn", ["dr_cost", "dr_euclidean_gradient", "t_ratio_gradient"])
+    def test_bandwidth_dimension_must_match_frame(self, fn):
+        mats, _, affinity, rng = toy_problem(14)
+        w = random_orthonormal(4, 2, rng)
+        bandwidths = [Bandwidth([0.5]) for _ in mats]
+        with pytest.raises(ValueError, match="bandwidth dimension 1"):
+            _objective_and_gradients(w, mats, affinity, bandwidths)[fn]()
+
+    @pytest.mark.parametrize("fn", ["dr_cost", "dr_euclidean_gradient", "t_ratio_gradient"])
+    def test_nan_frame_is_rejected(self, fn):
+        mats, _, affinity, rng = toy_problem(15)
+        w = random_orthonormal(4, 2, rng)
+        w[1, 0] = np.nan
+        bandwidths = [Bandwidth([0.5, 0.5]) for _ in mats]
+        with pytest.raises(ValueError, match="non-finite"):
+            _objective_and_gradients(w, mats, affinity, bandwidths)[fn]()
 
 
 class TestTRatioGradient:

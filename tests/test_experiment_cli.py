@@ -58,6 +58,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="kernel.family"):
             ExperimentConfig.from_dict(raw)
 
+    def test_bad_divergence_names_field(self):
+        with pytest.raises(ConfigError, match="^divergence: must be 'hellinger' or 'jeffrey'"):
+            ExperimentConfig.from_dict(synthetic_config("nn", divergence="h"))
+
     def test_bad_synthetic_field(self):
         raw = synthetic_config("nn")
         raw["data"]["synthetic"]["classes"] = 0
@@ -251,6 +255,24 @@ class TestCli:
         b = json.loads((tmp_path / "dr2" / "projection.json").read_text())
         assert a["config_hash"] == b["config_hash"]
         assert a["trace_file"] == "trace.csv"
+
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("dist", "--divergence", "kl", "error: divergence: must be 'hellinger' or 'jeffrey'"),
+        ("dist", "--divergence", "h", None),
+        ("gram", "--kernel", "rbf", "error: kernel: must be one of"),
+    ])
+    def test_enum_arguments(self, tmp_path, capsys, command, flag, value, message):
+        data = tmp_path / "data"
+        assert self.run("gen", "--classes", "2", "--sets-per-class", "2",
+                        "--samples-per-set", "8", "--dim", "2", "--out", str(data)) == 0
+        capsys.readouterr()
+        code = self.run(command, "--manifest", str(data / "manifest.json"), flag, value,
+                        "--out", str(tmp_path / "out"))
+        if message is None:
+            assert code == 0
+        else:
+            assert code == 1
+            assert capsys.readouterr().err.startswith(message)
 
     def test_missing_manifest_is_validation_error(self, tmp_path):
         assert self.run("dist", "--manifest", str(tmp_path / "nope.json"),

@@ -130,8 +130,6 @@ class TestCgMinimize:
 
     def test_options_validation(self):
         with pytest.raises(ValueError):
-            CgOptions(backtrack_factor=1.5)
-        with pytest.raises(ValueError):
             CgOptions(max_iters=0)
 
 
