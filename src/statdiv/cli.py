@@ -16,14 +16,13 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .classify import accuracy, kfda_fit, latent_nn_classify, load_kfda_model, nn_classify, save_kfda_model
 from .dataset import SyntheticSpec, generate_synthetic, load_dataset, save_dataset
 from .dimred import DrConfig, learn_projection
 from .divergence import (
     DivergenceKind,
     _read_json_fields,
+    _save_with_sidecar,
     cross_divergence_matrix,
     divergence_matrix,
     save_divergence_matrix,
@@ -102,7 +101,6 @@ def _cmd_train_dr(args) -> int:
     result = learn_projection(dataset.sets, dataset.labels, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    np.savetxt(out / "projection.csv", result.point, delimiter=",", fmt="%.17g")
     save_trace(result.cg, out / "trace.csv")
     settings = {
         "target_dim": config.target_dim,
@@ -114,15 +112,14 @@ def _cmd_train_dr(args) -> int:
         "max_iters": config.cg.max_iters,
     }
     digest = hashlib.sha256(json.dumps(settings, sort_keys=True).encode()).hexdigest()
-    sidecar = {
+    _save_with_sidecar(out / "projection.csv", result.point, {
         **settings,
         "config_hash": digest,
         "iterations": result.cg.iterations,
         "stop_reason": result.cg.stop_reason,
         "final_cost": result.cg.cost,
         "trace_file": "trace.csv",
-    }
-    (out / "projection.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    })
     print(f"learned D={result.point.shape[0]} -> d={result.point.shape[1]} projection "
           f"in {result.cg.iterations} iterations ({result.cg.stop_reason})")
     return 0
@@ -183,7 +180,7 @@ def _cmd_eval(args) -> int:
     if args.pipeline is not None:
         raw["pipeline"] = args.pipeline
     if args.divergence is not None:
-        raw["divergence"] = args.divergence
+        raw["divergence"] = _divergence_arg(args.divergence).value
     if args.kernel is not None:
         raw.setdefault("kernel", {})["family"] = args.kernel
     if args.sigma is not None:

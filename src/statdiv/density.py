@@ -1,9 +1,12 @@
 """Gaussian kernel density estimation with diagonal per-set bandwidths.
 
 A fitted density is a mixture of identical axis-aligned Gaussians centered
-at the sample rows. All evaluation happens in the log domain via
-log-sum-exp, so densities never underflow to 0 or overflow for finite
-inputs.
+at the sample rows. Every evaluation forms a block of log kernels, a row
+per point and a column per sample (`_log_kernel_matrix`), and reduces its
+rows by log-sum-exp (`_log_mixture`), so densities never underflow to 0
+or overflow for finite inputs. `DensityModel` is one fitted density;
+`_KdeCollection` holds those of several sets for the divergence
+estimators and the DR objective.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 __all__ = [
     "Bandwidth",
@@ -160,7 +162,25 @@ def fit_kde(samples, bandwidth: Bandwidth | str | None = "auto") -> DensityModel
 def _log_kernel_matrix(points: np.ndarray, samples: np.ndarray, diag: np.ndarray) -> np.ndarray:
     """L[a, i] = -0.5 * sum_j (points[a,j] - samples[i,j])^2 / diag[j]."""
     diff = points[:, None, :] - samples[None, :, :]
-    return -0.5 * np.einsum("aij,j->ai", diff * diff, 1.0 / diag)
+    # In place: a second m x n x D temporary made the allocator re-fault pages per block.
+    diff *= diff
+    return -0.5 * np.einsum("aij,j->ai", diff, 1.0 / diag)
+
+
+def _row_logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a), axis=1)) for rows of finite or -inf entries, by the
+    algorithm of `scipy.special.logsumexp` and bit-equal to it: shift by the
+    row maximum, count the maxima apart, add log1p of the rest over that
+    count. A row whose maximum is -inf gives -inf; it is shifted by 0, so
+    no -inf - -inf is formed."""
+    a_max = a.max(axis=1, keepdims=True)
+    is_max = a == a_max
+    count = is_max.sum(axis=1, keepdims=True, dtype=float)
+    rest = np.where(is_max, -np.inf, a)
+    rest -= np.where(a_max == -np.inf, 0.0, a_max)
+    np.exp(rest, out=rest)
+    s = rest.sum(axis=1, keepdims=True) / count
+    return (np.log1p(s) + np.log(count) + a_max)[:, 0]
 
 
 def _log_mixture(log_kernels: np.ndarray, log_norm: float) -> tuple[np.ndarray, np.ndarray]:
@@ -168,8 +188,34 @@ def _log_mixture(log_kernels: np.ndarray, log_norm: float) -> tuple[np.ndarray, 
     point, a column per mixture component): the row log-sum-exp plus the
     log normalizer. Also returns that log-sum-exp, from which a caller forms
     the component weights exp(L - lse) without a second reduction."""
-    lse = logsumexp(log_kernels, axis=1)
+    lse = _row_logsumexp(log_kernels)
     return lse + log_norm, lse
+
+
+class _KdeCollection:
+    """The KDEs of several sample sets, as plain arrays. Each set is checked
+    once (:func:`_kde_samples`) and its KDE is evaluated at its own samples
+    once, here, so that pairs evaluated in parallel only read."""
+
+    def __init__(self, sets, bandwidths):
+        self.samples = [_kde_samples(s, bw) for s, bw in zip(sets, bandwidths)]
+        self.diags = [bw.diag for bw in bandwidths]
+        self.log_norms = [_log_norm(m.shape[0], diag) for m, diag in zip(self.samples, self.diags)]
+        self.self_logs = [self.block(m, b)[0] for b, m in enumerate(self.samples)]
+
+    def block(self, points: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """KDE `b` at each row of `points`: the log density, the log-kernel
+        rows and their log-sum-exp (see :func:`_log_mixture`)."""
+        rows = _log_kernel_matrix(points, self.samples[b], self.diags[b])
+        log_density, lse = _log_mixture(rows, self.log_norms[b])
+        return log_density, rows, lse
+
+    def logits(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """Log ratios z = log p_i - log p_j at the samples of set i and at
+        the samples of set j."""
+        z_i = self.self_logs[i] - self.block(self.samples[i], j)[0]
+        z_j = self.block(self.samples[j], i)[0] - self.self_logs[j]
+        return z_i, z_j
 
 
 def log_density_batch(model: DensityModel, points) -> np.ndarray:

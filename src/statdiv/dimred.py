@@ -8,9 +8,9 @@ bandwidths are data: both are computed once and stay fixed during the
 optimization, which runs a projection-based conjugate gradient over
 orthonormal frames.
 
-The cost and both gradients share one per-pair pass, `_pair_pass`, which
-evaluates each projected mixture once at the stacked points of the pair
-through the package's one KDE log-density step, `density._log_mixture`.
+The cost and both gradients evaluate the projected sets through the
+estimators' `density._KdeCollection`, built once per call; the gradients
+read one block per mixture at the stacked samples of each pair.
 """
 
 from __future__ import annotations
@@ -20,11 +20,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classify import _fix_column_signs
-from .density import Bandwidth, _features_of, _kde_samples, _log_kernel_matrix, _log_mixture, _log_norm, _read_only
+from .density import Bandwidth, _features_of, _KdeCollection, _read_only
 from .divergence import (
     _FROM_LOGITS,
     T_CLAMP,
     DivergenceKind,
+    _kde_collection,
     _stable_logistic,
     divergence_matrix,
     resolve_bandwidths,
@@ -152,32 +153,6 @@ def _active_pairs(affinity: AffinityMatrix) -> list[tuple[int, int, float]]:
     ]
 
 
-def _checked_projection(w: np.ndarray, sets, bw_policy) -> tuple[list[np.ndarray], list[Bandwidth]]:
-    """Projected sets and one projected-space bandwidth per set, with the
-    checks the cost and both gradients share, run once per call: n >= 2
-    finite projected samples per set (which catches a NaN in W), and one
-    bandwidth per set, of dimension d."""
-    projected = project_sets(sets, w)
-    bandwidths = resolve_bandwidths(projected, bw_policy)
-    return [_kde_samples(m, bw) for m, bw in zip(projected, bandwidths)], bandwidths
-
-
-def _pair_pass(points_proj: np.ndarray, p_proj: np.ndarray, q_proj: np.ndarray,
-               bandwidth_p: Bandwidth, bandwidth_q: Bandwidth):
-    """The per-pair evaluation behind the cost and both gradients: the
-    logits z = log p - log q of the projected-sample KDEs of P and Q at the
-    projected points, and per mixture what :func:`_mixture_gradient` needs
-    to form the component weights, which the cost never pays for."""
-    logdens = []
-    mixtures = []
-    for anchors_proj, bw in ((p_proj, bandwidth_p), (q_proj, bandwidth_q)):
-        rows = _log_kernel_matrix(points_proj, anchors_proj, bw.diag)
-        log_density, lse = _log_mixture(rows, _log_norm(anchors_proj.shape[0], bw.diag))
-        logdens.append(log_density)
-        mixtures.append((rows, lse, anchors_proj, bw.diag))
-    return logdens[0] - logdens[1], mixtures
-
-
 def dr_cost(w: np.ndarray, sets, affinity: AffinityMatrix,
             kind: DivergenceKind, bw_policy="isotropic") -> float:
     """Sum over unordered neighbor pairs of (sign) * divergence of the
@@ -189,29 +164,27 @@ def dr_cost(w: np.ndarray, sets, affinity: AffinityMatrix,
     dimension) to keep the objective a pure function of `w`; string
     policies recompute bandwidths from the current projection.
     """
-    projected, bandwidths = _checked_projection(w, sets, bw_policy)
+    kdes = _kde_collection(project_sets(sets, w), bw_policy)
     estimator = _FROM_LOGITS[kind]
     total = 0.0
     for i, j, sign in _active_pairs(affinity):
-        n_p = projected[i].shape[0]
-        z, _ = _pair_pass(np.vstack([projected[i], projected[j]]), projected[i], projected[j],
-                          bandwidths[i], bandwidths[j])
-        total += sign * estimator(z[:n_p], z[n_p:])
+        total += sign * estimator(*kdes.logits(i, j))
     return total
 
 
 def _mixture_gradient(omega: np.ndarray, points: np.ndarray, points_proj: np.ndarray,
-                      anchors: np.ndarray, mixture) -> np.ndarray:
-    """sum_x omega[x] * d(log density at point x)/dW for one mixture of
-    :func:`_pair_pass`.
+                      anchors: np.ndarray, kdes: _KdeCollection, k: int, block) -> np.ndarray:
+    """sum_x omega[x] * d(log density at point x)/dW for KDE `k` of `kdes`,
+    from its `block` at the projected points.
 
     The softmax weights of the mixture components at each point come from
     its log kernels; the gradient of each log kernel is the outer product
     of the full-dimensional offset with the scaled projected offset.
     """
-    rows, lse, anchors_proj, diag = mixture
+    _, rows, lse = block
+    anchors_proj = kdes.samples[k]
     soft = np.exp(rows - lse[:, None])
-    inv = 1.0 / diag
+    inv = 1.0 / kdes.diags[k]
     b = omega[:, None] * soft
     row_sum = b.sum(axis=1)
     col_sum = b.sum(axis=0)
@@ -232,11 +205,13 @@ def t_ratio_gradient(w: np.ndarray, x, p_samples, q_samples,
     x = np.asarray(x, dtype=float).reshape(1, -1)
     p = _features_of(p_samples)
     q = _features_of(q_samples)
-    (p_proj, q_proj), (bw_p, bw_q) = _checked_projection(w, [p, q], [bandwidth_p, bandwidth_q])
+    kdes = _kde_collection(project_sets([p, q], w), [bandwidth_p, bandwidth_q])
     x_proj = x @ w
-    z, (mix_p, mix_q) = _pair_pass(x_proj, p_proj, q_proj, bw_p, bw_q)
+    block_p, block_q = kdes.block(x_proj, 0), kdes.block(x_proj, 1)
+    z = block_p[0] - block_q[0]
     ones = np.ones(1)
-    grad = _mixture_gradient(ones, x, x_proj, p, mix_p) - _mixture_gradient(ones, x, x_proj, q, mix_q)
+    grad = (_mixture_gradient(ones, x, x_proj, p, kdes, 0, block_p)
+            - _mixture_gradient(ones, x, x_proj, q, kdes, 1, block_q))
     return float(_stable_logistic(z)[0] * _stable_logistic(-z)[0]) * grad
 
 
@@ -257,21 +232,20 @@ def dr_euclidean_gradient(w: np.ndarray, sets, affinity: AffinityMatrix,
     """Matrix of partial derivatives of :func:`dr_cost` with respect to W."""
     w = np.asarray(w, dtype=float)
     mats = [_features_of(s) for s in sets]
-    _, bandwidths = _checked_projection(w, mats, bw_policy)
+    kdes = _kde_collection(project_sets(mats, w), bw_policy)
     total = np.zeros_like(w)
     for i, j, sign in _active_pairs(affinity):
         p, q = mats[i], mats[j]
-        n_p = p.shape[0]
+        n_p, n_q = p.shape[0], q.shape[0]
         points = np.vstack([p, q])
-        # One product for the stacked pair; it can differ in the last bit
-        # from the cost's per-set products.
-        points_proj = points @ w
-        z, (mix_p, mix_q) = _pair_pass(points_proj, points_proj[:n_p], points_proj[n_p:],
-                                       bandwidths[i], bandwidths[j])
-        n_q = q.shape[0]
+        # One block per mixture at the stacked points, so the sums over
+        # points in _mixture_gradient run over both sets at once.
+        points_proj = np.vstack([kdes.samples[i], kdes.samples[j]])
+        block_p, block_q = kdes.block(points_proj, i), kdes.block(points_proj, j)
+        z = block_p[0] - block_q[0]
         omega = sign * _pair_weights(z, kind) * np.repeat([1.0 / n_p, 1.0 / n_q], [n_p, n_q])
-        grad_p = _mixture_gradient(omega, points, points_proj, p, mix_p)
-        grad_q = _mixture_gradient(omega, points, points_proj, q, mix_q)
+        grad_p = _mixture_gradient(omega, points, points_proj, p, kdes, i, block_p)
+        grad_q = _mixture_gradient(omega, points, points_proj, q, kdes, j, block_q)
         total += grad_p - grad_q
     return total
 

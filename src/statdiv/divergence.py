@@ -1,11 +1,11 @@
 """Empirical divergences between sample sets.
 
 The symmetric estimators express both divergences through the ratio
-T(x) = p(x) / (p(x) + q(x)), evaluated at the samples of both sets. T is
-computed from log densities through a stable logistic, so neither density
-is ever exponentiated on its own. The naive one-sided estimators are kept
-only for comparison; they are asymmetric and unstable exactly where T is
-not.
+T(x) = p(x) / (p(x) + q(x)), evaluated at the samples of both sets: a
+stable logistic of the log ratios z = log p - log q that one
+`density._KdeCollection` gives, so neither density is ever exponentiated
+on its own. The naive one-sided estimator is kept only for comparison; it
+is asymmetric and unstable exactly where T is not.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .density import Bandwidth, DensityModel, _features_of, _read_only, fit_kde, isotropic_silverman_bandwidth, log_density_batch, silverman_bandwidth
+from .density import Bandwidth, _features_of, _KdeCollection, _read_only, isotropic_silverman_bandwidth, silverman_bandwidth
 
 __all__ = [
     "T_CLAMP",
@@ -41,8 +41,6 @@ __all__ = [
 
 # Clamp on T for the Jeffrey summand, which is unbounded as T -> {0, 1}.
 T_CLAMP = 1e-12
-
-_JEFFREY_TERM_MAX = (1.0 - 2.0 * T_CLAMP) * (np.log1p(-T_CLAMP) - np.log(T_CLAMP))
 
 
 class DivergenceKind(Enum):
@@ -148,32 +146,15 @@ def describe_bandwidth_policy(bw_policy) -> str:
     return "fixed"
 
 
-def _check_same_dim(p: np.ndarray, q: np.ndarray):
-    if p.shape[1] != q.shape[1]:
-        raise ValueError(
-            f"dimension mismatch: first set has D={p.shape[1]}, second has D={q.shape[1]}"
-        )
-
-
-def _fit_models(sets, bw_policy, kind: DivergenceKind | None = None) -> list[DensityModel]:
-    """One KDE per set, bandwidths by :func:`resolve_bandwidths`; the sets
-    must share one dimension."""
+def _kde_collection(sets, bw_policy, kind: DivergenceKind | None = None) -> _KdeCollection:
+    """The KDEs of `sets`, bandwidths by :func:`resolve_bandwidths`; the
+    sets must share one dimension."""
     mats = [_features_of(s) for s in sets]
     for m in mats[1:]:
-        _check_same_dim(mats[0], m)
-    bandwidths = resolve_bandwidths(mats, bw_policy, kind)
-    return [fit_kde(m, b) for m, b in zip(mats, bandwidths)]
-
-
-def _pair_logits(model_p: DensityModel, model_q: DensityModel,
-                 self_p: np.ndarray | None = None,
-                 self_q: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Log ratios z = log p - log q at P's samples and at Q's samples."""
-    lp_P = self_p if self_p is not None else log_density_batch(model_p, model_p.samples)
-    lq_Q = self_q if self_q is not None else log_density_batch(model_q, model_q.samples)
-    lq_P = log_density_batch(model_q, model_p.samples)
-    lp_Q = log_density_batch(model_p, model_q.samples)
-    return lp_P - lq_P, lp_Q - lq_Q
+        if m.shape[1] != mats[0].shape[1]:
+            raise ValueError(
+                f"dimension mismatch: first set has D={mats[0].shape[1]}, second has D={m.shape[1]}")
+    return _KdeCollection(mats, resolve_bandwidths(mats, bw_policy, kind))
 
 
 def _hellinger_from_logits(z_P: np.ndarray, z_Q: np.ndarray) -> float:
@@ -204,9 +185,8 @@ def pair_divergence(p_samples, q_samples, kind: DivergenceKind,
                     bandwidth_p: Bandwidth, bandwidth_q: Bandwidth) -> float:
     """Symmetric empirical divergence between two sample matrices with
     explicitly fixed bandwidths. Identical inputs give exactly 0."""
-    model_p, model_q = _fit_models([p_samples, q_samples], [bandwidth_p, bandwidth_q])
-    z_P, z_Q = _pair_logits(model_p, model_q)
-    return _FROM_LOGITS[kind](z_P, z_Q)
+    kdes = _kde_collection([p_samples, q_samples], [bandwidth_p, bandwidth_q])
+    return _FROM_LOGITS[kind](*kdes.logits(0, 1))
 
 
 def hellinger_empirical(p_samples, q_samples, bw_policy="silverman") -> float:
@@ -244,12 +224,10 @@ def hellinger_naive(p_samples, q_samples, direction: str = "overP",
     """
     if direction not in ("overP", "overQ"):
         raise ValueError(f"direction must be 'overP' or 'overQ', got {direction!r}")
-    model_p, model_q = _fit_models([p_samples, q_samples], bw_policy)
-    if direction == "overQ":
-        model_p, model_q = model_q, model_p
-    points = model_p.samples
-    log_own = log_density_batch(model_p, points)
-    log_other = log_density_batch(model_q, points)
+    kdes = _kde_collection([p_samples, q_samples], bw_policy)
+    own, other = (0, 1) if direction == "overP" else (1, 0)
+    log_own = kdes.self_logs[own]
+    log_other = kdes.block(kdes.samples[own], other)[0]
     # exp can blow up where the "other" density dominates; cap the exponent
     # to keep the (already meaningless) value finite.
     ratio_sqrt = np.exp(np.minimum(0.5 * (log_other - log_own), 350.0))
@@ -309,14 +287,11 @@ def _pair_divergences(sets, kind: DivergenceKind, bw_policy, pairs) -> dict:
     share the set. Pairs may be evaluated in parallel (STATDIV_THREADS);
     results are keyed by pair, so they are identical for any worker count.
     """
-    models = _fit_models(sets, bw_policy, kind)
-    self_logs = [log_density_batch(model, model.samples) for model in models]
+    kdes = _kde_collection(sets, bw_policy, kind)
     estimator = _FROM_LOGITS[kind]
 
     def one_pair(pair):
-        i, j = pair
-        z_P, z_Q = _pair_logits(models[i], models[j], self_p=self_logs[i], self_q=self_logs[j])
-        return estimator(z_P, z_Q)
+        return estimator(*kdes.logits(*pair))
 
     return _map_pairs(one_pair, pairs)
 

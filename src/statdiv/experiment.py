@@ -9,6 +9,7 @@ and thread counts. Wall-clock timings are kept out of the report proper.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -160,6 +161,13 @@ class ExperimentConfig:
         kfda_raw = raw.get("kfda", {})
         _require(isinstance(kfda_raw, dict), "kfda", "must be an object")
 
+        # One shared variance, not a per-set list: the gallery, the probe and
+        # their union have different set counts.
+        bw_policy = raw.get("bandwidth_policy", "silverman")
+        number = isinstance(bw_policy, (int, float)) and not isinstance(bw_policy, bool)
+        _require(bw_policy in ("silverman", "isotropic") or (number and 0 < bw_policy < math.inf),
+                 "bandwidth_policy", f"must be 'silverman', 'isotropic' or a positive number, got {bw_policy!r}")
+
         try:
             dr_cg = CgOptions(
                 max_iters=int(dr_raw.get("max_iters", 50)),
@@ -180,7 +188,7 @@ class ExperimentConfig:
             repetitions=repetitions,
             seed=int(raw.get("seed", 0)),
             standardize=bool(raw.get("standardize", False)),
-            bandwidth_policy=raw.get("bandwidth_policy", "silverman"),
+            bandwidth_policy=bw_policy,
             kfda_latent_dim=(int(kfda_raw["latent_dim"]) if kfda_raw.get("latent_dim") is not None else None),
             kfda_regularization=float(kfda_raw.get("regularization", 1e-4)),
             dr_target_dim=(int(dr_raw["target_dim"]) if "target_dim" in dr_raw else None),
@@ -211,9 +219,7 @@ class ExperimentConfig:
             "repetitions": self.repetitions,
             "seed": self.seed,
             "standardize": self.standardize,
-            "bandwidth_policy": self.bandwidth_policy
-            if isinstance(self.bandwidth_policy, (str, int, float))
-            else "fixed",
+            "bandwidth_policy": self.bandwidth_policy,
         }
         if self.divergence is not None:
             out["divergence"] = self.divergence.value
@@ -372,7 +378,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
             traces.append(trace)
 
     accuracies = np.array([r["accuracy"] for r in records])
-    hyper: dict = {"bandwidth_policy": config.to_dict()["bandwidth_policy"]}
+    hyper: dict = {"bandwidth_policy": config.bandwidth_policy}
     if config.pipeline == "kfda":
         hyper["sigma_grid"] = list(SIGMA_GRID) if config.sigma_grid_search else None
         hyper["chosen_sigmas"] = [r["sigma"] for r in records]

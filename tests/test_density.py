@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from statdiv.density import (
     Bandwidth,
@@ -150,6 +153,30 @@ class TestLeaveOneOut:
         model = fit_kde(np.array([[0.0], [1.0]]), Bandwidth([1.0]))
         with pytest.raises(ValueError, match="at least 3"):
             log_density_loo(model)
+
+
+class TestRowLogSumExp:
+    """The KDE's row log-sum-exp is a numpy port of scipy's algorithm;
+    scipy.special.logsumexp is the reference."""
+
+    def test_equals_scipy_bit_for_bit(self):
+        from statdiv.density import _row_logsumexp
+
+        rng = np.random.default_rng(8)
+        for trial in range(300):
+            m = int(rng.integers(1, 40))
+            n = m if trial % 3 == 0 else int(rng.integers(1, 40))
+            a = -rng.exponential(5.0, size=(m, n))
+            if trial % 2:
+                a = np.round(a)  # tied maxima
+            a[rng.random((m, n)) < 0.2] = -np.inf
+            a[rng.integers(0, m)] = -np.inf  # an all -inf row
+            if m == n:
+                np.fill_diagonal(a, -np.inf)  # the leave-one-out diagonal
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                got = _row_logsumexp(a)
+            np.testing.assert_array_equal(got, logsumexp(a, axis=1))
 
 
 class TestBandwidthValidation:

@@ -78,6 +78,23 @@ class TestHellingerEmpirical:
             assert 0.0 <= value <= 2.0
 
 
+class TestHugeSeparation:
+    """Sets 1e160 apart: every squared distance between them overflows to
+    inf, so each cross row of log kernels is all -inf."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_estimates_saturate_and_matrices_build(self):
+        rng = np.random.default_rng(0)
+        p = rng.standard_normal((50, 2))
+        q = rng.standard_normal((50, 2)) + 1e160
+        hellinger = hellinger_empirical(p, q)
+        jeffrey = jeffrey_empirical(p, q)
+        assert hellinger == 2.0
+        assert np.isfinite(jeffrey)
+        for kind, value in ((DivergenceKind.HELLINGER_SQUARED, hellinger), (DivergenceKind.JEFFREY, jeffrey)):
+            assert divergence_matrix([p, q], kind).values[0, 1] == value
+
+
 class TestJeffreyEmpirical:
     def test_identical_sets_give_exact_zero(self):
         rng = np.random.default_rng(1)

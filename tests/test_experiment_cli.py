@@ -74,6 +74,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="data: exactly one"):
             ExperimentConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("policy", [True, False, "foo", "fixed", [0.5, 0.5], {"h": 1.0},
+                                        None, 0, -1.0, float("nan"), float("inf")])
+    def test_bad_bandwidth_policy_names_field(self, policy):
+        with pytest.raises(ConfigError, match="^bandwidth_policy: must be 'silverman', 'isotropic'"):
+            ExperimentConfig.from_dict(synthetic_config("nn", bandwidth_policy=policy))
+
+    @pytest.mark.parametrize("policy", ["silverman", "isotropic", 1, 0.25])
+    def test_valid_bandwidth_policy_is_reported_as_given(self, policy):
+        config = ExperimentConfig.from_dict(synthetic_config("nn", bandwidth_policy=policy))
+        assert json.dumps(config.to_dict()["bandwidth_policy"]) == json.dumps(policy)
+
 
 class TestRunExperiment:
     def test_nn_pipeline_on_separable_data(self):
@@ -273,6 +284,30 @@ class TestCli:
         else:
             assert code == 1
             assert capsys.readouterr().err.startswith(message)
+
+    def test_eval_accepts_divergence_alias(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(synthetic_config("nn", divergence="jeffrey", repetitions=1)))
+        assert self.run("eval", "--config", str(config), "--divergence", "h",
+                        "--out", str(tmp_path / "run")) == 0
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert report["config"]["divergence"] == "hellinger"
+
+    def test_train_dr_writes_projection_with_sidecar(self, tmp_path):
+        data = tmp_path / "data"
+        assert self.run("gen", "--classes", "2", "--sets-per-class", "3",
+                        "--samples-per-set", "15", "--dim", "3", "--separation", "6",
+                        "--out", str(data)) == 0
+        assert self.run("train-dr", "--manifest", str(data / "manifest.json"),
+                        "--divergence", "j", "--dim", "2", "--max-iters", "3",
+                        "--out", str(tmp_path / "dr")) == 0
+        point = np.loadtxt(tmp_path / "dr" / "projection.csv", delimiter=",", ndmin=2)
+        assert point.shape == (3, 2)
+        np.testing.assert_allclose(point.T @ point, np.eye(2), atol=1e-12)
+        raw = (tmp_path / "dr" / "projection.json").read_text()
+        sidecar = json.loads(raw)
+        assert raw == json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
+        assert sidecar["divergence"] == "jeffrey" and sidecar["target_dim"] == 2
 
     def test_missing_manifest_is_validation_error(self, tmp_path):
         assert self.run("dist", "--manifest", str(tmp_path / "nope.json"),
