@@ -8,9 +8,10 @@ bandwidths are data: both are computed once and stay fixed during the
 optimization, which runs a projection-based conjugate gradient over
 orthonormal frames.
 
-The cost and both gradients evaluate the projected sets through the
-estimators' `density._KdeCollection`, built once per call; the gradients
-read one block per mixture at the stacked samples of each pair.
+The cost and the gradient evaluate the projected sets through the
+estimators' `density._KdeCollection`; the gradient weighs each sample by
+its term's slope in the log ratio z (`divergence._TERMS`), and reads one
+block per mixture at the stacked samples of each pair.
 """
 
 from __future__ import annotations
@@ -21,15 +22,7 @@ import numpy as np
 
 from .classify import _fix_column_signs
 from .density import Bandwidth, _features_of, _KdeCollection, _read_only
-from .divergence import (
-    _FROM_LOGITS,
-    T_CLAMP,
-    DivergenceKind,
-    _kde_collection,
-    _stable_logistic,
-    divergence_matrix,
-    resolve_bandwidths,
-)
+from .divergence import _TERMS, DivergenceKind, _estimate, _kde_collection, divergence_matrix, resolve_bandwidths
 from .manifold import CgOptions, CgResult, cg_minimize, random_orthonormal
 
 __all__ = [
@@ -40,7 +33,6 @@ __all__ = [
     "affinity_from_divergences",
     "project_sets",
     "dr_cost",
-    "t_ratio_gradient",
     "dr_euclidean_gradient",
     "learn_projection",
 ]
@@ -153,22 +145,30 @@ def _active_pairs(affinity: AffinityMatrix) -> list[tuple[int, int, float]]:
     ]
 
 
+def _projected_kdes(w: np.ndarray, sets, bandwidths) -> _KdeCollection:
+    """The KDEs of the projected sets with frozen bandwidths. A bandwidth
+    policy would recompute them from each W, and the gradient, which holds
+    them fixed, would no longer be the derivative of the cost."""
+    if isinstance(bandwidths, str):
+        raise ValueError(
+            f"bandwidths must be one Bandwidth per set in the projected dimension, got {bandwidths!r}")
+    return _kde_collection(project_sets(sets, w), bandwidths)
+
+
 def dr_cost(w: np.ndarray, sets, affinity: AffinityMatrix,
-            kind: DivergenceKind, bw_policy="isotropic") -> float:
+            kind: DivergenceKind, bandwidths) -> float:
     """Sum over unordered neighbor pairs of (sign) * divergence of the
     projected sets.
 
     Each term is the symmetric estimator of
-    :func:`statdiv.divergence.pair_divergence` on the projected pair. Pass
-    an explicit bandwidth list (one per set, already in the projected
-    dimension) to keep the objective a pure function of `w`; string
-    policies recompute bandwidths from the current projection.
+    :func:`statdiv.divergence.pair_divergence` on the projected pair.
+    `bandwidths` holds one :class:`Bandwidth` per set, already in the
+    projected dimension, so the objective is a pure function of `w`.
     """
-    kdes = _kde_collection(project_sets(sets, w), bw_policy)
-    estimator = _FROM_LOGITS[kind]
+    kdes = _projected_kdes(w, sets, bandwidths)
     total = 0.0
     for i, j, sign in _active_pairs(affinity):
-        total += sign * estimator(*kdes.logits(i, j))
+        total += sign * _estimate(kind, *kdes.logits(i, j))
     return total
 
 
@@ -193,46 +193,17 @@ def _mixture_gradient(omega: np.ndarray, points: np.ndarray, points_proj: np.nda
     return -(left - right)
 
 
-def t_ratio_gradient(w: np.ndarray, x, p_samples, q_samples,
-                     bandwidth_p: Bandwidth, bandwidth_q: Bandwidth) -> np.ndarray:
-    """Partial derivatives of T(W' x) = p/(p+q) with respect to the frame W.
+def dr_euclidean_gradient(w: np.ndarray, sets, affinity: AffinityMatrix,
+                          kind: DivergenceKind, bandwidths) -> np.ndarray:
+    """Matrix of partial derivatives of :func:`dr_cost` with respect to W.
 
-    Densities are the projected-sample KDEs of the two sets with fixed
-    (projected-space) bandwidths; equals T(1-T) times the difference of the
-    log-density gradients, assembled in the log domain.
+    A sample's term depends on W only through its log ratio z, so it weighs
+    d(log p - log q)/dW by the term's slope in z over its set's size.
     """
     w = np.asarray(w, dtype=float)
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    p = _features_of(p_samples)
-    q = _features_of(q_samples)
-    kdes = _kde_collection(project_sets([p, q], w), [bandwidth_p, bandwidth_q])
-    x_proj = x @ w
-    block_p, block_q = kdes.block(x_proj, 0), kdes.block(x_proj, 1)
-    z = block_p[0] - block_q[0]
-    ones = np.ones(1)
-    grad = (_mixture_gradient(ones, x, x_proj, p, kdes, 0, block_p)
-            - _mixture_gradient(ones, x, x_proj, q, kdes, 1, block_q))
-    return float(_stable_logistic(z)[0] * _stable_logistic(-z)[0]) * grad
-
-
-def _pair_weights(z: np.ndarray, kind: DivergenceKind) -> np.ndarray:
-    """d(per-sample divergence term)/dT times T(1-T), as a function of the
-    log ratio z. The clamped Jeffrey term is flat outside the clamp, so its
-    weight is masked there; the Hellinger term needs no clamp."""
-    t, u = _stable_logistic(z), _stable_logistic(-z)
-    if kind is DivergenceKind.HELLINGER_SQUARED:
-        return (t - u) * np.sqrt(t * u)
-    weights = 2.0 * z * t * u + (t - u)
-    weights[(t <= T_CLAMP) | (t >= 1.0 - T_CLAMP)] = 0.0
-    return weights
-
-
-def dr_euclidean_gradient(w: np.ndarray, sets, affinity: AffinityMatrix,
-                          kind: DivergenceKind, bw_policy="isotropic") -> np.ndarray:
-    """Matrix of partial derivatives of :func:`dr_cost` with respect to W."""
-    w = np.asarray(w, dtype=float)
     mats = [_features_of(s) for s in sets]
-    kdes = _kde_collection(project_sets(mats, w), bw_policy)
+    kdes = _projected_kdes(w, mats, bandwidths)
+    slope = _TERMS[kind][1]
     total = np.zeros_like(w)
     for i, j, sign in _active_pairs(affinity):
         p, q = mats[i], mats[j]
@@ -243,7 +214,7 @@ def dr_euclidean_gradient(w: np.ndarray, sets, affinity: AffinityMatrix,
         points_proj = np.vstack([kdes.samples[i], kdes.samples[j]])
         block_p, block_q = kdes.block(points_proj, i), kdes.block(points_proj, j)
         z = block_p[0] - block_q[0]
-        omega = sign * _pair_weights(z, kind) * np.repeat([1.0 / n_p, 1.0 / n_q], [n_p, n_q])
+        omega = sign * slope(z) * np.repeat([1.0 / n_p, 1.0 / n_q], [n_p, n_q])
         grad_p = _mixture_gradient(omega, points, points_proj, p, kdes, i, block_p)
         grad_q = _mixture_gradient(omega, points, points_proj, q, kdes, j, block_q)
         total += grad_p - grad_q

@@ -1,11 +1,11 @@
 """Empirical divergences between sample sets.
 
-The symmetric estimators express both divergences through the ratio
-T(x) = p(x) / (p(x) + q(x)), evaluated at the samples of both sets: a
-stable logistic of the log ratios z = log p - log q that one
-`density._KdeCollection` gives, so neither density is ever exponentiated
-on its own. The naive one-sided estimator is kept only for comparison; it
-is asymmetric and unstable exactly where T is not.
+The symmetric estimators average a per-sample term over the samples of
+both sets. Each term, and its slope for the DR gradient (`_TERMS`), is a
+closed form in the log ratio z = log p - log q = logit T, T = p / (p + q),
+that one `density._KdeCollection` gives, so neither density is ever
+exponentiated on its own. The naive one-sided estimator is kept only for
+comparison; it is asymmetric and unstable exactly where T is not.
 """
 
 from __future__ import annotations
@@ -157,28 +157,48 @@ def _kde_collection(sets, bw_policy, kind: DivergenceKind | None = None) -> _Kde
     return _KdeCollection(mats, resolve_bandwidths(mats, bw_policy, kind))
 
 
-def _hellinger_from_logits(z_P: np.ndarray, z_Q: np.ndarray) -> float:
-    total = 0.0
-    for z in (z_P, z_Q):
-        t = _stable_logistic(z)
-        u = _stable_logistic(-z)
-        total += float(np.mean((np.sqrt(t) - np.sqrt(u)) ** 2))
-    return total
+# The clamp on T as a bound on the log ratio: |z| <= log((1 - T_CLAMP) / T_CLAMP).
+_Z_CLAMP = float(np.log((1.0 - T_CLAMP) / T_CLAMP))
 
 
-def _jeffrey_from_logits(z_P: np.ndarray, z_Q: np.ndarray) -> float:
-    total = 0.0
-    for z in (z_P, z_Q):
-        t = np.clip(_stable_logistic(z), T_CLAMP, 1.0 - T_CLAMP)
-        u = np.clip(_stable_logistic(-z), T_CLAMP, 1.0 - T_CLAMP)
-        total += float(np.mean((t - u) * (np.log(t) - np.log(u))))
-    return total
+def _hellinger_term(z: np.ndarray) -> np.ndarray:
+    """(sqrt(T) - sqrt(1-T))^2 = expm1(-|z|/2)^2 / (1 + e^-|z|), in [0, 1]."""
+    half = -0.5 * np.abs(z)
+    return np.expm1(half) ** 2 / (1.0 + np.exp(2.0 * half))
 
 
-_FROM_LOGITS = {
-    DivergenceKind.HELLINGER_SQUARED: _hellinger_from_logits,
-    DivergenceKind.JEFFREY: _jeffrey_from_logits,
+def _hellinger_slope(z: np.ndarray) -> np.ndarray:
+    """d/dz of :func:`_hellinger_term`: tanh(z/2) e / (1 + e^2), e = e^(-|z|/2)."""
+    e = np.exp(-0.5 * np.abs(z))
+    return np.tanh(0.5 * z) * e / (1.0 + e * e)
+
+
+def _jeffrey_term(z: np.ndarray) -> np.ndarray:
+    """(2T-1) log(T/(1-T)) = z tanh(z/2), with T clamped to [T_CLAMP, 1 - T_CLAMP],
+    i.e. z clipped to +-_Z_CLAMP; even in z bit for bit."""
+    zc = np.minimum(np.abs(z), _Z_CLAMP)
+    return zc * np.tanh(0.5 * zc)
+
+
+def _jeffrey_slope(z: np.ndarray) -> np.ndarray:
+    """d/dz of :func:`_jeffrey_term`: tanh(z/2) + (z/2) sech^2(z/2) inside the
+    clamp, 0 outside it, where the clamped term is flat."""
+    half = 0.5 * np.clip(z, -_Z_CLAMP, _Z_CLAMP)
+    return np.where(np.abs(z) < _Z_CLAMP, np.tanh(half) + half / np.cosh(half) ** 2, 0.0)
+
+
+# (per-sample term, its derivative), both functions of z = logit T at the sample.
+_TERMS = {
+    DivergenceKind.HELLINGER_SQUARED: (_hellinger_term, _hellinger_slope),
+    DivergenceKind.JEFFREY: (_jeffrey_term, _jeffrey_slope),
 }
+
+
+def _estimate(kind: DivergenceKind, z_P: np.ndarray, z_Q: np.ndarray) -> float:
+    """The symmetric estimate from the log ratios at the samples of P and of
+    Q: the mean per-sample term over each set, summed."""
+    term = _TERMS[kind][0]
+    return float(np.mean(term(z_P))) + float(np.mean(term(z_Q)))
 
 
 def pair_divergence(p_samples, q_samples, kind: DivergenceKind,
@@ -186,7 +206,7 @@ def pair_divergence(p_samples, q_samples, kind: DivergenceKind,
     """Symmetric empirical divergence between two sample matrices with
     explicitly fixed bandwidths. Identical inputs give exactly 0."""
     kdes = _kde_collection([p_samples, q_samples], [bandwidth_p, bandwidth_q])
-    return _FROM_LOGITS[kind](*kdes.logits(0, 1))
+    return _estimate(kind, *kdes.logits(0, 1))
 
 
 def hellinger_empirical(p_samples, q_samples, bw_policy="silverman") -> float:
@@ -226,12 +246,11 @@ def hellinger_naive(p_samples, q_samples, direction: str = "overP",
         raise ValueError(f"direction must be 'overP' or 'overQ', got {direction!r}")
     kdes = _kde_collection([p_samples, q_samples], bw_policy)
     own, other = (0, 1) if direction == "overP" else (1, 0)
-    log_own = kdes.self_logs[own]
-    log_other = kdes.block(kdes.samples[own], other)[0]
-    # exp can blow up where the "other" density dominates; cap the exponent
-    # to keep the (already meaningless) value finite.
-    ratio_sqrt = np.exp(np.minimum(0.5 * (log_other - log_own), 350.0))
-    return float(np.mean((1.0 - ratio_sqrt) ** 2))
+    # z = log own - log other at the own set's samples, so the term is
+    # (1 - e^(-z/2))^2. It blows up where the other density dominates; cap
+    # the exponent to keep the (already meaningless) value finite.
+    z = kdes.logits(own, other)[0]
+    return float(np.mean(np.expm1(np.minimum(-0.5 * z, 350.0)) ** 2))
 
 
 @dataclass(frozen=True)
@@ -288,10 +307,9 @@ def _pair_divergences(sets, kind: DivergenceKind, bw_policy, pairs) -> dict:
     results are keyed by pair, so they are identical for any worker count.
     """
     kdes = _kde_collection(sets, bw_policy, kind)
-    estimator = _FROM_LOGITS[kind]
 
     def one_pair(pair):
-        return estimator(*kdes.logits(*pair))
+        return _estimate(kind, *kdes.logits(*pair))
 
     return _map_pairs(one_pair, pairs)
 

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 from scipy.special import logsumexp
 
 from statdiv.density import (
@@ -99,7 +100,7 @@ class TestLogDensity:
         h = np.sqrt(model.bandwidth.diag[0])
         grid = np.linspace(mat.min() - 8 * h, mat.max() + 8 * h, 4001)
         pdf = np.exp(log_density_batch(model, grid[:, None]))
-        assert np.trapezoid(pdf, grid) == pytest.approx(1.0, abs=1e-3)
+        assert trapezoid(pdf, grid) == pytest.approx(1.0, abs=1e-3)
 
     def test_integrates_to_one_2d(self):
         rng = np.random.default_rng(11)
@@ -111,7 +112,7 @@ class TestLogDensity:
         xx, yy = np.meshgrid(xs, ys, indexing="ij")
         pts = np.column_stack([xx.ravel(), yy.ravel()])
         pdf = np.exp(log_density_batch(model, pts)).reshape(xx.shape)
-        mass = np.trapezoid(np.trapezoid(pdf, ys, axis=1), xs)
+        mass = trapezoid(trapezoid(pdf, ys, axis=1), xs)
         assert mass == pytest.approx(1.0, abs=1e-3)
 
     @pytest.mark.parametrize("dim", [2, 3])

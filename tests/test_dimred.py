@@ -13,7 +13,6 @@ from statdiv.dimred import (
     dr_euclidean_gradient,
     learn_projection,
     project_sets,
-    t_ratio_gradient,
 )
 from statdiv.manifold import CgOptions, is_orthonormal, random_orthonormal
 
@@ -106,7 +105,8 @@ class TestDrCost:
         mats, _, _, rng = toy_problem(2)
         affinity = AffinityMatrix(values=np.zeros((4, 4), dtype=int), nu_w=0, nu_b=0)
         w = random_orthonormal(4, 2, rng)
-        assert dr_cost(w, mats, affinity, DivergenceKind.HELLINGER_SQUARED) == 0.0
+        bandwidths = resolve_bandwidths(project_sets(mats, w), "isotropic")
+        assert dr_cost(w, mats, affinity, DivergenceKind.HELLINGER_SQUARED, bandwidths) == 0.0
 
     def test_identical_sets_with_positive_affinity_give_zero(self):
         rng = np.random.default_rng(3)
@@ -115,7 +115,8 @@ class TestDrCost:
         values = np.ones((3, 3), dtype=int) - np.eye(3, dtype=int)
         affinity = AffinityMatrix(values=values, nu_w=2, nu_b=0)
         w = random_orthonormal(4, 2, rng)
-        assert dr_cost(w, mats, affinity, DivergenceKind.HELLINGER_SQUARED) == 0.0
+        bandwidths = resolve_bandwidths(project_sets(mats, w), "isotropic")
+        assert dr_cost(w, mats, affinity, DivergenceKind.HELLINGER_SQUARED, bandwidths) == 0.0
 
     @pytest.mark.parametrize("kind", list(DivergenceKind))
     def test_invariant_to_basis_rotation(self, kind):
@@ -151,13 +152,11 @@ def _objective_and_gradients(w, mats, affinity, bandwidths):
     return {
         "dr_cost": lambda: dr_cost(w, mats, affinity, kind, bandwidths),
         "dr_euclidean_gradient": lambda: dr_euclidean_gradient(w, mats, affinity, kind, bandwidths),
-        "t_ratio_gradient": lambda: t_ratio_gradient(w, mats[0][0], mats[0], mats[1],
-                                                     bandwidths[0], bandwidths[1]),
     }
 
 
 class TestSharedInputChecks:
-    @pytest.mark.parametrize("fn", ["dr_cost", "dr_euclidean_gradient", "t_ratio_gradient"])
+    @pytest.mark.parametrize("fn", ["dr_cost", "dr_euclidean_gradient"])
     def test_bandwidth_dimension_must_match_frame(self, fn):
         mats, _, affinity, rng = toy_problem(14)
         w = random_orthonormal(4, 2, rng)
@@ -165,7 +164,7 @@ class TestSharedInputChecks:
         with pytest.raises(ValueError, match="bandwidth dimension 1"):
             _objective_and_gradients(w, mats, affinity, bandwidths)[fn]()
 
-    @pytest.mark.parametrize("fn", ["dr_cost", "dr_euclidean_gradient", "t_ratio_gradient"])
+    @pytest.mark.parametrize("fn", ["dr_cost", "dr_euclidean_gradient"])
     def test_nan_frame_is_rejected(self, fn):
         mats, _, affinity, rng = toy_problem(15)
         w = random_orthonormal(4, 2, rng)
@@ -174,55 +173,14 @@ class TestSharedInputChecks:
         with pytest.raises(ValueError, match="non-finite"):
             _objective_and_gradients(w, mats, affinity, bandwidths)[fn]()
 
-
-class TestTRatioGradient:
-    @pytest.mark.parametrize("trial", range(20))
-    def test_matches_central_differences(self, trial):
-        rng = np.random.default_rng(100 + trial)
-        p = rng.normal(0.0, 1.0, size=(6, 4))
-        q = rng.normal(0.5, 1.0, size=(6, 4))
-        x = rng.standard_normal(4)
+    @pytest.mark.parametrize("policy", ["isotropic", "silverman"])
+    @pytest.mark.parametrize("fn", ["dr_cost", "dr_euclidean_gradient"])
+    def test_bandwidth_policy_is_rejected(self, fn, policy):
+        # a policy would follow W, and the gradient would not be the cost's derivative
+        mats, _, affinity, rng = toy_problem(16)
         w = random_orthonormal(4, 2, rng)
-        bw_p = Bandwidth(rng.uniform(0.3, 1.0, size=2))
-        bw_q = Bandwidth(rng.uniform(0.3, 1.0, size=2))
-
-        from scipy.special import logsumexp
-
-        def t_of(frame):
-            xp = (x @ frame).reshape(1, -1)
-            def logdens(samples, bw):
-                proj = samples @ frame
-                diff = xp[:, None, :] - proj[None, :, :]
-                rows = -0.5 * np.einsum("aij,j->ai", diff * diff, 1.0 / bw.diag)
-                return float(logsumexp(rows, axis=1)[0]) - np.log(len(samples)) \
-                    - 0.5 * float(np.sum(np.log(2 * np.pi * bw.diag)))
-            z = logdens(p, bw_p) - logdens(q, bw_q)
-            return 1.0 / (1.0 + np.exp(-z))
-
-        analytic = t_ratio_gradient(w, x, p, q, bw_p, bw_q)
-        numeric = finite_difference(t_of, w)
-        scale = max(np.max(np.abs(numeric)), 1e-12)
-        assert np.max(np.abs(analytic - numeric)) / scale <= 1e-4
-
-    def test_equal_models_give_zero(self):
-        rng = np.random.default_rng(5)
-        p = rng.standard_normal((6, 4))
-        w = random_orthonormal(4, 2, rng)
-        bw = Bandwidth([0.5, 0.8])
-        gradient = t_ratio_gradient(w, rng.standard_normal(4), p, p.copy(), bw, bw)
-        np.testing.assert_allclose(gradient, 0.0, atol=1e-12)
-
-    def test_invariant_to_duplicating_both_sample_sets(self):
-        # duplicating every kernel term leaves both densities, hence T, unchanged
-        rng = np.random.default_rng(6)
-        p = rng.standard_normal((5, 3))
-        q = rng.normal(0.3, 1.0, size=(7, 3))
-        x = rng.standard_normal(3)
-        w = random_orthonormal(3, 2, rng)
-        bw_p, bw_q = Bandwidth([0.4, 0.6]), Bandwidth([0.5, 0.5])
-        base = t_ratio_gradient(w, x, p, q, bw_p, bw_q)
-        doubled = t_ratio_gradient(w, x, np.vstack([p, p]), np.vstack([q, q]), bw_p, bw_q)
-        np.testing.assert_allclose(doubled, base, atol=1e-12)
+        with pytest.raises(ValueError, match="bandwidths"):
+            _objective_and_gradients(w, mats, affinity, policy)[fn]()
 
 
 class TestObjectiveGradient:
@@ -230,7 +188,8 @@ class TestObjectiveGradient:
         mats, _, _, rng = toy_problem(7)
         affinity = AffinityMatrix(values=np.zeros((4, 4), dtype=int), nu_w=0, nu_b=0)
         w = random_orthonormal(4, 2, rng)
-        gradient = dr_euclidean_gradient(w, mats, affinity, DivergenceKind.JEFFREY)
+        bandwidths = resolve_bandwidths(project_sets(mats, w), "isotropic")
+        gradient = dr_euclidean_gradient(w, mats, affinity, DivergenceKind.JEFFREY, bandwidths)
         np.testing.assert_array_equal(gradient, np.zeros((4, 2)))
 
     @pytest.mark.parametrize("kind", list(DivergenceKind))
@@ -254,9 +213,24 @@ class TestObjectiveGradient:
         values = np.array([[0, 1], [1, 0]], dtype=int)
         affinity = AffinityMatrix(values=values, nu_w=1, nu_b=0)
         w = random_orthonormal(4, 2, rng)
+        bandwidths = resolve_bandwidths(project_sets(mats, w), "isotropic")
         gradient = dr_euclidean_gradient(w, mats, affinity,
-                                         DivergenceKind.HELLINGER_SQUARED)
+                                         DivergenceKind.HELLINGER_SQUARED, bandwidths)
         np.testing.assert_allclose(gradient, 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", list(DivergenceKind))
+    def test_invariant_to_duplicating_every_set(self, kind):
+        # duplicating every kernel term leaves each density, hence each
+        # per-sample term and its mean, unchanged
+        mats, _, affinity, rng = toy_problem(17, n=5, dim=3)
+        w = random_orthonormal(3, 2, rng)
+        bandwidths = [Bandwidth(rng.uniform(0.3, 0.8, size=2)) for _ in mats]
+        doubled = [np.vstack([m, m]) for m in mats]
+        base = dr_cost(w, mats, affinity, kind, bandwidths)
+        assert dr_cost(w, doubled, affinity, kind, bandwidths) == pytest.approx(base, abs=1e-12)
+        np.testing.assert_allclose(dr_euclidean_gradient(w, doubled, affinity, kind, bandwidths),
+                                   dr_euclidean_gradient(w, mats, affinity, kind, bandwidths),
+                                   rtol=0.0, atol=1e-12)
 
 
 class TestLearnProjection:

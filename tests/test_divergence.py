@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from statdiv import oracles
 from statdiv.density import Bandwidth, silverman_bandwidth
 from statdiv.divergence import (
+    _TERMS,
     T_CLAMP,
     DivergenceKind,
     DivergenceMatrix,
@@ -14,6 +17,7 @@ from statdiv.divergence import (
     jeffrey_empirical,
     load_divergence_matrix,
     pair_divergence,
+    _kde_collection,
     save_divergence_matrix,
     t_ratio,
 )
@@ -52,6 +56,68 @@ class TestTRatio:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             t_ratio(np.inf, 0.0)
+
+
+KINDS = list(DivergenceKind)
+Z_CLAMP = np.log((1.0 - T_CLAMP) / T_CLAMP)
+
+
+class TestClosedFormTerms:
+    """The per-sample terms and their slopes as functions of z = logit T."""
+
+    grid = np.concatenate([[0.0, 1e-300, 1e-12, 1e-6, 0.5, 3.0, Z_CLAMP, 40.0, 800.0, 1e300],
+                           np.random.default_rng(0).uniform(-60.0, 60.0, 200)])
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_term_is_even_bit_for_bit(self, kind):
+        term, _ = _TERMS[kind]
+        assert term(self.grid).tobytes() == term(-self.grid).tobytes()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_zero_at_equal_densities(self, kind):
+        term, slope = _TERMS[kind]
+        assert term(np.zeros(1))[0] == 0.0
+        assert slope(np.zeros(1))[0] == 0.0
+
+    def test_hellinger_term_in_unit_interval(self):
+        values = _TERMS[DivergenceKind.HELLINGER_SQUARED][0](self.grid)
+        assert np.all((values >= 0.0) & (values <= 1.0))
+
+    def test_jeffrey_term_bounded_by_clamp(self):
+        values = _TERMS[DivergenceKind.JEFFREY][0](self.grid)
+        assert np.all(values >= 0.0)
+        assert np.all(values <= Z_CLAMP * np.tanh(Z_CLAMP / 2.0))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_slope_matches_central_differences(self, kind):
+        term, slope = _TERMS[kind]
+        magnitudes = np.logspace(-3, np.log10(25.0), 60)
+        z = np.concatenate([magnitudes, -magnitudes])
+        step = 1e-6 * np.maximum(1.0, np.abs(z))
+        numeric = (term(z + step) - term(z - step)) / (2.0 * step)
+        np.testing.assert_allclose(slope(z), numeric, rtol=1e-6, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_infinite_log_ratio_is_finite(self, kind):
+        term, slope = _TERMS[kind]
+        z = np.array([np.inf, -np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert np.all(np.isfinite(term(z)))
+            np.testing.assert_array_equal(slope(z), [0.0, 0.0])
+
+    def test_hellinger_matches_series_at_tiny_log_ratios(self):
+        # q is p moved by ~1e-7, so |z| < 1e-6, where (sqrt(T) - sqrt(1-T))^2
+        # formed from T itself loses most of its digits to cancellation
+        rng = np.random.default_rng(50)
+        p = rng.standard_normal((40, 2))
+        q = p + 1e-7 * rng.standard_normal((40, 2))
+        bw = Bandwidth([0.4, 0.6])
+        z_p, z_q = _kde_collection([p, q], [bw, bw]).logits(0, 1)
+        assert 0.0 < np.max(np.abs(np.concatenate([z_p, z_q]))) < 1e-6
+        series = sum(float(np.mean(z**2 / 8.0 - 5.0 * z**4 / 384.0)) for z in (z_p, z_q))
+        value = pair_divergence(p, q, DivergenceKind.HELLINGER_SQUARED, bw, bw)
+        assert value == pytest.approx(series, rel=1e-12, abs=0.0)
 
 
 class TestHellingerEmpirical:
