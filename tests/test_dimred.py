@@ -205,6 +205,22 @@ class TestObjectiveGradient:
         scale = max(np.max(np.abs(numeric)), 1e-12)
         assert np.max(np.abs(analytic - numeric)) / scale <= 1e-3
 
+    @pytest.mark.parametrize("kind", list(DivergenceKind))
+    @pytest.mark.parametrize("trial", range(10))
+    def test_one_pair_with_distinct_bandwidths_matches_central_differences(self, kind, trial):
+        # each set keeps its own anisotropic projected bandwidth
+        rng = np.random.default_rng(100 + trial)
+        mats = [rng.normal(0.0, 1.0, size=(6, 4)), rng.normal(0.5, 1.0, size=(6, 4))]
+        affinity = AffinityMatrix(values=np.array([[0, 1], [1, 0]]), nu_w=1, nu_b=0)
+        w = random_orthonormal(4, 2, rng)
+        bandwidths = [Bandwidth(rng.uniform(0.3, 1.0, size=2)) for _ in mats]
+        analytic = dr_euclidean_gradient(w, mats, affinity, kind, bandwidths)
+        numeric = finite_difference(
+            lambda frame: dr_cost(frame, mats, affinity, kind, bandwidths), w
+        )
+        scale = max(np.max(np.abs(numeric)), 1e-12)
+        assert np.max(np.abs(analytic - numeric)) / scale <= 1e-4
+
     def test_identical_projected_sets_contribute_nothing(self):
         # T = 1/2 everywhere zeroes the per-sample weight
         rng = np.random.default_rng(8)
