@@ -2,11 +2,11 @@
 
 A fitted density is a mixture of identical axis-aligned Gaussians centered
 at the sample rows. Every evaluation forms a block of log kernels, a row
-per point and a column per sample (`_log_kernel_matrix`), and reduces its
-rows by log-sum-exp (`_log_mixture`), so densities never underflow to 0
-or overflow for finite inputs. `DensityModel` is one fitted density;
-`_KdeCollection` holds those of several sets for the divergence
-estimators and the DR objective.
+per point and a column per sample, by one centred GEMM (`_log_kernel_matrix`
+on `_anchors`), and reduces its rows by log-sum-exp (`_log_mixture`), so
+densities never underflow to 0 or overflow for finite inputs.
+`DensityModel` is one fitted density; `_KdeCollection` holds those of
+several sets for the divergence estimators and the DR objective.
 """
 
 from __future__ import annotations
@@ -159,12 +159,28 @@ def fit_kde(samples, bandwidth: Bandwidth | str | None = "auto") -> DensityModel
     return DensityModel(samples=mat, bandwidth=bandwidth, log_norm=log_norm)
 
 
-def _log_kernel_matrix(points: np.ndarray, samples: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    """L[a, i] = -0.5 * sum_j (points[a,j] - samples[i,j])^2 / diag[j]."""
-    diff = points[:, None, :] - samples[None, :, :]
-    # In place: a second m x n x D temporary made the allocator re-fault pages per block.
-    diff *= diff
-    return -0.5 * np.einsum("aij,j->ai", diff, 1.0 / diag)
+def _whitened(rows: np.ndarray, centre: np.ndarray, scale: np.ndarray, norm_last: bool) -> np.ndarray:
+    """[w, -|w|^2/2, 1], or [w, 1, -|w|^2/2] if `norm_last`, w = (rows - centre) * scale."""
+    out = np.empty((rows.shape[0], rows.shape[1] + 2))
+    w = np.multiply(rows - centre, scale, out=out[:, :-2])
+    out[:, -2 + norm_last] = -0.5 * np.einsum("ij,ij->i", w, w)
+    out[:, -1 - norm_last] = 1.0
+    return out
+
+
+def _anchors(samples: np.ndarray, diag: np.ndarray) -> tuple:
+    """A mixture's samples centred on their mean c and whitened by its
+    bandwidth: (c, 1/sqrt(diag), rows [a, 1, -|a|^2/2]), a = (samples - c)/sqrt(diag)."""
+    centre, scale = samples.mean(axis=0), 1.0 / np.sqrt(diag)
+    return centre, scale, _whitened(samples, centre, scale, norm_last=True)
+
+
+def _log_kernel_matrix(points: np.ndarray, anchors: tuple) -> np.ndarray:
+    """L[k, i] = -0.5 * sum_j (points[k,j] - samples[i,j])^2 / diag[j] = x_k . a_i - |x_k|^2/2
+    - |a_i|^2/2 clamped at 0, one GEMM in the centred coordinates of :func:`_anchors`."""
+    centre, scale, a = anchors
+    rows = _whitened(points, centre, scale, norm_last=False) @ a.T
+    return np.minimum(rows, 0.0, out=rows)
 
 
 def _row_logsumexp(a: np.ndarray) -> np.ndarray:
@@ -193,29 +209,33 @@ def _log_mixture(log_kernels: np.ndarray, log_norm: float) -> tuple[np.ndarray, 
 
 
 class _KdeCollection:
-    """The KDEs of several sample sets, as plain arrays. Each set is checked
-    once (:func:`_kde_samples`) and its KDE is evaluated at its own samples
-    once, here, so that pairs evaluated in parallel only read."""
+    """The KDEs of several sample sets, each checked and whitened once. A
+    set's log density at its own samples is formed on first use and then
+    kept, which is safe only because pairs are evaluated serially."""
 
     def __init__(self, sets, bandwidths):
         self.samples = [_kde_samples(s, bw) for s, bw in zip(sets, bandwidths)]
         self.diags = [bw.diag for bw in bandwidths]
         self.log_norms = [_log_norm(m.shape[0], diag) for m, diag in zip(self.samples, self.diags)]
-        self.self_logs = [self.block(m, b)[0] for b, m in enumerate(self.samples)]
+        self.anchors = [_anchors(m, diag) for m, diag in zip(self.samples, self.diags)]
+        self._self_logs = {}
 
     def block(self, points: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """KDE `b` at each row of `points`: the log density, the log-kernel
         rows and their log-sum-exp (see :func:`_log_mixture`)."""
-        rows = _log_kernel_matrix(points, self.samples[b], self.diags[b])
+        rows = _log_kernel_matrix(points, self.anchors[b])
         log_density, lse = _log_mixture(rows, self.log_norms[b])
         return log_density, rows, lse
 
+    def log_ratio(self, i: int, j: int) -> np.ndarray:
+        """z = log p_i - log p_j at the samples of set i."""
+        if i not in self._self_logs:
+            self._self_logs[i] = self.block(self.samples[i], i)[0]
+        return self._self_logs[i] - self.block(self.samples[i], j)[0]
+
     def logits(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Log ratios z = log p_i - log p_j at the samples of set i and at
-        the samples of set j."""
-        z_i = self.self_logs[i] - self.block(self.samples[i], j)[0]
-        z_j = self.block(self.samples[j], i)[0] - self.self_logs[j]
-        return z_i, z_j
+        """z = log p_i - log p_j at the samples of set i, then of set j."""
+        return self.log_ratio(i, j), -self.log_ratio(j, i)
 
 
 def log_density_batch(model: DensityModel, points) -> np.ndarray:
@@ -225,7 +245,7 @@ def log_density_batch(model: DensityModel, points) -> np.ndarray:
         raise ValueError(f"expected points of shape (m, {model.dim}), got {pts.shape}")
     if not np.all(np.isfinite(pts)):
         raise ValueError("evaluation points contain non-finite entries")
-    log_kernels = _log_kernel_matrix(pts, model.samples, model.bandwidth.diag)
+    log_kernels = _log_kernel_matrix(pts, _anchors(model.samples, model.bandwidth.diag))
     return _log_mixture(log_kernels, model.log_norm)[0]
 
 
@@ -243,10 +263,8 @@ def log_density_loo(model: DensityModel, sample_index: int | None = None) -> np.
     """
     if model.n < 3:
         raise ValueError("leave-one-out evaluation needs at least 3 samples")
-    log_kernels = _log_kernel_matrix(model.samples, model.samples, model.bandwidth.diag)
+    log_kernels = _log_kernel_matrix(model.samples, _anchors(model.samples, model.bandwidth.diag))
     np.fill_diagonal(log_kernels, -np.inf)
     log_norm = model.log_norm + np.log(model.n) - np.log(model.n - 1)
     out = _log_mixture(log_kernels, log_norm)[0]
-    if sample_index is not None:
-        return out[sample_index]
-    return out
+    return out if sample_index is None else out[sample_index]

@@ -4,15 +4,14 @@ The symmetric estimators average a per-sample term over the samples of
 both sets. Each term, and its slope for the DR gradient (`_TERMS`), is a
 closed form in the log ratio z = log p - log q = logit T, T = p / (p + q),
 that one `density._KdeCollection` gives, so neither density is ever
-exponentiated on its own. The naive one-sided estimator is kept only for
-comparison; it is asymmetric and unstable exactly where T is not.
+exponentiated on its own; pairs are evaluated serially. The naive one-sided
+estimator is kept only for comparison: asymmetric, unstable where T is not.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -49,7 +48,8 @@ class DivergenceKind(Enum):
 
 
 def thread_count() -> int:
-    """Worker count for pairwise computations, from STATDIV_THREADS (default: all cores)."""
+    """STATDIV_THREADS (default: all cores). Pairs are evaluated serially, so
+    it changes nothing, but the matrix builders still reject a bad value."""
     raw = os.environ.get("STATDIV_THREADS", "")
     if raw:
         try:
@@ -249,7 +249,7 @@ def hellinger_naive(p_samples, q_samples, direction: str = "overP",
     # z = log own - log other at the own set's samples, so the term is
     # (1 - e^(-z/2))^2. It blows up where the other density dominates; cap
     # the exponent to keep the (already meaningless) value finite.
-    z = kdes.logits(own, other)[0]
+    z = kdes.log_ratio(own, other)
     return float(np.mean(np.expm1(np.minimum(-0.5 * z, 350.0)) ** 2))
 
 
@@ -288,38 +288,19 @@ def _ids_of(sets) -> tuple[str, ...]:
     return tuple(str(getattr(s, "id", f"set{i}")) for i, s in enumerate(sets))
 
 
-def _map_pairs(fn, pairs):
-    """Evaluate fn over index pairs, possibly threaded. Results keyed by pair,
-    so scheduling cannot change the output."""
-    workers = thread_count()
-    if workers <= 1 or len(pairs) <= 1:
-        return {pair: fn(pair) for pair in pairs}
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = pool.map(fn, pairs)
-        return dict(zip(pairs, results))
-
-
 def _pair_divergences(sets, kind: DivergenceKind, bw_policy, pairs) -> dict:
-    """Divergences between `sets[i]` and `sets[j]` for each index pair (i, j).
-
-    Every KDE and its self-density are computed once, however many pairs
-    share the set. Pairs may be evaluated in parallel (STATDIV_THREADS);
-    results are keyed by pair, so they are identical for any worker count.
-    """
+    """Divergences between `sets[i]` and `sets[j]` for each index pair (i, j),
+    in a plain loop over one collection, so each KDE is whitened once."""
+    thread_count()  # a bad STATDIV_THREADS is still an error
     kdes = _kde_collection(sets, bw_policy, kind)
-
-    def one_pair(pair):
-        return _estimate(kind, *kdes.logits(*pair))
-
-    return _map_pairs(one_pair, pairs)
+    return {pair: _estimate(kind, *kdes.logits(*pair)) for pair in pairs}
 
 
 def divergence_matrix(sets, kind: DivergenceKind, bw_policy="silverman") -> DivergenceMatrix:
     """All pairwise divergences among `sets`.
 
-    Each KDE is fitted once; each unordered pair is computed once. Pairs
-    may be evaluated in parallel (STATDIV_THREADS) with identical results
-    for any worker count.
+    Each KDE is fitted once; each unordered pair is computed once, in a
+    plain loop, so the result does not depend on STATDIV_THREADS.
     """
     sets = list(sets)
     if not sets:

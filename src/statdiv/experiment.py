@@ -1,9 +1,9 @@
 """Declarative experiment runner: split, (optionally) learn, classify, score.
 
 A run is a pure function of its config: all randomness flows from one seed
-through per-repetition child seeds, pair-level parallelism cannot reorder
-any reduction, and reports serialize to byte-identical JSON across runs
-and thread counts. Wall-clock timings are kept out of the report proper.
+through per-repetition child seeds, pairs are evaluated serially in a
+fixed order, and reports serialize to byte-identical JSON across runs and
+values of STATDIV_THREADS. Wall-clock timings are kept out of the report.
 """
 
 from __future__ import annotations

@@ -304,3 +304,25 @@ class TestLearnProjection:
             learn_projection(sets, [0, 0, 1, 1], DrConfig(target_dim=3))
         with pytest.raises(ValueError, match="target_dim"):
             DrConfig(target_dim=0)
+
+
+class TestGradientBlockCount:
+    @pytest.mark.parametrize("kind", list(DivergenceKind))
+    def test_two_stacked_blocks_per_active_pair_and_no_self_block(self, kind, monkeypatch):
+        from statdiv import density
+
+        mats, _, affinity, rng = toy_problem(31)
+        w = random_orthonormal(4, 2, rng)
+        bandwidths = resolve_bandwidths(project_sets(mats, w), "isotropic")
+        calls = []
+        kernel = density._log_kernel_matrix
+
+        def counting(points, anchors):
+            calls.append(points.shape[0])
+            return kernel(points, anchors)
+
+        monkeypatch.setattr(density, "_log_kernel_matrix", counting)
+        dr_euclidean_gradient(w, mats, affinity, kind, bandwidths)
+        active = int(np.count_nonzero(np.triu(affinity.values, 1)))
+        assert active > 0
+        assert calls == [12] * (2 * active)  # the 6 + 6 stacked samples of a pair

@@ -365,3 +365,46 @@ class TestDivergenceMatrix:
         monkeypatch.setenv("STATDIV_THREADS", raw)
         with pytest.raises(ValueError, match="STATDIV_THREADS"):
             thread_count()
+
+
+class TestCentring:
+    """Shifting both sets by a constant leaves the estimates unchanged, up
+    to the rounding of the shifted inputs themselves."""
+
+    @pytest.mark.parametrize("estimator", [hellinger_empirical, jeffrey_empirical])
+    @pytest.mark.parametrize("offset, rel", [(1e3, 1e-12), (1e6, 1e-9)])
+    def test_estimate_is_translation_invariant(self, estimator, offset, rel):
+        rng = np.random.default_rng(3)
+        p = rng.standard_normal((60, 4))
+        q = rng.standard_normal((50, 4)) + 0.7
+        assert estimator(p + offset, q + offset) == pytest.approx(estimator(p, q), rel=rel, abs=0.0)
+
+
+class TestKernelBlockCount:
+    @pytest.fixture
+    def blocks(self, monkeypatch):
+        from statdiv import density
+
+        calls = []
+        kernel = density._log_kernel_matrix
+
+        def counting(points, anchors):
+            calls.append(points.shape[0])
+            return kernel(points, anchors)
+
+        monkeypatch.setattr(density, "_log_kernel_matrix", counting)
+        return calls
+
+    @pytest.mark.parametrize("direction", ["overP", "overQ"])
+    def test_naive_estimate_forms_two_blocks(self, blocks, direction):
+        rng = np.random.default_rng(4)
+        p, q = rng.standard_normal((30, 2)), rng.standard_normal((20, 2)) + 0.5
+        hellinger_naive(p, q, direction)
+        own = 30 if direction == "overP" else 20
+        assert blocks == [own, own]
+
+    def test_symmetric_pair_forms_four_blocks(self, blocks):
+        rng = np.random.default_rng(5)
+        p, q = rng.standard_normal((30, 2)), rng.standard_normal((20, 2)) + 0.5
+        hellinger_empirical(p, q)
+        assert sorted(blocks) == [20, 20, 30, 30]
