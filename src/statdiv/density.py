@@ -4,7 +4,7 @@ A fitted density is a mixture of identical axis-aligned Gaussians centered
 at the sample rows. Every evaluation forms a block of log kernels, a row
 per point and a column per sample, by one centred GEMM (`_log_kernel_matrix`
 on `_anchors`), and reduces its rows by log-sum-exp (`_log_mixture`), so
-densities never underflow to 0 or overflow for finite inputs.
+densities never underflow to 0 (for the accuracy see `_log_kernel_matrix`).
 `DensityModel` is one fitted density; `_KdeCollection` holds those of
 several sets for the divergence estimators and the DR objective.
 """
@@ -177,7 +177,8 @@ def _anchors(samples: np.ndarray, diag: np.ndarray) -> tuple:
 
 def _log_kernel_matrix(points: np.ndarray, anchors: tuple) -> np.ndarray:
     """L[k, i] = -0.5 * sum_j (points[k,j] - samples[i,j])^2 / diag[j] = x_k . a_i - |x_k|^2/2
-    - |a_i|^2/2 clamped at 0, one GEMM in the centred coordinates of :func:`_anchors`."""
+    - |a_i|^2/2 clamped at 0, one GEMM in the centred coordinates of :func:`_anchors`.
+    Absolute error about eps * max(|x_k|^2, |a_i|^2), also where L is near 0; NaN once one overflows."""
     centre, scale, a = anchors
     rows = _whitened(points, centre, scale, norm_last=False) @ a.T
     return np.minimum(rows, 0.0, out=rows)
@@ -188,8 +189,10 @@ def _row_logsumexp(a: np.ndarray) -> np.ndarray:
     algorithm of `scipy.special.logsumexp` and bit-equal to it: shift by the
     row maximum, count the maxima apart, add log1p of the rest over that
     count. A row whose maximum is -inf gives -inf; it is shifted by 0, so
-    no -inf - -inf is formed."""
+    no -inf - -inf is formed. A NaN (a log kernel's inf - inf) is an error."""
     a_max = a.max(axis=1, keepdims=True)
+    if np.isnan(a_max).any():
+        raise ValueError("a log kernel is NaN: a point or sample lies ~1e154 bandwidths from the samples' mean")
     is_max = a == a_max
     count = is_max.sum(axis=1, keepdims=True, dtype=float)
     rest = np.where(is_max, -np.inf, a)
@@ -239,7 +242,7 @@ class _KdeCollection:
 
 
 def log_density_batch(model: DensityModel, points) -> np.ndarray:
-    """Log density at each row of `points` (m x D). Always finite for finite input."""
+    """Log density at each row of `points` (m x D); a ValueError if a log kernel is NaN."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != model.dim:
         raise ValueError(f"expected points of shape (m, {model.dim}), got {pts.shape}")

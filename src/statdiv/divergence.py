@@ -48,8 +48,8 @@ class DivergenceKind(Enum):
 
 
 def thread_count() -> int:
-    """STATDIV_THREADS (default: all cores). Pairs are evaluated serially, so
-    it changes nothing, but the matrix builders still reject a bad value."""
+    """STATDIV_THREADS (default: all cores). Nothing in the package calls
+    this: pairs are evaluated serially."""
     raw = os.environ.get("STATDIV_THREADS", "")
     if raw:
         try:
@@ -291,7 +291,6 @@ def _ids_of(sets) -> tuple[str, ...]:
 def _pair_divergences(sets, kind: DivergenceKind, bw_policy, pairs) -> dict:
     """Divergences between `sets[i]` and `sets[j]` for each index pair (i, j),
     in a plain loop over one collection, so each KDE is whitened once."""
-    thread_count()  # a bad STATDIV_THREADS is still an error
     kdes = _kde_collection(sets, bw_policy, kind)
     return {pair: _estimate(kind, *kdes.logits(*pair)) for pair in pairs}
 
@@ -299,8 +298,7 @@ def _pair_divergences(sets, kind: DivergenceKind, bw_policy, pairs) -> dict:
 def divergence_matrix(sets, kind: DivergenceKind, bw_policy="silverman") -> DivergenceMatrix:
     """All pairwise divergences among `sets`.
 
-    Each KDE is fitted once; each unordered pair is computed once, in a
-    plain loop, so the result does not depend on STATDIV_THREADS.
+    Each KDE is fitted once; each unordered pair is computed once.
     """
     sets = list(sets)
     if not sets:

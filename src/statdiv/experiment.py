@@ -2,8 +2,8 @@
 
 A run is a pure function of its config: all randomness flows from one seed
 through per-repetition child seeds, pairs are evaluated serially in a
-fixed order, and reports serialize to byte-identical JSON across runs and
-values of STATDIV_THREADS. Wall-clock timings are kept out of the report.
+fixed order, and reports serialize to byte-identical JSON across runs.
+Wall-clock timings are kept out of the report.
 """
 
 from __future__ import annotations

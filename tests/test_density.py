@@ -216,6 +216,27 @@ class TestCentredKernel:
         got = log_density_batch(model, probes)
         assert np.max(np.abs(got - reference.astype(float))) <= 1e-12
 
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    def test_small_explicit_bandwidth_loses_about_eps_r_squared(self, offset):
+        # Shared variance 1e-6 on unit-scale data: whitened distances R ~ 4e3
+        # from the samples' mean. Probes include the samples themselves, where
+        # the log kernel peaks at 0, so the loss there is measured too.
+        rng = np.random.default_rng(23)
+        samples = offset + rng.normal(0.0, [1.0, 2.0, 0.5], size=(40, 3))
+        probes = np.vstack([samples[:10], offset + rng.normal(0.3, 1.5, size=(10, 3))])
+        model = fit_kde(samples, Bandwidth(np.full(3, 1e-6)))
+        reference = self.extended_reference(model.samples, model.bandwidth.diag, probes)
+        got = log_density_batch(model, probes)
+        rows = np.vstack([samples, probes]) - samples.mean(axis=0)
+        r_squared = np.max(np.sum(rows**2 / model.bandwidth.diag, axis=1))
+        assert np.max(np.abs(got - reference.astype(float))) <= 2 * np.finfo(float).eps * r_squared
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_log_kernel_is_an_error(self):
+        model = fit_kde([[0.0], [1e155]], Bandwidth(np.array([1.0])))
+        with pytest.raises(ValueError, match="log kernel is NaN"):
+            log_density_batch(model, model.samples)
+
     def test_collection_block_is_log_density_batch_bit_for_bit(self):
         from statdiv.density import _KdeCollection
 

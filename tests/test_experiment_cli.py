@@ -380,18 +380,3 @@ class TestCli:
         )
         assert result.returncode == 0
         assert (tmp_path / "d" / "manifest.json").exists()
-
-
-class TestThreadSetting:
-    @pytest.mark.parametrize("raw", ["0", "abc"])
-    def test_bad_statdiv_threads_fails_dist(self, tmp_path, capsys, monkeypatch, raw):
-        data = tmp_path / "data"
-        assert main(["gen", "--classes", "2", "--sets-per-class", "2",
-                     "--samples-per-set", "8", "--dim", "2", "--out", str(data)]) == 0
-        capsys.readouterr()
-        monkeypatch.setenv("STATDIV_THREADS", raw)
-        code = main(["dist", "--manifest", str(data / "manifest.json"), "--divergence", "h",
-                     "--out", str(tmp_path / "out")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: STATDIV_THREADS must be")
