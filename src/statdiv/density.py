@@ -5,6 +5,9 @@ at the sample rows. Every evaluation forms a block of log kernels, a row
 per point and a column per sample, by one centred GEMM (`_log_kernel_matrix`
 on `_anchors`), and reduces its rows by log-sum-exp (`_log_mixture`), so
 densities never underflow to 0 (for the accuracy see `_log_kernel_matrix`).
+The log-sum-exp runs in cache-sized row blocks (`_LSE_BLOCK` entries, its
+largest temporary) and is bit-equal to `scipy.special.logsumexp` per row,
+so no m x n temporary is formed beside the log-kernel block.
 `DensityModel` is one fitted density; `_KdeCollection` holds those of
 several sets for the divergence estimators and the DR objective.
 """
@@ -184,12 +187,13 @@ def _log_kernel_matrix(points: np.ndarray, anchors: tuple) -> np.ndarray:
     return np.minimum(rows, 0.0, out=rows)
 
 
-def _row_logsumexp(a: np.ndarray) -> np.ndarray:
-    """log(sum(exp(a), axis=1)) for rows of finite or -inf entries, by the
-    algorithm of `scipy.special.logsumexp` and bit-equal to it: shift by the
-    row maximum, count the maxima apart, add log1p of the rest over that
-    count. A row whose maximum is -inf gives -inf; it is shifted by 0, so
-    no -inf - -inf is formed. A NaN (a log kernel's inf - inf) is an error."""
+# Entries per row block of `_row_logsumexp`: 512 KiB of float64, so its
+# temporaries stay in cache instead of doubling a large block's footprint.
+_LSE_BLOCK = 2**16
+
+
+def _block_logsumexp(a: np.ndarray) -> np.ndarray:
+    """The row log-sum-exp of one row block; see :func:`_row_logsumexp`."""
     a_max = a.max(axis=1, keepdims=True)
     if np.isnan(a_max).any():
         raise ValueError("a log kernel is NaN: a point or sample lies ~1e154 bandwidths from the samples' mean")
@@ -202,11 +206,33 @@ def _row_logsumexp(a: np.ndarray) -> np.ndarray:
     return (np.log1p(s) + np.log(count) + a_max)[:, 0]
 
 
+def _row_logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a), axis=1)) for rows of finite or -inf entries, by the
+    algorithm of `scipy.special.logsumexp` and bit-equal to it row by row:
+    shift by the row maximum, count the maxima apart, add log1p of the rest
+    over that count. A row whose maximum is -inf gives -inf; it is shifted
+    by 0, so no -inf - -inf is formed. A NaN (a log kernel's inf - inf) is
+    an error. The rows are reduced in blocks of at most `_LSE_BLOCK`
+    entries (one row if a row is longer), so the largest temporary is one
+    block's float copy, not an m x n one; each row sees the same numpy
+    operations either way."""
+    m, n = a.shape
+    if m * n <= _LSE_BLOCK:
+        return _block_logsumexp(a)
+    step = max(_LSE_BLOCK // n, 1)
+    out = np.empty(m)
+    for start in range(0, m, step):
+        out[start:start + step] = _block_logsumexp(a[start:start + step])
+    return out
+
+
 def _log_mixture(log_kernels: np.ndarray, log_norm: float) -> tuple[np.ndarray, np.ndarray]:
     """KDE log density from its log-kernel matrix (a row per evaluation
     point, a column per mixture component): the row log-sum-exp plus the
     log normalizer. Also returns that log-sum-exp, from which a caller forms
-    the component weights exp(L - lse) without a second reduction."""
+    the component weights exp(L - lse) without a second reduction. The
+    log-sum-exp is :func:`_row_logsumexp`, bit-equal to scipy's per row and
+    reduced in row blocks, so its largest temporary is 512 KiB."""
     lse = _row_logsumexp(log_kernels)
     return lse + log_norm, lse
 

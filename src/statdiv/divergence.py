@@ -11,7 +11,6 @@ estimator is kept only for comparison: asymmetric, unstable where T is not.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -33,7 +32,6 @@ __all__ = [
     "cross_divergence_matrix",
     "resolve_bandwidths",
     "hellinger_bandwidth",
-    "thread_count",
     "save_divergence_matrix",
     "load_divergence_matrix",
 ]
@@ -45,21 +43,6 @@ T_CLAMP = 1e-12
 class DivergenceKind(Enum):
     HELLINGER_SQUARED = "hellinger"
     JEFFREY = "jeffrey"
-
-
-def thread_count() -> int:
-    """STATDIV_THREADS (default: all cores). Nothing in the package calls
-    this: pairs are evaluated serially."""
-    raw = os.environ.get("STATDIV_THREADS", "")
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError as exc:
-            raise ValueError(f"STATDIV_THREADS must be an integer, got {raw!r}") from exc
-        if value < 1:
-            raise ValueError(f"STATDIV_THREADS must be >= 1, got {value}")
-        return value
-    return os.cpu_count() or 1
 
 
 def _stable_logistic(z: np.ndarray) -> np.ndarray:

@@ -179,6 +179,50 @@ class TestRowLogSumExp:
                 got = _row_logsumexp(a)
             np.testing.assert_array_equal(got, logsumexp(a, axis=1))
 
+    @pytest.mark.parametrize("shape", [(97, 2000), (2001, 40), (3, 70000), (300, 300)], ids="{0[0]}x{0[1]}".format)
+    def test_row_blocks_equal_scipy_bit_for_bit(self, shape):
+        """Arrays spanning several row blocks, the first three ending in a
+        partial one; a 3 x 70000 row is longer than a block, so is one."""
+        from statdiv.density import _LSE_BLOCK, _row_logsumexp
+
+        m, n = shape
+        assert m * n > _LSE_BLOCK
+        rng = np.random.default_rng(m * n)
+        a = np.round(-rng.exponential(5.0, size=(m, n)))  # tied maxima
+        a[rng.random((m, n)) < 0.2] = -np.inf
+        a[m // 2] = -np.inf  # an all -inf row
+        if m == n:
+            np.fill_diagonal(a, -np.inf)  # the leave-one-out diagonal
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _row_logsumexp(a)
+        np.testing.assert_array_equal(got, logsumexp(a, axis=1))
+
+    def test_nan_in_a_later_row_block_is_an_error(self):
+        from statdiv.density import _LSE_BLOCK, _row_logsumexp
+
+        a = -np.random.default_rng(0).exponential(5.0, size=(64, 2000))
+        assert 50 >= _LSE_BLOCK // a.shape[1]  # row 50 is past the first block
+        a[50, 7] = np.nan
+        with pytest.raises(ValueError, match="log kernel is NaN"):
+            _row_logsumexp(a)
+
+    def test_peak_memory_is_the_kernel_block(self):
+        """The reduction's temporaries are one row block, so one 2000 x 2000
+        evaluation peaks near its 32 MB log-kernel matrix, not twice it."""
+        import tracemalloc
+
+        rng = np.random.default_rng(3)
+        model, points = fit_kde(rng.normal(size=(2000, 1))), rng.normal(size=(2000, 1))
+        log_density_batch(model, points)  # warm-up
+        tracemalloc.start()
+        try:
+            log_density_batch(model, points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 2000 * 2000 * 8
+
 
 class TestBandwidthValidation:
     @pytest.mark.parametrize("diag", [[0.0], [-1.0], [np.nan], [np.inf]])

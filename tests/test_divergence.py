@@ -358,14 +358,6 @@ class TestDivergenceMatrix:
         with pytest.raises(ValueError, match="not symmetric"):
             DivergenceMatrix(values=bad, kind=DivergenceKind.JEFFREY)
 
-    @pytest.mark.parametrize("raw", ["zero", "0", "-2"])
-    def test_thread_count_env_validation(self, raw, monkeypatch):
-        from statdiv.divergence import thread_count
-
-        monkeypatch.setenv("STATDIV_THREADS", raw)
-        with pytest.raises(ValueError, match="STATDIV_THREADS"):
-            thread_count()
-
 
 class TestCentring:
     """Shifting both sets by a constant leaves the estimates unchanged, up
