@@ -9,12 +9,14 @@ The log-sum-exp runs in cache-sized row blocks (`_LSE_BLOCK` entries, its
 largest temporary) and is bit-equal to `scipy.special.logsumexp` per row,
 so no m x n temporary is formed beside the log-kernel block.
 `DensityModel` is one fitted density; `_KdeCollection` holds those of
-several sets for the divergence estimators and the DR objective.
+several sets for the divergence estimators and the DR objective, each KDE
+evaluated once per list of pairs at the stacked samples of the sets it meets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, groupby
 
 import numpy as np
 
@@ -190,6 +192,16 @@ def _log_kernel_matrix(points: np.ndarray, anchors: tuple) -> np.ndarray:
 # Entries per row block of `_row_logsumexp`: 512 KiB of float64, so its
 # temporaries stay in cache instead of doubling a large block's footprint.
 _LSE_BLOCK = 2**16
+# Window of `_runs`: 64 KiB of float64, under glibc's 128 KiB mmap threshold; stacking
+# 100 x 100 blocks to 600 x 100 (512 KiB) raised peak RSS and time on a 2-core x86 host.
+_STACK_BLOCK = 2**13
+
+
+def _runs(items: list, sizes: list[int]) -> list[list]:
+    """`items`, of `sizes` entries each, cut into runs of those that start in the same
+    `_STACK_BLOCK` entries laid end to end: under `_STACK_BLOCK` plus its last item."""
+    start = np.cumsum([0] + sizes[:-1]) // _STACK_BLOCK
+    return [[items[k] for k in run] for _, run in groupby(range(len(items)), key=start.__getitem__)]
 
 
 def _block_logsumexp(a: np.ndarray) -> np.ndarray:
@@ -238,16 +250,14 @@ def _log_mixture(log_kernels: np.ndarray, log_norm: float) -> tuple[np.ndarray, 
 
 
 class _KdeCollection:
-    """The KDEs of several sample sets, each checked and whitened once. A
-    set's log density at its own samples is formed on first use and then
-    kept, which is safe only because pairs are evaluated serially."""
+    """The KDEs of several sample sets, each checked and whitened once, and
+    evaluated once per list of pairs (:meth:`stacked`, :meth:`pair_logits`)."""
 
     def __init__(self, sets, bandwidths):
         self.samples = [_kde_samples(s, bw) for s, bw in zip(sets, bandwidths)]
         self.diags = [bw.diag for bw in bandwidths]
         self.log_norms = [_log_norm(m.shape[0], diag) for m, diag in zip(self.samples, self.diags)]
         self.anchors = [_anchors(m, diag) for m, diag in zip(self.samples, self.diags)]
-        self._self_logs = {}
 
     def block(self, points: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """KDE `b` at each row of `points`: the log density, the log-kernel
@@ -256,15 +266,29 @@ class _KdeCollection:
         log_density, lse = _log_mixture(rows, self.log_norms[b])
         return log_density, rows, lse
 
-    def log_ratio(self, i: int, j: int) -> np.ndarray:
-        """z = log p_i - log p_j at the samples of set i."""
-        if i not in self._self_logs:
-            self._self_logs[i] = self.block(self.samples[i], i)[0]
-        return self._self_logs[i] - self.block(self.samples[i], j)[0]
+    def stacked(self, pairs):
+        """Yields (b, sets, their stacked samples, *:meth:`block` there) for each KDE b
+        in `pairs`, at set b and each distinct partner cut into :func:`_runs` of their
+        blocks. Each set's rows are bit-equal to its own block: on OpenBLAS so is any
+        GEMM sub-block of >= 2 rows (1 row goes through gemv), and every n >= 2."""
+        stacks = {}  # b: {b, then each distinct partner}, in order
+        for i, j in pairs:
+            stacks.setdefault(i, {i: None})[j] = None
+            stacks.setdefault(j, {j: None})[i] = None
+        for b, stack in stacks.items():
+            for group in _runs(list(stack), [self.samples[s].shape[0] * self.samples[b].shape[0] for s in stack]):
+                points = np.concatenate([self.samples[s] for s in group])
+                yield (b, group, points, *self.block(points, b))
 
-    def logits(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """z = log p_i - log p_j at the samples of set i, then of set j."""
-        return self.log_ratio(i, j), -self.log_ratio(j, i)
+    def pair_logits(self, pairs, blocks=None) -> list[tuple[np.ndarray, np.ndarray]]:
+        """z = log p_i - log p_j at the samples of set i, then of set j, for each pair (i, j),
+        from `blocks` of :meth:`stacked` (by default made here and dropped as read)."""
+        at = {}
+        for b, group, _, log_density, *kernels in self.stacked(pairs) if blocks is None else blocks:
+            del kernels  # before the next block is formed, so two never coexist
+            for s, stop in zip(group, accumulate(self.samples[s].shape[0] for s in group)):
+                at[b, s] = log_density[stop - self.samples[s].shape[0]:stop]
+        return [(at[i, i] - at[j, i], at[i, j] - at[j, j]) for i, j in pairs]
 
 
 def log_density_batch(model: DensityModel, points) -> np.ndarray:

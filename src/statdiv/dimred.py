@@ -9,9 +9,9 @@ optimization, which runs a projection-based conjugate gradient over
 orthonormal frames.
 
 The cost and the gradient evaluate the projected sets through the
-estimators' `density._KdeCollection`; the gradient weighs each sample by
-its term's slope in the log ratio z (`divergence._TERMS`), and reads one
-block per mixture at the stacked samples of each pair.
+estimators' `density._KdeCollection`, one stacked block per KDE; the
+gradient reads the same blocks and weighs each sample by its term's slope
+in the log ratio z (`divergence._TERMS`), summed over the pairs it is in.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .classify import _fix_column_signs
 from .density import Bandwidth, _features_of, _KdeCollection, _read_only
-from .divergence import _TERMS, DivergenceKind, _estimate, _kde_collection, divergence_matrix, resolve_bandwidths
+from .divergence import _TERMS, DivergenceKind, _estimates, _kde_collection, _per_sample, divergence_matrix, resolve_bandwidths
 from .manifold import CgOptions, CgResult, cg_minimize, random_orthonormal
 
 __all__ = [
@@ -134,15 +134,10 @@ def project_sets(sets, w: np.ndarray) -> list[np.ndarray]:
     return [_features_of(s) @ w for s in sets]
 
 
-def _active_pairs(affinity: AffinityMatrix) -> list[tuple[int, int, float]]:
-    values = affinity.values
-    m = values.shape[0]
-    return [
-        (i, j, float(values[i, j]))
-        for i in range(m)
-        for j in range(i + 1, m)
-        if values[i, j] != 0
-    ]
+def _active_pairs(affinity: AffinityMatrix) -> tuple[list[tuple[int, int]], list[float]]:
+    """The index pairs i < j of nonzero affinity, row by row, and their signs."""
+    i, j = np.nonzero(np.triu(affinity.values, 1))
+    return list(zip(i.tolist(), j.tolist())), affinity.values[i, j].astype(float).tolist()
 
 
 def _projected_kdes(w: np.ndarray, sets, bandwidths) -> _KdeCollection:
@@ -166,9 +161,10 @@ def dr_cost(w: np.ndarray, sets, affinity: AffinityMatrix,
     projected dimension, so the objective is a pure function of `w`.
     """
     kdes = _projected_kdes(w, sets, bandwidths)
+    pairs, signs = _active_pairs(affinity)
     total = 0.0
-    for i, j, sign in _active_pairs(affinity):
-        total += sign * _estimate(kind, *kdes.logits(i, j))
+    for sign, estimate in zip(signs, _estimates(kind, kdes.pair_logits(pairs))):
+        total += sign * estimate
     return total
 
 
@@ -198,26 +194,26 @@ def dr_euclidean_gradient(w: np.ndarray, sets, affinity: AffinityMatrix,
     """Matrix of partial derivatives of :func:`dr_cost` with respect to W.
 
     A sample's term depends on W only through its log ratio z, so it weighs
-    d(log p - log q)/dW by the term's slope in z over its set's size.
+    d(log p - log q)/dW by the term's slope in z over its set's size, summed
+    over the pairs, so each of the cost's blocks gives one :func:`_mixture_gradient`.
     """
     w = np.asarray(w, dtype=float)
     mats = [_features_of(s) for s in sets]
     kdes = _projected_kdes(w, mats, bandwidths)
-    slope = _TERMS[kind][1]
+    pairs, signs = _active_pairs(affinity)
+    blocks = list(kdes.stacked(pairs))
+    slopes = _per_sample(_TERMS[kind][1], kdes.pair_logits(pairs, blocks))
+    omega = {}  # (b, s): the weight of each sample of set s in d(log p_b)/dW
+    for (i, j), sign, pair_slopes in zip(pairs, signs, slopes):
+        for s, slope in zip((i, j), pair_slopes):
+            weight = sign * slope / mats[s].shape[0]
+            omega[i, s] = omega.get((i, s), 0.0) + weight
+            omega[j, s] = omega.get((j, s), 0.0) - weight
     total = np.zeros_like(w)
-    for i, j, sign in _active_pairs(affinity):
-        p, q = mats[i], mats[j]
-        n_p, n_q = p.shape[0], q.shape[0]
-        points = np.vstack([p, q])
-        # One block per mixture at the stacked points, so the sums over
-        # points in _mixture_gradient run over both sets at once.
-        points_proj = np.vstack([kdes.samples[i], kdes.samples[j]])
-        block_p, block_q = kdes.block(points_proj, i), kdes.block(points_proj, j)
-        z = block_p[0] - block_q[0]
-        omega = sign * slope(z) * np.repeat([1.0 / n_p, 1.0 / n_q], [n_p, n_q])
-        grad_p = _mixture_gradient(omega, points, points_proj, p, kdes, i, block_p)
-        grad_q = _mixture_gradient(omega, points, points_proj, q, kdes, j, block_q)
-        total += grad_p - grad_q
+    for b, group, points_proj, *block in blocks:
+        weights = np.concatenate([omega[b, s] for s in group])
+        points = np.concatenate([mats[s] for s in group])
+        total += _mixture_gradient(weights, points, points_proj, mats[b], kdes, b, block)
     return total
 
 

@@ -4,7 +4,8 @@ The symmetric estimators average a per-sample term over the samples of
 both sets. Each term, and its slope for the DR gradient (`_TERMS`), is a
 closed form in the log ratio z = log p - log q = logit T, T = p / (p + q),
 that one `density._KdeCollection` gives, so neither density is ever
-exponentiated on its own; pairs are evaluated serially. The naive one-sided
+exponentiated on its own; it evaluates each KDE once per list of pairs,
+and each term runs once per run of their log ratios. The naive one-sided
 estimator is kept only for comparison: asymmetric, unstable where T is not.
 """
 
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .density import Bandwidth, _features_of, _KdeCollection, _read_only, isotropic_silverman_bandwidth, silverman_bandwidth
+from .density import Bandwidth, _features_of, _KdeCollection, _read_only, _runs, isotropic_silverman_bandwidth, silverman_bandwidth
 
 __all__ = [
     "T_CLAMP",
@@ -177,11 +178,20 @@ _TERMS = {
 }
 
 
-def _estimate(kind: DivergenceKind, z_P: np.ndarray, z_Q: np.ndarray) -> float:
-    """The symmetric estimate from the log ratios at the samples of P and of
-    Q: the mean per-sample term over each set, summed."""
-    term = _TERMS[kind][0]
-    return float(np.mean(term(z_P))) + float(np.mean(term(z_Q)))
+def _per_sample(fn, logits: list) -> list[tuple[np.ndarray, np.ndarray]]:
+    """`fn` at every log ratio of `logits`, one (z_P, z_Q) per pair, applied
+    once per :func:`density._runs` of pairs concatenated, split back per pair."""
+    out = []
+    for run in _runs(logits, [z_P.size + z_Q.size for z_P, z_Q in logits]):
+        zs = [z for pair in run for z in pair]
+        parts = np.split(fn(np.concatenate(zs)), np.cumsum([z.size for z in zs[:-1]]))
+        out.extend(zip(parts[::2], parts[1::2]))
+    return out
+
+
+def _estimates(kind: DivergenceKind, logits: list) -> list[float]:
+    """Each pair's symmetric estimate: the mean per-sample term over each set, summed."""
+    return [float(np.mean(t_P)) + float(np.mean(t_Q)) for t_P, t_Q in _per_sample(_TERMS[kind][0], logits)]
 
 
 def pair_divergence(p_samples, q_samples, kind: DivergenceKind,
@@ -189,7 +199,7 @@ def pair_divergence(p_samples, q_samples, kind: DivergenceKind,
     """Symmetric empirical divergence between two sample matrices with
     explicitly fixed bandwidths. Identical inputs give exactly 0."""
     kdes = _kde_collection([p_samples, q_samples], [bandwidth_p, bandwidth_q])
-    return _estimate(kind, *kdes.logits(0, 1))
+    return _estimates(kind, kdes.pair_logits([(0, 1)]))[0]
 
 
 def hellinger_empirical(p_samples, q_samples, bw_policy="silverman") -> float:
@@ -232,7 +242,7 @@ def hellinger_naive(p_samples, q_samples, direction: str = "overP",
     # z = log own - log other at the own set's samples, so the term is
     # (1 - e^(-z/2))^2. It blows up where the other density dominates; cap
     # the exponent to keep the (already meaningless) value finite.
-    z = kdes.log_ratio(own, other)
+    z = kdes.block(kdes.samples[own], own)[0] - kdes.block(kdes.samples[own], other)[0]
     return float(np.mean(np.expm1(np.minimum(-0.5 * z, 350.0)) ** 2))
 
 
@@ -272,10 +282,10 @@ def _ids_of(sets) -> tuple[str, ...]:
 
 
 def _pair_divergences(sets, kind: DivergenceKind, bw_policy, pairs) -> dict:
-    """Divergences between `sets[i]` and `sets[j]` for each index pair (i, j),
-    in a plain loop over one collection, so each KDE is whitened once."""
+    """Divergences between `sets[i]` and `sets[j]` for each index pair (i, j)
+    from one collection, so each KDE is whitened and evaluated once."""
     kdes = _kde_collection(sets, bw_policy, kind)
-    return {pair: _estimate(kind, *kdes.logits(*pair)) for pair in pairs}
+    return dict(zip(pairs, _estimates(kind, kdes.pair_logits(pairs))))
 
 
 def divergence_matrix(sets, kind: DivergenceKind, bw_policy="silverman") -> DivergenceMatrix:

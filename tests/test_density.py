@@ -292,3 +292,43 @@ class TestCentredKernel:
         for b, (s, bw) in enumerate(zip(sets, bandwidths)):
             np.testing.assert_array_equal(kdes.block(points, b)[0],
                                           log_density_batch(fit_kde(s, bw), points))
+
+
+class TestStackedCollection:
+    """Each KDE evaluated once at the stacked samples of all its pairs' sets
+    gives every pair's log ratios bit for bit as a collection of that pair
+    alone, and as one block per (KDE, set)."""
+
+    @staticmethod
+    def problem(rng, dim):
+        count = int(rng.integers(3, 8))
+        sizes = [2] + [int(rng.integers(2, 60)) for _ in range(count - 1)]
+        sets = [rng.normal(rng.uniform(-2, 2), rng.uniform(0.5, 2.0), size=(n, dim)) for n in sizes]
+        bandwidths = [Bandwidth(rng.uniform(0.1, 2.0, size=dim)) for _ in sets]
+        sets.append(sets[1].copy())  # a duplicated set, with its bandwidth
+        bandwidths.append(bandwidths[1])
+        dup = len(sets) - 1
+        pairs = [(i, j) for i in range(len(sets)) for j in range(i + 1, len(sets))]
+        pairs = [pairs[k] for k in rng.permutation(len(pairs))]
+        pairs += [(j, i) for i, j in pairs[:5]] + pairs[:3] + [(dup, 1)]
+        return sets, bandwidths, pairs, dup
+
+    @pytest.mark.parametrize("stack_block", [None, 150])
+    @pytest.mark.parametrize("dim", range(1, 13))
+    def test_equals_one_collection_per_pair_bit_for_bit(self, dim, stack_block, monkeypatch):
+        from statdiv import density
+
+        if stack_block is not None:  # small blocks: stacks split, large sets alone
+            monkeypatch.setattr(density, "_STACK_BLOCK", stack_block)
+        rng = np.random.default_rng(600 + dim)
+        sets, bandwidths, pairs, dup = self.problem(rng, dim)
+        kdes = density._KdeCollection(sets, bandwidths)
+        for (i, j), (z_i, z_j) in zip(pairs, kdes.pair_logits(pairs)):
+            [(two_i, two_j)] = density._KdeCollection(
+                [sets[i], sets[j]], [bandwidths[i], bandwidths[j]]).pair_logits([(0, 1)])
+            np.testing.assert_array_equal(z_i, two_i)
+            np.testing.assert_array_equal(z_j, two_j)
+            for z, s in ((z_i, sets[i]), (z_j, sets[j])):
+                np.testing.assert_array_equal(z, kdes.block(s, i)[0] - kdes.block(s, j)[0])
+            if {i, j} == {1, dup}:
+                np.testing.assert_array_equal(np.concatenate([z_i, z_j]), 0.0)

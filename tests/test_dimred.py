@@ -307,22 +307,50 @@ class TestLearnProjection:
 
 
 class TestGradientBlockCount:
+    @pytest.mark.parametrize("fn", [dr_cost, dr_euclidean_gradient])
     @pytest.mark.parametrize("kind", list(DivergenceKind))
-    def test_two_stacked_blocks_per_active_pair_and_no_self_block(self, kind, monkeypatch):
+    def test_one_stacked_block_per_set_an_active_pair_touches(self, fn, kind, monkeypatch):
         from statdiv import density
 
         mats, _, affinity, rng = toy_problem(31)
+        mats = [m[: 3 + k] for k, m in enumerate(mats)]  # ragged: 3, 4, 5, 6 samples
         w = random_orthonormal(4, 2, rng)
         bandwidths = resolve_bandwidths(project_sets(mats, w), "isotropic")
         calls = []
         kernel = density._log_kernel_matrix
 
         def counting(points, anchors):
-            calls.append(points.shape[0])
+            calls.append((points.shape[0], anchors[2].shape[0]))
             return kernel(points, anchors)
 
         monkeypatch.setattr(density, "_log_kernel_matrix", counting)
-        dr_euclidean_gradient(w, mats, affinity, kind, bandwidths)
-        active = int(np.count_nonzero(np.triu(affinity.values, 1)))
-        assert active > 0
-        assert calls == [12] * (2 * active)  # the 6 + 6 stacked samples of a pair
+        fn(w, mats, affinity, kind, bandwidths)
+        sizes = np.array([m.shape[0] for m in mats])
+        partners = affinity.values != 0
+        assert np.count_nonzero(partners) > 0
+        # each touched set's KDE at its own samples and its partners'
+        expected = [(sizes[b] + sizes[partners[b]].sum(), sizes[b])
+                    for b in range(len(mats)) if partners[b].any()]
+        assert sorted(calls) == sorted(expected)
+
+
+class TestGradientOfStackedBlocks:
+    @pytest.mark.parametrize("kind", list(DivergenceKind))
+    @pytest.mark.parametrize("trial", range(8))
+    def test_equals_sum_of_one_pair_gradients(self, kind, trial):
+        rng = np.random.default_rng(400 + trial)
+        count, dim = int(rng.integers(3, 7)), int(rng.integers(2, 8))
+        mats = [rng.normal(rng.uniform(-1, 1), 1.0, size=(int(rng.integers(2, 30)), dim))
+                for _ in range(count)]
+        values = np.triu(rng.integers(-1, 2, size=(count, count)), 1)
+        values[0, 1] = 1  # at least one active pair
+        affinity = AffinityMatrix(values=values + values.T, nu_w=1, nu_b=1)
+        w = random_orthonormal(dim, int(rng.integers(1, dim)), rng)
+        bandwidths = resolve_bandwidths(project_sets(mats, w), "isotropic")
+        total = dr_euclidean_gradient(w, mats, affinity, kind, bandwidths)
+        parts = np.zeros_like(total)
+        for i, j in zip(*np.nonzero(np.triu(affinity.values, 1))):
+            single = np.zeros((count, count), dtype=int)
+            single[i, j] = single[j, i] = affinity.values[i, j]
+            parts += dr_euclidean_gradient(w, mats, AffinityMatrix(single, 1, 1), kind, bandwidths)
+        assert np.max(np.abs(total - parts)) <= 1e-13 * np.max(np.abs(total))

@@ -113,7 +113,7 @@ class TestClosedFormTerms:
         p = rng.standard_normal((40, 2))
         q = p + 1e-7 * rng.standard_normal((40, 2))
         bw = Bandwidth([0.4, 0.6])
-        z_p, z_q = _kde_collection([p, q], [bw, bw]).logits(0, 1)
+        [(z_p, z_q)] = _kde_collection([p, q], [bw, bw]).pair_logits([(0, 1)])
         assert 0.0 < np.max(np.abs(np.concatenate([z_p, z_q]))) < 1e-6
         series = sum(float(np.mean(z**2 / 8.0 - 5.0 * z**4 / 384.0)) for z in (z_p, z_q))
         value = pair_divergence(p, q, DivergenceKind.HELLINGER_SQUARED, bw, bw)
@@ -338,6 +338,31 @@ class TestDivergenceMatrix:
         square = divergence_matrix(sets, kind, bw).values
         assert cross.tobytes() == square.tobytes()
 
+    @pytest.mark.parametrize("kind", list(DivergenceKind))
+    def test_cross_matrix_over_several_term_runs_matches_pairwise_estimates(self, kind):
+        from statdiv.density import _STACK_BLOCK
+
+        rng = np.random.default_rng(15)
+        gallery = [random_set(rng, n=n) for n in (2, 900, 1500)]
+        probe = [random_set(rng, n=n) for n in (2000, 3, 1200)]
+        assert sum(g.shape[0] + p.shape[0] for g in gallery for p in probe) > 2 * _STACK_BLOCK
+        cross = cross_divergence_matrix(gallery, probe, kind)
+        estimator = hellinger_empirical if kind is DivergenceKind.HELLINGER_SQUARED else jeffrey_empirical
+        for i, g in enumerate(gallery):
+            for j, p in enumerate(probe):
+                assert cross[i, j] == estimator(g, p)
+
+    @pytest.mark.parametrize("kind", list(DivergenceKind))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_permuting_the_sets_permutes_the_entries_exactly(self, kind, seed):
+        rng = np.random.default_rng(70 + seed)
+        sets = [random_set(rng, n=int(rng.integers(2, 30)), dim=int(seed) + 1, spread=2.0)
+                for _ in range(6)]
+        order = rng.permutation(len(sets))
+        values = divergence_matrix(sets, kind).values
+        permuted = divergence_matrix([sets[k] for k in order], kind).values
+        assert permuted.tobytes() == values[np.ix_(order, order)].tobytes()
+
     def test_round_trip_serialization(self, tmp_path):
         rng = np.random.default_rng(13)
         sets = [random_set(rng) for _ in range(4)]
@@ -395,8 +420,63 @@ class TestKernelBlockCount:
         own = 30 if direction == "overP" else 20
         assert blocks == [own, own]
 
-    def test_symmetric_pair_forms_four_blocks(self, blocks):
+    def test_symmetric_pair_forms_two_stacked_blocks(self, blocks):
+        # each KDE at the 30 + 20 stacked samples of both sets
         rng = np.random.default_rng(5)
         p, q = rng.standard_normal((30, 2)), rng.standard_normal((20, 2)) + 0.5
         hellinger_empirical(p, q)
-        assert sorted(blocks) == [20, 20, 30, 30]
+        assert blocks == [50, 50]
+
+    def test_matrix_of_small_sets_forms_one_block_per_set(self, blocks):
+        rng = np.random.default_rng(6)
+        sets = [random_set(rng, n=int(rng.integers(2, 40))) for _ in range(7)]
+        divergence_matrix(sets, DivergenceKind.JEFFREY)
+        assert blocks == [sum(s.shape[0] for s in sets)] * len(sets)
+
+
+class TestKernelBlockMemory:
+    """No stacked block grows past what one set's own block already needs."""
+
+    @pytest.fixture
+    def shapes(self, monkeypatch):
+        from statdiv import density
+
+        calls = []
+        kernel = density._log_kernel_matrix
+
+        def spying(points, anchors):
+            calls.append((points.shape[0], anchors[2].shape[0]))
+            return kernel(points, anchors)
+
+        monkeypatch.setattr(density, "_log_kernel_matrix", spying)
+        return calls
+
+    def test_large_sets_are_evaluated_alone(self, shapes):
+        p, q = gaussian_pair(7, 2000)
+        hellinger_empirical(p, q)
+        assert shapes == [(2000, 2000)] * 4
+
+    def test_large_pair_holds_one_block_at_a_time(self):
+        import tracemalloc
+
+        p, q = gaussian_pair(7, 2000)
+        hellinger_empirical(p, q)  # warm-up
+        tracemalloc.start()
+        try:
+            hellinger_empirical(p, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 2000 * 2000 * 8
+
+    def test_stacked_blocks_stay_within_the_lse_block(self, shapes):
+        from statdiv.density import _LSE_BLOCK
+
+        rng = np.random.default_rng(8)
+        gallery = [random_set(rng, n=100, dim=10) for _ in range(16)]
+        probe = [random_set(rng, n=100, dim=10) for _ in range(16)]
+        divergence_matrix(gallery, DivergenceKind.HELLINGER_SQUARED)
+        cross_divergence_matrix(gallery, probe, DivergenceKind.HELLINGER_SQUARED)
+        assert shapes
+        assert max(rows * cols for rows, cols in shapes) <= _LSE_BLOCK
+        assert set(shapes) == {(100, 100)}  # above _STACK_BLOCK, so never stacked
