@@ -101,37 +101,47 @@ class Dataset:
         return [i for i, fs in enumerate(self.sets) if fs.label == label]
 
 
+def _cell_error(set_id: str, path: Path, line_no: int, cells: list[str]) -> ValueError:
+    """The error naming the first cell of a CSV row that is not a finite float."""
+    for col, cell in enumerate(cells):
+        try:
+            what = "non-numeric" if "_" in cell else None if np.isfinite(float(cell)) else "non-finite"
+        except ValueError:
+            what = "non-numeric"
+        if what:
+            return ValueError(f"set {set_id!r}: {what} cell {cell!r} in {path} at row {line_no}, column {col + 1}")
+
+
 def _read_feature_csv(path: Path, set_id: str) -> np.ndarray:
     if not path.exists():
         raise ValueError(f"set {set_id!r}: feature file {path} does not exist")
     rows: list[list[float]] = []
-    width = None
+    lines: list[tuple[int, list[str]]] = []  # (line number, cells) of each row
     with path.open() as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             cells = line.split(",")
-            if width is None:
-                width = len(cells)
-            elif len(cells) != width:
+            if lines and len(cells) != len(lines[0][1]):
                 raise ValueError(
                     f"set {set_id!r}: ragged row in {path} at row {line_no} "
-                    f"({len(cells)} cells, expected {width})"
+                    f"({len(cells)} cells, expected {len(lines[0][1])})"
                 )
-            parsed = []
-            for col, cell in enumerate(cells):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise ValueError(
-                        f"set {set_id!r}: non-numeric cell {cell!r} in {path} "
-                        f"at row {line_no}, column {col + 1}"
-                    ) from None
-            rows.append(parsed)
+            lines.append((line_no, cells))
+            try:
+                if "_" in line:  # float() reads "1_0" as 10.0
+                    raise ValueError
+                rows.append([float(cell) for cell in cells])
+            except ValueError:
+                raise _cell_error(set_id, path, line_no, cells) from None
     if not rows:
         raise ValueError(f"set {set_id!r}: feature file {path} is empty")
-    return np.array(rows, dtype=float)
+    features = np.array(rows, dtype=float)
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():  # nan, inf or an overflow such as 1e999
+        raise _cell_error(set_id, path, *lines[int(np.argmin(finite))])
+    return features
 
 
 def load_dataset(manifest_path) -> Dataset:

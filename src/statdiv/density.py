@@ -1,21 +1,20 @@
 """Gaussian kernel density estimation with diagonal per-set bandwidths.
 
 A fitted density is a mixture of identical axis-aligned Gaussians centered
-at the sample rows. Every evaluation forms a block of log kernels, a row
-per point and a column per sample, by one centred GEMM (`_log_kernel_matrix`
-on `_anchors`), and reduces its rows by log-sum-exp (`_log_mixture`), so
-densities never underflow to 0 (for the accuracy see `_log_kernel_matrix`).
-The log-sum-exp runs in cache-sized row blocks (`_LSE_BLOCK` entries, its
-largest temporary) and is bit-equal to `scipy.special.logsumexp` per row,
-so no m x n temporary is formed beside the log-kernel block.
-`DensityModel` is one fitted density; `_KdeCollection` holds those of
-several sets for the divergence estimators and the DR objective, each KDE
-evaluated once per list of pairs at the stacked samples of the sets it meets.
-"""
+at the sample rows. `DensityModel` is one: its log normalizer and its
+whitened anchors (`_anchors`) are computed once. Every evaluation forms a
+block of log kernels, a row per point and a column per sample, by a centred
+GEMM on those anchors (`_log_kernel_matrix`), and reduces its rows by
+log-sum-exp (`_log_mixture`), so densities never underflow to 0 (for the
+accuracy see `_log_kernel_matrix`). The log-sum-exp runs in cache-sized row
+blocks (`_LSE_BLOCK` entries, its largest temporary) and is bit-equal to
+`scipy.special.logsumexp` per row. `_KdeCollection` holds the models of
+several sets: each KDE evaluated once per list of pairs at the stacked
+samples of the sets it meets, each set's log ratios formed as one array."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate, groupby
 
 import numpy as np
@@ -110,29 +109,26 @@ def isotropic_silverman_bandwidth(samples) -> Bandwidth:
     return Bandwidth(np.full(d, max(h2, floor)))
 
 
-def _kde_samples(samples, bandwidth: Bandwidth) -> np.ndarray:
-    """:func:`_as_sample_matrix`, whose dimension must also be the bandwidth's."""
-    mat = _as_sample_matrix(samples)
-    if mat.shape[1] != bandwidth.dim:
-        raise ValueError(
-            f"bandwidth dimension {bandwidth.dim} does not match sample dimension {mat.shape[1]}"
-        )
-    return mat
-
-
 @dataclass(frozen=True)
 class DensityModel:
-    """A fitted kernel density: samples, bandwidth, and the precomputed
-    log normalizer -log(n) - 0.5 log det(2 pi Sigma)."""
+    """A fitted kernel density: samples and bandwidth, plus what every
+    evaluation reuses, computed once here: the log normalizer
+    -log(n) - 0.5 log det(2 pi Sigma) and the whitened anchors of :func:`_anchors`."""
 
     samples: np.ndarray
     bandwidth: Bandwidth
-    log_norm: float
+    log_norm: float = field(init=False)
+    anchors: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", _read_only(_kde_samples(self.samples, self.bandwidth)))
+        samples, diag = _as_sample_matrix(self.samples), self.bandwidth.diag
+        if samples.shape[1] != diag.size:
+            raise ValueError(f"bandwidth dimension {diag.size} does not match sample dimension {samples.shape[1]}")
+        object.__setattr__(self, "samples", _read_only(samples))
+        object.__setattr__(self, "log_norm", -np.log(self.n) - 0.5 * float(np.sum(np.log(2.0 * np.pi * diag))))
         if not np.isfinite(self.log_norm):
             raise ValueError("log normalizer is not finite")
+        object.__setattr__(self, "anchors", _anchors(self.samples, diag))
 
     @property
     def n(self) -> int:
@@ -143,25 +139,17 @@ class DensityModel:
         return self.samples.shape[1]
 
 
-def _log_norm(n: int, diag: np.ndarray) -> float:
-    """Log normalizer of an n-component mixture of N(., diag) kernels:
-    -log(n) - 0.5 log det(2 pi diag)."""
-    return -np.log(n) - 0.5 * float(np.sum(np.log(2.0 * np.pi * diag)))
-
-
 def fit_kde(samples, bandwidth: Bandwidth | str | None = "auto") -> DensityModel:
     """Fit the Gaussian KDE of `samples` (n x D, rows are points).
 
     `bandwidth` may be a :class:`Bandwidth`, or "auto"/None to use
     :func:`silverman_bandwidth` on the same matrix.
     """
-    mat = _as_sample_matrix(samples)
     if bandwidth is None or (isinstance(bandwidth, str) and bandwidth == "auto"):
-        bandwidth = silverman_bandwidth(mat)
+        bandwidth = silverman_bandwidth(samples)
     elif isinstance(bandwidth, str):
         raise ValueError(f"unknown bandwidth mode {bandwidth!r}; expected 'auto' or a Bandwidth")
-    log_norm = _log_norm(mat.shape[0], bandwidth.diag)
-    return DensityModel(samples=mat, bandwidth=bandwidth, log_norm=log_norm)
+    return DensityModel(samples, bandwidth)
 
 
 def _whitened(rows: np.ndarray, centre: np.ndarray, scale: np.ndarray, norm_last: bool) -> np.ndarray:
@@ -180,13 +168,18 @@ def _anchors(samples: np.ndarray, diag: np.ndarray) -> tuple:
     return centre, scale, _whitened(samples, centre, scale, norm_last=True)
 
 
-def _log_kernel_matrix(points: np.ndarray, anchors: tuple) -> np.ndarray:
+def _log_kernel_matrix(points: np.ndarray, anchors: tuple, sizes=None) -> np.ndarray:
     """L[k, i] = -0.5 * sum_j (points[k,j] - samples[i,j])^2 / diag[j] = x_k . a_i - |x_k|^2/2
-    - |a_i|^2/2 clamped at 0, one GEMM in the centred coordinates of :func:`_anchors`.
-    Absolute error about eps * max(|x_k|^2, |a_i|^2), also where L is near 0; NaN once one overflows."""
+    - |a_i|^2/2 clamped at 0, a GEMM in the centred coordinates of :func:`_anchors`.
+    Absolute error about eps * max(|x_k|^2, |a_i|^2), also where L is near 0; NaN once one overflows.
+    `points` stacked from sets of `sizes` rows get one GEMM per set, the BLAS call of that
+    set alone, so each set's rows are bit-equal to its own block on any BLAS core."""
     centre, scale, a = anchors
-    rows = _whitened(points, centre, scale, norm_last=False) @ a.T
-    return np.minimum(rows, 0.0, out=rows)
+    w = _whitened(points, centre, scale, norm_last=False)
+    out = np.empty((w.shape[0], a.shape[0]))
+    for stop, size in zip(accumulate(sizes or [len(w)]), sizes or [len(w)]):
+        np.matmul(w[stop - size:stop], a.T, out=out[stop - size:stop])
+    return np.minimum(out, 0.0, out=out)
 
 
 # Entries per row block of `_row_logsumexp`: 512 KiB of float64, so its
@@ -250,45 +243,49 @@ def _log_mixture(log_kernels: np.ndarray, log_norm: float) -> tuple[np.ndarray, 
 
 
 class _KdeCollection:
-    """The KDEs of several sample sets, each checked and whitened once, and
-    evaluated once per list of pairs (:meth:`stacked`, :meth:`pair_logits`)."""
+    """The :class:`DensityModel` of each of several sample sets, evaluated
+    once per list of pairs (:meth:`stacked`, :meth:`log_ratios`)."""
 
     def __init__(self, sets, bandwidths):
-        self.samples = [_kde_samples(s, bw) for s, bw in zip(sets, bandwidths)]
-        self.diags = [bw.diag for bw in bandwidths]
-        self.log_norms = [_log_norm(m.shape[0], diag) for m, diag in zip(self.samples, self.diags)]
-        self.anchors = [_anchors(m, diag) for m, diag in zip(self.samples, self.diags)]
+        self.models = [DensityModel(s, bw) for s, bw in zip(sets, bandwidths)]
 
-    def block(self, points: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """KDE `b` at each row of `points`: the log density, the log-kernel
-        rows and their log-sum-exp (see :func:`_log_mixture`)."""
-        rows = _log_kernel_matrix(points, self.anchors[b])
-        log_density, lse = _log_mixture(rows, self.log_norms[b])
+    def block(self, points: np.ndarray, b: int, sizes=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """KDE `b` at each row of `points` (stacked from sets of `sizes` rows, if given): the
+        log density, the log-kernel rows and their log-sum-exp (see :func:`_log_mixture`)."""
+        rows = _log_kernel_matrix(points, self.models[b].anchors, sizes)
+        log_density, lse = _log_mixture(rows, self.models[b].log_norm)
         return log_density, rows, lse
 
     def stacked(self, pairs):
         """Yields (b, sets, their stacked samples, *:meth:`block` there) for each KDE b
         in `pairs`, at set b and each distinct partner cut into :func:`_runs` of their
-        blocks. Each set's rows are bit-equal to its own block: on OpenBLAS so is any
-        GEMM sub-block of >= 2 rows (1 row goes through gemv), and every n >= 2."""
+        blocks. Each set's rows are bit-equal to its own block: the whitening and the
+        log-sum-exp are row by row, and each set gets its own GEMM."""
         stacks = {}  # b: {b, then each distinct partner}, in order
         for i, j in pairs:
             stacks.setdefault(i, {i: None})[j] = None
             stacks.setdefault(j, {j: None})[i] = None
+        n = [model.n for model in self.models]
         for b, stack in stacks.items():
-            for group in _runs(list(stack), [self.samples[s].shape[0] * self.samples[b].shape[0] for s in stack]):
-                points = np.concatenate([self.samples[s] for s in group])
-                yield (b, group, points, *self.block(points, b))
+            for group in _runs(list(stack), [n[s] * n[b] for s in stack]):
+                points = np.concatenate([self.models[s].samples for s in group])
+                yield (b, group, points, *self.block(points, b, [n[s] for s in group]))
 
-    def pair_logits(self, pairs, blocks=None) -> list[tuple[np.ndarray, np.ndarray]]:
-        """z = log p_i - log p_j at the samples of set i, then of set j, for each pair (i, j),
-        from `blocks` of :meth:`stacked` (by default made here and dropped as read)."""
-        at = {}
+    def log_ratios(self, pairs, blocks=None):
+        """Yields (s, its distinct partners r, z) for each set s in `pairs`, one row
+        z[r] = log p_s - log p_r at the samples of s per partner, from `blocks` of
+        :meth:`stacked` (by default made here and dropped as read). Each set's log
+        densities are dropped as its z is formed, so one z exists at a time."""
+        at = {}  # s: {b: log p_b at the samples of s}
         for b, group, _, log_density, *kernels in self.stacked(pairs) if blocks is None else blocks:
             del kernels  # before the next block is formed, so two never coexist
-            for s, stop in zip(group, accumulate(self.samples[s].shape[0] for s in group)):
-                at[b, s] = log_density[stop - self.samples[s].shape[0]:stop]
-        return [(at[i, i] - at[j, i], at[i, j] - at[j, j]) for i, j in pairs]
+            for s, stop in zip(group, accumulate(self.models[s].n for s in group)):
+                at.setdefault(s, {})[b] = log_density[stop - self.models[s].n:stop]
+        while at:
+            s, logs = at.popitem()
+            own = logs.pop(s)
+            z = np.array(list(logs.values()))
+            yield s, list(logs), np.subtract(own, z, out=z)
 
 
 def log_density_batch(model: DensityModel, points) -> np.ndarray:
@@ -298,8 +295,7 @@ def log_density_batch(model: DensityModel, points) -> np.ndarray:
         raise ValueError(f"expected points of shape (m, {model.dim}), got {pts.shape}")
     if not np.all(np.isfinite(pts)):
         raise ValueError("evaluation points contain non-finite entries")
-    log_kernels = _log_kernel_matrix(pts, _anchors(model.samples, model.bandwidth.diag))
-    return _log_mixture(log_kernels, model.log_norm)[0]
+    return _log_mixture(_log_kernel_matrix(pts, model.anchors), model.log_norm)[0]
 
 
 def log_density(model: DensityModel, x) -> float:
@@ -316,7 +312,7 @@ def log_density_loo(model: DensityModel, sample_index: int | None = None) -> np.
     """
     if model.n < 3:
         raise ValueError("leave-one-out evaluation needs at least 3 samples")
-    log_kernels = _log_kernel_matrix(model.samples, _anchors(model.samples, model.bandwidth.diag))
+    log_kernels = _log_kernel_matrix(model.samples, model.anchors)
     np.fill_diagonal(log_kernels, -np.inf)
     log_norm = model.log_norm + np.log(model.n) - np.log(model.n - 1)
     out = _log_mixture(log_kernels, log_norm)[0]

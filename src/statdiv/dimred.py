@@ -11,7 +11,7 @@ orthonormal frames.
 The cost and the gradient evaluate the projected sets through the
 estimators' `density._KdeCollection`, one stacked block per KDE; the
 gradient reads the same blocks and weighs each sample by its term's slope
-in the log ratio z (`divergence._TERMS`), summed over the pairs it is in.
+in its set's log ratios z (`divergence._TERMS`), one weight array per set.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .classify import _fix_column_signs
 from .density import Bandwidth, _features_of, _KdeCollection, _read_only
-from .divergence import _TERMS, DivergenceKind, _estimates, _kde_collection, _per_sample, divergence_matrix, resolve_bandwidths
+from .divergence import _TERMS, DivergenceKind, _estimates, _kde_collection, divergence_matrix, resolve_bandwidths
 from .manifold import CgOptions, CgResult, cg_minimize, random_orthonormal
 
 __all__ = [
@@ -163,7 +163,7 @@ def dr_cost(w: np.ndarray, sets, affinity: AffinityMatrix,
     kdes = _projected_kdes(w, sets, bandwidths)
     pairs, signs = _active_pairs(affinity)
     total = 0.0
-    for sign, estimate in zip(signs, _estimates(kind, kdes.pair_logits(pairs))):
+    for sign, estimate in zip(signs, _estimates(kind, kdes, pairs)):
         total += sign * estimate
     return total
 
@@ -178,9 +178,9 @@ def _mixture_gradient(omega: np.ndarray, points: np.ndarray, points_proj: np.nda
     of the full-dimensional offset with the scaled projected offset.
     """
     _, rows, lse = block
-    anchors_proj = kdes.samples[k]
+    anchors_proj = kdes.models[k].samples
     soft = np.exp(rows - lse[:, None])
-    inv = 1.0 / kdes.diags[k]
+    inv = 1.0 / kdes.models[k].bandwidth.diag
     b = omega[:, None] * soft
     row_sum = b.sum(axis=1)
     col_sum = b.sum(axis=0)
@@ -193,22 +193,21 @@ def dr_euclidean_gradient(w: np.ndarray, sets, affinity: AffinityMatrix,
                           kind: DivergenceKind, bandwidths) -> np.ndarray:
     """Matrix of partial derivatives of :func:`dr_cost` with respect to W.
 
-    A sample's term depends on W only through its log ratio z, so it weighs
-    d(log p - log q)/dW by the term's slope in z over its set's size, summed
-    over the pairs, so each of the cost's blocks gives one :func:`_mixture_gradient`.
+    A sample of set s depends on W only through its log ratios z = log p_s - log p_r,
+    each weighed by the pair's sign times the term's slope in z over the set's size:
+    minus that under each partner's KDE r, the sum under its own KDE s, so each of
+    the cost's blocks gives one :func:`_mixture_gradient`.
     """
     w = np.asarray(w, dtype=float)
     mats = [_features_of(s) for s in sets]
     kdes = _projected_kdes(w, mats, bandwidths)
-    pairs, signs = _active_pairs(affinity)
+    pairs = _active_pairs(affinity)[0]
     blocks = list(kdes.stacked(pairs))
-    slopes = _per_sample(_TERMS[kind][1], kdes.pair_logits(pairs, blocks))
     omega = {}  # (b, s): the weight of each sample of set s in d(log p_b)/dW
-    for (i, j), sign, pair_slopes in zip(pairs, signs, slopes):
-        for s, slope in zip((i, j), pair_slopes):
-            weight = sign * slope / mats[s].shape[0]
-            omega[i, s] = omega.get((i, s), 0.0) + weight
-            omega[j, s] = omega.get((j, s), 0.0) - weight
+    for s, partners, z in kdes.log_ratios(pairs, blocks):
+        weights = affinity.values[s, partners, None] * _TERMS[kind][1](z) / mats[s].shape[0]
+        omega[s, s] = weights.sum(axis=0)
+        omega.update(((r, s), -row) for r, row in zip(partners, weights))
     total = np.zeros_like(w)
     for b, group, points_proj, *block in blocks:
         weights = np.concatenate([omega[b, s] for s in group])

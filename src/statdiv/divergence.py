@@ -4,9 +4,11 @@ The symmetric estimators average a per-sample term over the samples of
 both sets. Each term, and its slope for the DR gradient (`_TERMS`), is a
 closed form in the log ratio z = log p - log q = logit T, T = p / (p + q),
 that one `density._KdeCollection` gives, so neither density is ever
-exponentiated on its own; it evaluates each KDE once per list of pairs,
-and each term runs once per run of their log ratios. The naive one-sided
-estimator is kept only for comparison: asymmetric, unstable where T is not.
+exponentiated on its own. The collection evaluates each KDE once per list
+of pairs and yields each set's log ratios against all its partners as one
+array, so a term runs once per set and a pair's estimate is the sum of two
+row means. The naive one-sided estimator is kept only for comparison:
+asymmetric, unstable where T is not.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .density import Bandwidth, _features_of, _KdeCollection, _read_only, _runs, isotropic_silverman_bandwidth, silverman_bandwidth
+from .density import Bandwidth, _features_of, _KdeCollection, _read_only, isotropic_silverman_bandwidth, silverman_bandwidth
 
 __all__ = [
     "T_CLAMP",
@@ -178,20 +180,13 @@ _TERMS = {
 }
 
 
-def _per_sample(fn, logits: list) -> list[tuple[np.ndarray, np.ndarray]]:
-    """`fn` at every log ratio of `logits`, one (z_P, z_Q) per pair, applied
-    once per :func:`density._runs` of pairs concatenated, split back per pair."""
-    out = []
-    for run in _runs(logits, [z_P.size + z_Q.size for z_P, z_Q in logits]):
-        zs = [z for pair in run for z in pair]
-        parts = np.split(fn(np.concatenate(zs)), np.cumsum([z.size for z in zs[:-1]]))
-        out.extend(zip(parts[::2], parts[1::2]))
-    return out
-
-
-def _estimates(kind: DivergenceKind, logits: list) -> list[float]:
-    """Each pair's symmetric estimate: the mean per-sample term over each set, summed."""
-    return [float(np.mean(t_P)) + float(np.mean(t_Q)) for t_P, t_Q in _per_sample(_TERMS[kind][0], logits)]
+def _estimates(kind: DivergenceKind, kdes: _KdeCollection, pairs) -> list[float]:
+    """Each pair's symmetric estimate (i, j) among the sets of `kdes`, each KDE evaluated
+    once for all `pairs`: the mean per-sample term over set i plus that over set j."""
+    means = {}  # s: {r: the mean term at the samples of s against partner r}
+    for s, partners, z in kdes.log_ratios(pairs):
+        means[s] = dict(zip(partners, np.mean(_TERMS[kind][0](z), axis=1)))
+    return [float(means[i][j] + means[j][i]) for i, j in pairs]
 
 
 def pair_divergence(p_samples, q_samples, kind: DivergenceKind,
@@ -199,7 +194,7 @@ def pair_divergence(p_samples, q_samples, kind: DivergenceKind,
     """Symmetric empirical divergence between two sample matrices with
     explicitly fixed bandwidths. Identical inputs give exactly 0."""
     kdes = _kde_collection([p_samples, q_samples], [bandwidth_p, bandwidth_q])
-    return _estimates(kind, kdes.pair_logits([(0, 1)]))[0]
+    return _estimates(kind, kdes, [(0, 1)])[0]
 
 
 def hellinger_empirical(p_samples, q_samples, bw_policy="silverman") -> float:
@@ -242,7 +237,7 @@ def hellinger_naive(p_samples, q_samples, direction: str = "overP",
     # z = log own - log other at the own set's samples, so the term is
     # (1 - e^(-z/2))^2. It blows up where the other density dominates; cap
     # the exponent to keep the (already meaningless) value finite.
-    z = kdes.block(kdes.samples[own], own)[0] - kdes.block(kdes.samples[own], other)[0]
+    z = kdes.block(kdes.models[own].samples, own)[0] - kdes.block(kdes.models[own].samples, other)[0]
     return float(np.mean(np.expm1(np.minimum(-0.5 * z, 350.0)) ** 2))
 
 
@@ -281,13 +276,6 @@ def _ids_of(sets) -> tuple[str, ...]:
     return tuple(str(getattr(s, "id", f"set{i}")) for i, s in enumerate(sets))
 
 
-def _pair_divergences(sets, kind: DivergenceKind, bw_policy, pairs) -> dict:
-    """Divergences between `sets[i]` and `sets[j]` for each index pair (i, j)
-    from one collection, so each KDE is whitened and evaluated once."""
-    kdes = _kde_collection(sets, bw_policy, kind)
-    return dict(zip(pairs, _estimates(kind, kdes.pair_logits(pairs))))
-
-
 def divergence_matrix(sets, kind: DivergenceKind, bw_policy="silverman") -> DivergenceMatrix:
     """All pairwise divergences among `sets`.
 
@@ -299,7 +287,8 @@ def divergence_matrix(sets, kind: DivergenceKind, bw_policy="silverman") -> Dive
     m = len(sets)
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
     values = np.zeros((m, m))
-    for (i, j), value in _pair_divergences(sets, kind, bw_policy, pairs).items():
+    kdes = _kde_collection(sets, bw_policy, kind)
+    for (i, j), value in zip(pairs, _estimates(kind, kdes, pairs)):
         values[i, j] = values[j, i] = value
     return DivergenceMatrix(values=values, kind=kind, set_ids=_ids_of(sets),
                             bw_policy=describe_bandwidth_policy(bw_policy))
@@ -315,7 +304,8 @@ def cross_divergence_matrix(sets_a, sets_b, kind: DivergenceKind, bw_policy="sil
     na = len(sets_a)
     pairs = [(i, na + j) for i in range(na) for j in range(len(sets_b))]
     values = np.zeros((na, len(sets_b)))
-    for (i, j), value in _pair_divergences(sets_a + sets_b, kind, bw_policy, pairs).items():
+    kdes = _kde_collection(sets_a + sets_b, bw_policy, kind)
+    for (i, j), value in zip(pairs, _estimates(kind, kdes, pairs)):
         values[i, j - na] = value
     return values
 

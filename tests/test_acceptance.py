@@ -335,7 +335,7 @@ def test_criterion_11_reports_are_byte_identical(tmp_path):
     config_path.write_text(json.dumps(config))
     outputs = []
     for run, threads in (("a", "1"), ("b", "2")):
-        env = dict(os.environ, STATDIV_THREADS=threads)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
         result = subprocess.run(
             [sys.executable, "-m", "statdiv.cli", "eval",
              "--config", str(config_path), "--out", str(tmp_path / run)],
@@ -348,5 +348,5 @@ def test_criterion_11_reports_are_byte_identical(tmp_path):
         ))
     identical = outputs[0] == outputs[1]
     report_line(11, identical, "report.json and accuracy.csv byte-identical across "
-                               "STATDIV_THREADS=1 and 2")
+                               "OPENBLAS_NUM_THREADS=1 and 2")
     assert identical

@@ -119,6 +119,16 @@ class TestLoadDataset:
         with pytest.raises(ValueError, match="potato"):
             load_dataset(manifest)
 
+    @pytest.mark.parametrize("cell, what", [("1_0", "non-numeric"), ("nan", "non-finite"),
+                                            ("-inf", "non-finite"), ("1e999", "non-finite")])
+    def test_bad_cell_names_set_file_row_and_column(self, tmp_path, cell, what):
+        (tmp_path / "b.csv").write_text(f"1.0,2.0\n\n3.0,{cell}\n")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"sets": [{"id": "s", "label": "a", "path": "b.csv"}]}))
+        message = f"set 's': {what} cell '{cell}' in {tmp_path / 'b.csv'} at row 3, column 2"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_dataset(manifest)
+
     def test_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(7)
         ds = generate_synthetic(SyntheticSpec(2, 2, 6, 3, 1.5, 0.2, seed=5))

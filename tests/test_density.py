@@ -293,10 +293,28 @@ class TestCentredKernel:
             np.testing.assert_array_equal(kdes.block(points, b)[0],
                                           log_density_batch(fit_kde(s, bw), points))
 
+    def test_model_whitens_its_anchors_once(self, monkeypatch):
+        from statdiv import density
+
+        calls = []
+        anchors = density._anchors
+
+        def counting(*args):
+            calls.append(args)
+            return anchors(*args)
+
+        monkeypatch.setattr(density, "_anchors", counting)
+        rng = np.random.default_rng(24)
+        model = fit_kde(rng.normal(size=(20, 3)))
+        points = rng.normal(size=(7, 3))
+        first = log_density_batch(model, points)
+        np.testing.assert_array_equal(log_density_batch(model, points), first)
+        assert len(calls) == 1
+
 
 class TestStackedCollection:
     """Each KDE evaluated once at the stacked samples of all its pairs' sets
-    gives every pair's log ratios bit for bit as a collection of that pair
+    gives every set's log ratios bit for bit as a collection of that pair
     alone, and as one block per (KDE, set)."""
 
     @staticmethod
@@ -323,12 +341,17 @@ class TestStackedCollection:
         rng = np.random.default_rng(600 + dim)
         sets, bandwidths, pairs, dup = self.problem(rng, dim)
         kdes = density._KdeCollection(sets, bandwidths)
-        for (i, j), (z_i, z_j) in zip(pairs, kdes.pair_logits(pairs)):
-            [(two_i, two_j)] = density._KdeCollection(
-                [sets[i], sets[j]], [bandwidths[i], bandwidths[j]]).pair_logits([(0, 1)])
-            np.testing.assert_array_equal(z_i, two_i)
-            np.testing.assert_array_equal(z_j, two_j)
-            for z, s in ((z_i, sets[i]), (z_j, sets[j])):
-                np.testing.assert_array_equal(z, kdes.block(s, i)[0] - kdes.block(s, j)[0])
-            if {i, j} == {1, dup}:
-                np.testing.assert_array_equal(np.concatenate([z_i, z_j]), 0.0)
+        seen = []
+        for s, partners, z in kdes.log_ratios(pairs):
+            seen.append(s)
+            assert sorted(partners) == sorted({j for i, j in pairs if i == s} | {i for i, j in pairs if j == s})
+            assert z.shape == (len(partners), sets[s].shape[0])
+            own = kdes.block(sets[s], s)[0]
+            for r, row in zip(partners, z):
+                two = density._KdeCollection([sets[s], sets[r]], [bandwidths[s], bandwidths[r]])
+                [two_row] = {t: zz for t, _, zz in two.log_ratios([(0, 1)])}[0]
+                np.testing.assert_array_equal(row, two_row)
+                np.testing.assert_array_equal(row, own - kdes.block(sets[s], r)[0])
+                if {s, r} == {1, dup}:
+                    np.testing.assert_array_equal(row, 0.0)
+        assert sorted(seen) == sorted({k for pair in pairs for k in pair})

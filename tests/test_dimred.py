@@ -319,9 +319,9 @@ class TestGradientBlockCount:
         calls = []
         kernel = density._log_kernel_matrix
 
-        def counting(points, anchors):
+        def counting(points, anchors, *rest):
             calls.append((points.shape[0], anchors[2].shape[0]))
-            return kernel(points, anchors)
+            return kernel(points, anchors, *rest)
 
         monkeypatch.setattr(density, "_log_kernel_matrix", counting)
         fn(w, mats, affinity, kind, bandwidths)

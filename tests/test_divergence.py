@@ -113,7 +113,8 @@ class TestClosedFormTerms:
         p = rng.standard_normal((40, 2))
         q = p + 1e-7 * rng.standard_normal((40, 2))
         bw = Bandwidth([0.4, 0.6])
-        [(z_p, z_q)] = _kde_collection([p, q], [bw, bw]).pair_logits([(0, 1)])
+        z = {s: z for s, _, [z] in _kde_collection([p, q], [bw, bw]).log_ratios([(0, 1)])}
+        z_p, z_q = z[0], z[1]
         assert 0.0 < np.max(np.abs(np.concatenate([z_p, z_q]))) < 1e-6
         series = sum(float(np.mean(z**2 / 8.0 - 5.0 * z**4 / 384.0)) for z in (z_p, z_q))
         value = pair_divergence(p, q, DivergenceKind.HELLINGER_SQUARED, bw, bw)
@@ -296,6 +297,20 @@ class TestDivergenceMatrix:
         assert matrix.values[0, 2] == 0.0
         np.testing.assert_allclose(matrix.values[0], matrix.values[2], atol=1e-12)
 
+    @pytest.mark.parametrize("kind", list(DivergenceKind))
+    def test_duplicated_set_at_any_position_gives_exact_zero(self, kind):
+        # stacked sets of any size and dimension, so a copy's rows come out
+        # of another GEMM than the original's; exact on any BLAS core
+        for trial in range(60):
+            rng = np.random.default_rng(900 + trial)
+            dim = int(rng.integers(1, 13))
+            sets = [random_set(rng, n=int(rng.integers(2, 40)), dim=dim, spread=2.0)
+                    for _ in range(int(rng.integers(2, 7)))]
+            k, at = int(rng.integers(len(sets))), int(rng.integers(len(sets) + 1))
+            sets.insert(at, sets[k].copy())
+            values = divergence_matrix(sets, kind).values
+            assert values[k + (k >= at), at] == 0.0
+
     def test_separated_classes_order_rows(self):
         rng = np.random.default_rng(10)
         centers = np.array([[0.0, 0.0], [8.0, 0.0], [0.0, 8.0]])
@@ -405,9 +420,9 @@ class TestKernelBlockCount:
         calls = []
         kernel = density._log_kernel_matrix
 
-        def counting(points, anchors):
+        def counting(points, anchors, *rest):
             calls.append(points.shape[0])
-            return kernel(points, anchors)
+            return kernel(points, anchors, *rest)
 
         monkeypatch.setattr(density, "_log_kernel_matrix", counting)
         return calls
@@ -444,9 +459,9 @@ class TestKernelBlockMemory:
         calls = []
         kernel = density._log_kernel_matrix
 
-        def spying(points, anchors):
+        def spying(points, anchors, *rest):
             calls.append((points.shape[0], anchors[2].shape[0]))
-            return kernel(points, anchors)
+            return kernel(points, anchors, *rest)
 
         monkeypatch.setattr(density, "_log_kernel_matrix", spying)
         return calls
