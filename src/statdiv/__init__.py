@@ -2,16 +2,14 @@
 and supervised projection learning."""
 
 from .dataset import Dataset, FeatureSet, SyntheticSpec, generate_synthetic, load_dataset, save_dataset, split_gallery_probe
-from .density import Bandwidth, DensityModel, fit_kde, log_density, log_density_batch, silverman_bandwidth
+from .density import Bandwidth, DensityModel, log_density_batch, silverman_bandwidth
 from .divergence import (
     DivergenceKind,
     DivergenceMatrix,
     cross_divergence_matrix,
     divergence_matrix,
     hellinger_empirical,
-    hellinger_naive,
     jeffrey_empirical,
-    t_ratio,
 )
 from .classify import KfdaModel, accuracy, kfda_fit, kfda_project, nn_classify
 from .dimred import AffinityMatrix, DrConfig, build_affinity, dr_cost, dr_euclidean_gradient, learn_projection

@@ -1,16 +1,18 @@
 """Gaussian kernel density estimation with diagonal per-set bandwidths.
 
 A fitted density is a mixture of identical axis-aligned Gaussians centered
-at the sample rows. `DensityModel` is one: its log normalizer and its
-whitened anchors (`_anchors`) are computed once. Every evaluation forms a
-block of log kernels, a row per point and a column per sample, by a centred
-GEMM on those anchors (`_log_kernel_matrix`), and reduces its rows by
-log-sum-exp (`_log_mixture`), so densities never underflow to 0 (for the
-accuracy see `_log_kernel_matrix`). The log-sum-exp runs in cache-sized row
-blocks (`_LSE_BLOCK` entries, its largest temporary) and is bit-equal to
-`scipy.special.logsumexp` per row. `_KdeCollection` holds the models of
-several sets: each KDE evaluated once per list of pairs at the stacked
-samples of the sets it meets, each set's log ratios formed as one array."""
+at the sample rows. `DensityModel` is the one fitted-KDE record: its log
+normalizer and its whitened anchors (`_anchors`) are computed once, and
+:meth:`DensityModel.block` is the one evaluation. It forms a block of log
+kernels, a row per point and a column per sample, by a centred GEMM on
+those anchors (`_log_kernel_matrix`), and reduces its rows by log-sum-exp
+(`_log_mixture`), so densities never underflow to 0 (for the accuracy see
+`_log_kernel_matrix`). The log-sum-exp runs in cache-sized row blocks
+(`_LSE_BLOCK` entries, its largest temporary) and is bit-equal to
+`scipy.special.logsumexp` per row. Several sets' models are a plain list:
+:func:`stacked` evaluates each KDE once per list of pairs at the stacked
+samples of the sets it meets, and :func:`log_ratios` forms each set's log
+ratios as one array."""
 
 from __future__ import annotations
 
@@ -24,8 +26,6 @@ __all__ = [
     "DensityModel",
     "silverman_bandwidth",
     "isotropic_silverman_bandwidth",
-    "fit_kde",
-    "log_density",
     "log_density_batch",
 ]
 
@@ -138,18 +138,12 @@ class DensityModel:
     def dim(self) -> int:
         return self.samples.shape[1]
 
-
-def fit_kde(samples, bandwidth: Bandwidth | str | None = "auto") -> DensityModel:
-    """Fit the Gaussian KDE of `samples` (n x D, rows are points).
-
-    `bandwidth` may be a :class:`Bandwidth`, or "auto"/None to use
-    :func:`silverman_bandwidth` on the same matrix.
-    """
-    if bandwidth is None or (isinstance(bandwidth, str) and bandwidth == "auto"):
-        bandwidth = silverman_bandwidth(samples)
-    elif isinstance(bandwidth, str):
-        raise ValueError(f"unknown bandwidth mode {bandwidth!r}; expected 'auto' or a Bandwidth")
-    return DensityModel(samples, bandwidth)
+    def block(self, points: np.ndarray, sizes=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """This KDE at each row of `points` (stacked from sets of `sizes` rows, if given): the
+        log density, the log-kernel rows and their log-sum-exp (see :func:`_log_mixture`)."""
+        rows = _log_kernel_matrix(points, self.anchors, sizes)
+        log_density, lse = _log_mixture(rows, self.log_norm)
+        return log_density, rows, lse
 
 
 def _whitened(rows: np.ndarray, centre: np.ndarray, scale: np.ndarray, norm_last: bool) -> np.ndarray:
@@ -242,50 +236,37 @@ def _log_mixture(log_kernels: np.ndarray, log_norm: float) -> tuple[np.ndarray, 
     return lse + log_norm, lse
 
 
-class _KdeCollection:
-    """The :class:`DensityModel` of each of several sample sets, evaluated
-    once per list of pairs (:meth:`stacked`, :meth:`log_ratios`)."""
+def stacked(models: list[DensityModel], pairs):
+    """Yields (b, sets, their stacked samples, *:meth:`DensityModel.block` there) for each
+    KDE b of `models` in `pairs`, at set b and each distinct partner cut into :func:`_runs`
+    of their blocks. Each set's rows are bit-equal to its own block: the whitening and the
+    log-sum-exp are row by row, and each set gets its own GEMM."""
+    stacks = {}  # b: {b, then each distinct partner}, in order
+    for i, j in pairs:
+        stacks.setdefault(i, {i: None})[j] = None
+        stacks.setdefault(j, {j: None})[i] = None
+    n = [model.n for model in models]
+    for b, stack in stacks.items():
+        for group in _runs(list(stack), [n[s] * n[b] for s in stack]):
+            points = np.concatenate([models[s].samples for s in group])
+            yield (b, group, points, *models[b].block(points, [n[s] for s in group]))
 
-    def __init__(self, sets, bandwidths):
-        self.models = [DensityModel(s, bw) for s, bw in zip(sets, bandwidths)]
 
-    def block(self, points: np.ndarray, b: int, sizes=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """KDE `b` at each row of `points` (stacked from sets of `sizes` rows, if given): the
-        log density, the log-kernel rows and their log-sum-exp (see :func:`_log_mixture`)."""
-        rows = _log_kernel_matrix(points, self.models[b].anchors, sizes)
-        log_density, lse = _log_mixture(rows, self.models[b].log_norm)
-        return log_density, rows, lse
-
-    def stacked(self, pairs):
-        """Yields (b, sets, their stacked samples, *:meth:`block` there) for each KDE b
-        in `pairs`, at set b and each distinct partner cut into :func:`_runs` of their
-        blocks. Each set's rows are bit-equal to its own block: the whitening and the
-        log-sum-exp are row by row, and each set gets its own GEMM."""
-        stacks = {}  # b: {b, then each distinct partner}, in order
-        for i, j in pairs:
-            stacks.setdefault(i, {i: None})[j] = None
-            stacks.setdefault(j, {j: None})[i] = None
-        n = [model.n for model in self.models]
-        for b, stack in stacks.items():
-            for group in _runs(list(stack), [n[s] * n[b] for s in stack]):
-                points = np.concatenate([self.models[s].samples for s in group])
-                yield (b, group, points, *self.block(points, b, [n[s] for s in group]))
-
-    def log_ratios(self, pairs, blocks=None):
-        """Yields (s, its distinct partners r, z) for each set s in `pairs`, one row
-        z[r] = log p_s - log p_r at the samples of s per partner, from `blocks` of
-        :meth:`stacked` (by default made here and dropped as read). Each set's log
-        densities are dropped as its z is formed, so one z exists at a time."""
-        at = {}  # s: {b: log p_b at the samples of s}
-        for b, group, _, log_density, *kernels in self.stacked(pairs) if blocks is None else blocks:
-            del kernels  # before the next block is formed, so two never coexist
-            for s, stop in zip(group, accumulate(self.models[s].n for s in group)):
-                at.setdefault(s, {})[b] = log_density[stop - self.models[s].n:stop]
-        while at:
-            s, logs = at.popitem()
-            own = logs.pop(s)
-            z = np.array(list(logs.values()))
-            yield s, list(logs), np.subtract(own, z, out=z)
+def log_ratios(models: list[DensityModel], pairs, blocks=None):
+    """Yields (s, its distinct partners r, z) for each set s in `pairs`, one row
+    z[r] = log p_s - log p_r at the samples of s per partner, from `blocks` of
+    :func:`stacked` (by default made here and dropped as read). Each set's log
+    densities are dropped as its z is formed, so one z exists at a time."""
+    at = {}  # s: {b: log p_b at the samples of s}
+    for b, group, _, log_density, *kernels in stacked(models, pairs) if blocks is None else blocks:
+        del kernels  # before the next block is formed, so two never coexist
+        for s, stop in zip(group, accumulate(models[s].n for s in group)):
+            at.setdefault(s, {})[b] = log_density[stop - models[s].n:stop]
+    while at:
+        s, logs = at.popitem()
+        own = logs.pop(s)
+        z = np.array(list(logs.values()))
+        yield s, list(logs), np.subtract(own, z, out=z)
 
 
 def log_density_batch(model: DensityModel, points) -> np.ndarray:
@@ -295,13 +276,7 @@ def log_density_batch(model: DensityModel, points) -> np.ndarray:
         raise ValueError(f"expected points of shape (m, {model.dim}), got {pts.shape}")
     if not np.all(np.isfinite(pts)):
         raise ValueError("evaluation points contain non-finite entries")
-    return _log_mixture(_log_kernel_matrix(pts, model.anchors), model.log_norm)[0]
-
-
-def log_density(model: DensityModel, x) -> float:
-    """Log density at a single D-vector."""
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    return float(log_density_batch(model, x)[0])
+    return model.block(pts)[0]
 
 
 def log_density_loo(model: DensityModel, sample_index: int | None = None) -> np.ndarray:

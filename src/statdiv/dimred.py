@@ -8,10 +8,11 @@ bandwidths are data: both are computed once and stay fixed during the
 optimization, which runs a projection-based conjugate gradient over
 orthonormal frames.
 
-The cost and the gradient evaluate the projected sets through the
-estimators' `density._KdeCollection`, one stacked block per KDE; the
-gradient reads the same blocks and weighs each sample by its term's slope
-in its set's log ratios z (`divergence._TERMS`), one weight array per set.
+The cost and the gradient evaluate the projected sets' KDEs, a list of
+`density.DensityModel`s, through the estimators' `density.stacked`, one
+stacked block per KDE; the gradient reads the same blocks and weighs each
+sample by its term's slope in its set's log ratios z (`divergence._TERMS`),
+one weight array per set.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classify import _fix_column_signs
-from .density import Bandwidth, _features_of, _KdeCollection, _read_only
+from .density import Bandwidth, DensityModel, _features_of, _read_only, log_ratios, stacked
 from .divergence import _TERMS, DivergenceKind, _estimates, _kde_collection, divergence_matrix, resolve_bandwidths
 from .manifold import CgOptions, CgResult, cg_minimize, random_orthonormal
 
@@ -140,7 +141,7 @@ def _active_pairs(affinity: AffinityMatrix) -> tuple[list[tuple[int, int]], list
     return list(zip(i.tolist(), j.tolist())), affinity.values[i, j].astype(float).tolist()
 
 
-def _projected_kdes(w: np.ndarray, sets, bandwidths) -> _KdeCollection:
+def _projected_kdes(w: np.ndarray, sets, bandwidths) -> list[DensityModel]:
     """The KDEs of the projected sets with frozen bandwidths. A bandwidth
     policy would recompute them from each W, and the gradient, which holds
     them fixed, would no longer be the derivative of the cost."""
@@ -169,18 +170,18 @@ def dr_cost(w: np.ndarray, sets, affinity: AffinityMatrix,
 
 
 def _mixture_gradient(omega: np.ndarray, points: np.ndarray, points_proj: np.ndarray,
-                      anchors: np.ndarray, kdes: _KdeCollection, k: int, block) -> np.ndarray:
-    """sum_x omega[x] * d(log density at point x)/dW for KDE `k` of `kdes`,
-    from its `block` at the projected points.
+                      anchors: np.ndarray, model: DensityModel, block) -> np.ndarray:
+    """sum_x omega[x] * d(log density at point x)/dW for the projected KDE `model`
+    of the full-dimensional samples `anchors`, from its `block` at the projected points.
 
     The softmax weights of the mixture components at each point come from
     its log kernels; the gradient of each log kernel is the outer product
     of the full-dimensional offset with the scaled projected offset.
     """
     _, rows, lse = block
-    anchors_proj = kdes.models[k].samples
+    anchors_proj = model.samples
     soft = np.exp(rows - lse[:, None])
-    inv = 1.0 / kdes.models[k].bandwidth.diag
+    inv = 1.0 / model.bandwidth.diag
     b = omega[:, None] * soft
     row_sum = b.sum(axis=1)
     col_sum = b.sum(axis=0)
@@ -202,9 +203,9 @@ def dr_euclidean_gradient(w: np.ndarray, sets, affinity: AffinityMatrix,
     mats = [_features_of(s) for s in sets]
     kdes = _projected_kdes(w, mats, bandwidths)
     pairs = _active_pairs(affinity)[0]
-    blocks = list(kdes.stacked(pairs))
+    blocks = list(stacked(kdes, pairs))
     omega = {}  # (b, s): the weight of each sample of set s in d(log p_b)/dW
-    for s, partners, z in kdes.log_ratios(pairs, blocks):
+    for s, partners, z in log_ratios(kdes, pairs, blocks):
         weights = affinity.values[s, partners, None] * _TERMS[kind][1](z) / mats[s].shape[0]
         omega[s, s] = weights.sum(axis=0)
         omega.update(((r, s), -row) for r, row in zip(partners, weights))
@@ -212,7 +213,7 @@ def dr_euclidean_gradient(w: np.ndarray, sets, affinity: AffinityMatrix,
     for b, group, points_proj, *block in blocks:
         weights = np.concatenate([omega[b, s] for s in group])
         points = np.concatenate([mats[s] for s in group])
-        total += _mixture_gradient(weights, points, points_proj, mats[b], kdes, b, block)
+        total += _mixture_gradient(weights, points, points_proj, mats[b], kdes[b], block)
     return total
 
 

@@ -3,33 +3,32 @@
 The symmetric estimators average a per-sample term over the samples of
 both sets. Each term, and its slope for the DR gradient (`_TERMS`), is a
 closed form in the log ratio z = log p - log q = logit T, T = p / (p + q),
-that one `density._KdeCollection` gives, so neither density is ever
-exponentiated on its own. The collection evaluates each KDE once per list
-of pairs and yields each set's log ratios against all its partners as one
-array, so a term runs once per set and a pair's estimate is the sum of two
-row means. The naive one-sided estimator is kept only for comparison:
-asymmetric, unstable where T is not.
+that `density.log_ratios` gives from a list of the sets' `DensityModel`s,
+so neither density is ever exponentiated on its own and T is never formed.
+Each KDE is evaluated once per list of pairs and each set's log ratios
+against all its partners come as one array, so a term runs once per set
+and a pair's estimate is the sum of two row means.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
-from .density import Bandwidth, _features_of, _KdeCollection, _read_only, isotropic_silverman_bandwidth, silverman_bandwidth
+from .density import (Bandwidth, DensityModel, _features_of, _read_only, isotropic_silverman_bandwidth, log_ratios,
+                      silverman_bandwidth)
 
 __all__ = [
     "T_CLAMP",
     "DivergenceKind",
     "DivergenceMatrix",
-    "t_ratio",
     "hellinger_empirical",
     "jeffrey_empirical",
-    "hellinger_naive",
     "pair_divergence",
     "divergence_matrix",
     "cross_divergence_matrix",
@@ -46,34 +45,6 @@ T_CLAMP = 1e-12
 class DivergenceKind(Enum):
     HELLINGER_SQUARED = "hellinger"
     JEFFREY = "jeffrey"
-
-
-def _stable_logistic(z: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-z)) without overflow on either tail."""
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
-def t_ratio(log_p, log_q):
-    """T = p / (p + q) from log densities, clamped to [1e-12, 1 - 1e-12].
-
-    Computed as a logistic of the log ratio; neither density is
-    exponentiated alone. Accepts scalars or arrays.
-    """
-    log_p = np.asarray(log_p, dtype=float)
-    log_q = np.asarray(log_q, dtype=float)
-    if not (np.all(np.isfinite(log_p)) and np.all(np.isfinite(log_q))):
-        raise ValueError("log densities must be finite")
-    t = _stable_logistic(log_p - log_q)
-    t = np.clip(t, T_CLAMP, 1.0 - T_CLAMP)
-    if t.ndim == 0:
-        return float(t)
-    return t
 
 
 def hellinger_bandwidth(samples) -> Bandwidth:
@@ -99,7 +70,7 @@ def resolve_bandwidths(sample_matrices, bw_policy, kind: DivergenceKind | None =
         undersmoothed to the rate n^(-1/(D+3)) by :func:`hellinger_bandwidth`;
         for Jeffrey, or with no `kind`, it is :func:`silverman_bandwidth`;
       - "isotropic": per-set scalar from the mean per-dimension variance;
-      - a positive float: one shared isotropic variance for every set;
+      - a positive number (not a bool): one shared isotropic variance for every set;
       - a sequence of Bandwidth / diagonal vectors, one per set.
     """
     mats = [_features_of(m) for m in sample_matrices]
@@ -111,10 +82,10 @@ def resolve_bandwidths(sample_matrices, bw_policy, kind: DivergenceKind | None =
         if bw_policy == "isotropic":
             return [isotropic_silverman_bandwidth(m) for m in mats]
         raise ValueError(f"unknown bandwidth policy {bw_policy!r}")
-    if isinstance(bw_policy, (int, float)):
+    if isinstance(bw_policy, numbers.Real):
         h2 = float(bw_policy)
-        if h2 <= 0 or not np.isfinite(h2):
-            raise ValueError(f"shared isotropic bandwidth must be positive, got {bw_policy}")
+        if isinstance(bw_policy, bool) or not 0 < h2 < np.inf:
+            raise ValueError(f"shared isotropic bandwidth must be a positive number, got {bw_policy!r}")
         return [Bandwidth(np.full(m.shape[1], h2)) for m in mats]
     bandwidths = list(bw_policy)
     if len(bandwidths) != len(mats):
@@ -127,12 +98,12 @@ def resolve_bandwidths(sample_matrices, bw_policy, kind: DivergenceKind | None =
 def describe_bandwidth_policy(bw_policy) -> str:
     if isinstance(bw_policy, str):
         return bw_policy
-    if isinstance(bw_policy, (int, float)):
+    if isinstance(bw_policy, numbers.Real) and not isinstance(bw_policy, bool):
         return f"shared-isotropic:{float(bw_policy)!r}"
     return "fixed"
 
 
-def _kde_collection(sets, bw_policy, kind: DivergenceKind | None = None) -> _KdeCollection:
+def _kde_collection(sets, bw_policy, kind: DivergenceKind | None = None) -> list[DensityModel]:
     """The KDEs of `sets`, bandwidths by :func:`resolve_bandwidths`; the
     sets must share one dimension."""
     mats = [_features_of(s) for s in sets]
@@ -140,7 +111,7 @@ def _kde_collection(sets, bw_policy, kind: DivergenceKind | None = None) -> _Kde
         if m.shape[1] != mats[0].shape[1]:
             raise ValueError(
                 f"dimension mismatch: first set has D={mats[0].shape[1]}, second has D={m.shape[1]}")
-    return _KdeCollection(mats, resolve_bandwidths(mats, bw_policy, kind))
+    return [DensityModel(m, bw) for m, bw in zip(mats, resolve_bandwidths(mats, bw_policy, kind))]
 
 
 # The clamp on T as a bound on the log ratio: |z| <= log((1 - T_CLAMP) / T_CLAMP).
@@ -180,11 +151,11 @@ _TERMS = {
 }
 
 
-def _estimates(kind: DivergenceKind, kdes: _KdeCollection, pairs) -> list[float]:
+def _estimates(kind: DivergenceKind, kdes: list[DensityModel], pairs) -> list[float]:
     """Each pair's symmetric estimate (i, j) among the sets of `kdes`, each KDE evaluated
     once for all `pairs`: the mean per-sample term over set i plus that over set j."""
     means = {}  # s: {r: the mean term at the samples of s against partner r}
-    for s, partners, z in kdes.log_ratios(pairs):
+    for s, partners, z in log_ratios(kdes, pairs):
         means[s] = dict(zip(partners, np.mean(_TERMS[kind][0](z), axis=1)))
     return [float(means[i][j] + means[j][i]) for i, j in pairs]
 
@@ -220,25 +191,6 @@ def jeffrey_empirical(p_samples, q_samples, bw_policy="silverman") -> float:
     """
     bw_p, bw_q = resolve_bandwidths([p_samples, q_samples], bw_policy)
     return pair_divergence(p_samples, q_samples, DivergenceKind.JEFFREY, bw_p, bw_q)
-
-
-def hellinger_naive(p_samples, q_samples, direction: str = "overP",
-                    bw_policy="silverman") -> float:
-    """One-sided squared-Hellinger estimate E[(1 - sqrt(q/p))^2].
-
-    `direction` selects the expectation: "overP" averages over the first
-    set's samples, "overQ" over the second's. Asymmetric by construction;
-    kept only so tests can demonstrate why the symmetric form is preferred.
-    """
-    if direction not in ("overP", "overQ"):
-        raise ValueError(f"direction must be 'overP' or 'overQ', got {direction!r}")
-    kdes = _kde_collection([p_samples, q_samples], bw_policy)
-    own, other = (0, 1) if direction == "overP" else (1, 0)
-    # z = log own - log other at the own set's samples, so the term is
-    # (1 - e^(-z/2))^2. It blows up where the other density dominates; cap
-    # the exponent to keep the (already meaningless) value finite.
-    z = kdes.block(kdes.models[own].samples, own)[0] - kdes.block(kdes.models[own].samples, other)[0]
-    return float(np.mean(np.expm1(np.minimum(-0.5 * z, 350.0)) ** 2))
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,8 @@ from scipy.special import logsumexp
 
 from statdiv.density import (
     Bandwidth,
-    fit_kde,
+    DensityModel,
     isotropic_silverman_bandwidth,
-    log_density,
     log_density_batch,
     silverman_bandwidth,
 )
@@ -56,39 +55,35 @@ class TestSilvermanBandwidth:
         assert np.ptp(base.diag) == 0.0
 
 
-class TestFitKde:
+class TestDensityModel:
     def test_smallest_legal_fit_evaluates_everywhere(self):
-        model = fit_kde(np.array([[0.0], [1.0]]), Bandwidth([1.0]))
+        model = DensityModel(np.array([[0.0], [1.0]]), Bandwidth([1.0]))
         for x in (-50.0, 0.0, 0.5, 50.0):
-            assert np.isfinite(log_density(model, [x]))
-
-    def test_auto_bandwidth_matches_silverman(self):
-        rng = np.random.default_rng(4)
-        mat = rng.standard_normal((25, 2))
-        np.testing.assert_array_equal(fit_kde(mat).bandwidth.diag, silverman_bandwidth(mat).diag)
+            assert np.isfinite(log_density_batch(model, [[x]])[0])
 
     def test_fit_is_pure(self):
         rng = np.random.default_rng(5)
         mat = rng.standard_normal((15, 3))
         probes = rng.standard_normal((10, 3))
-        a = log_density_batch(fit_kde(mat), probes)
-        b = log_density_batch(fit_kde(mat.copy()), probes)
+        a = log_density_batch(DensityModel(mat, silverman_bandwidth(mat)), probes)
+        copy = mat.copy()
+        b = log_density_batch(DensityModel(copy, silverman_bandwidth(copy)), probes)
         np.testing.assert_array_equal(a, b)
 
     def test_rejects_single_sample(self):
         with pytest.raises(ValueError, match="n >= 2"):
-            fit_kde(np.array([[1.0, 2.0, 3.0]]))
+            DensityModel(np.array([[1.0, 2.0, 3.0]]), Bandwidth([1.0, 1.0, 1.0]))
 
 
 class TestLogDensity:
     def test_gaussian_normalizer_at_center(self):
         # both samples at 0 with unit bandwidth reduce to one standard normal
-        model = fit_kde(np.array([[0.0], [0.0]]), Bandwidth([1.0]))
-        assert log_density(model, [0.0]) == pytest.approx(-0.5 * np.log(2 * np.pi), abs=1e-14)
+        model = DensityModel(np.array([[0.0], [0.0]]), Bandwidth([1.0]))
+        assert log_density_batch(model, [[0.0]])[0] == pytest.approx(-0.5 * np.log(2 * np.pi), abs=1e-14)
 
     def test_far_point_is_finite(self):
-        model = fit_kde(np.array([[0.0], [1.0]]), Bandwidth([1.0]))
-        value = log_density(model, [1e4])
+        model = DensityModel(np.array([[0.0], [1.0]]), Bandwidth([1.0]))
+        value = log_density_batch(model, [[1e4]])[0]
         assert np.isfinite(value)
         assert value < -1e6
 
@@ -96,7 +91,7 @@ class TestLogDensity:
     def test_integrates_to_one_1d(self, seed):
         rng = np.random.default_rng(seed)
         mat = rng.normal(0.0, 2.0, size=(30, 1))
-        model = fit_kde(mat)
+        model = DensityModel(mat, silverman_bandwidth(mat))
         h = np.sqrt(model.bandwidth.diag[0])
         grid = np.linspace(mat.min() - 8 * h, mat.max() + 8 * h, 4001)
         pdf = np.exp(log_density_batch(model, grid[:, None]))
@@ -105,7 +100,7 @@ class TestLogDensity:
     def test_integrates_to_one_2d(self):
         rng = np.random.default_rng(11)
         mat = rng.normal(size=(20, 2))
-        model = fit_kde(mat)
+        model = DensityModel(mat, silverman_bandwidth(mat))
         hs = np.sqrt(model.bandwidth.diag)
         xs = np.linspace(mat[:, 0].min() - 8 * hs[0], mat[:, 0].max() + 8 * hs[0], 301)
         ys = np.linspace(mat[:, 1].min() - 8 * hs[1], mat[:, 1].max() + 8 * hs[1], 301)
@@ -122,13 +117,14 @@ class TestLogDensity:
         rot, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
         bw = Bandwidth(np.full(dim, 0.7))
         probes = rng.standard_normal((12, dim))
-        base = log_density_batch(fit_kde(mat, bw), probes)
-        rotated = log_density_batch(fit_kde(mat @ rot.T, bw), probes @ rot.T)
+        base = log_density_batch(DensityModel(mat, bw), probes)
+        rotated = log_density_batch(DensityModel(mat @ rot.T, bw), probes @ rot.T)
         np.testing.assert_allclose(rotated, base, atol=1e-10)
 
     def test_never_nan_or_inf(self):
         rng = np.random.default_rng(31)
-        model = fit_kde(rng.standard_normal((10, 4)) * 1e-6)
+        mat = rng.standard_normal((10, 4)) * 1e-6
+        model = DensityModel(mat, silverman_bandwidth(mat))
         probes = np.vstack([
             rng.standard_normal((5, 4)) * 1e6,
             np.zeros((1, 4)),
@@ -142,7 +138,8 @@ class TestLeaveOneOut:
         from statdiv.density import log_density_loo
 
         rng = np.random.default_rng(17)
-        model = fit_kde(rng.standard_normal((12, 2)))
+        mat = rng.standard_normal((12, 2))
+        model = DensityModel(mat, silverman_bandwidth(mat))
         inclusive = log_density_batch(model, model.samples)
         loo = log_density_loo(model)
         assert np.all(loo < inclusive)  # dropping the self kernel can only lower mass
@@ -151,7 +148,7 @@ class TestLeaveOneOut:
     def test_needs_three_samples(self):
         from statdiv.density import log_density_loo
 
-        model = fit_kde(np.array([[0.0], [1.0]]), Bandwidth([1.0]))
+        model = DensityModel(np.array([[0.0], [1.0]]), Bandwidth([1.0]))
         with pytest.raises(ValueError, match="at least 3"):
             log_density_loo(model)
 
@@ -213,7 +210,8 @@ class TestRowLogSumExp:
         import tracemalloc
 
         rng = np.random.default_rng(3)
-        model, points = fit_kde(rng.normal(size=(2000, 1))), rng.normal(size=(2000, 1))
+        samples, points = rng.normal(size=(2000, 1)), rng.normal(size=(2000, 1))
+        model = DensityModel(samples, silverman_bandwidth(samples))
         log_density_batch(model, points)  # warm-up
         tracemalloc.start()
         try:
@@ -232,7 +230,7 @@ class TestBandwidthValidation:
 
     def test_dimension_mismatch_at_fit(self):
         with pytest.raises(ValueError, match="does not match"):
-            fit_kde(np.zeros((3, 2)) + np.arange(3)[:, None], Bandwidth([1.0, 1.0, 1.0]))
+            DensityModel(np.zeros((3, 2)) + np.arange(3)[:, None], Bandwidth([1.0, 1.0, 1.0]))
 
 
 class TestCentredKernel:
@@ -255,7 +253,7 @@ class TestCentredKernel:
         rng = np.random.default_rng(21)
         samples = offset + rng.normal(0.0, [1.0, 2.0, 0.5], size=(40, 3))
         probes = offset + rng.normal(0.3, 1.5, size=(25, 3))
-        model = fit_kde(samples)
+        model = DensityModel(samples, silverman_bandwidth(samples))
         reference = self.extended_reference(model.samples, model.bandwidth.diag, probes)
         got = log_density_batch(model, probes)
         assert np.max(np.abs(got - reference.astype(float))) <= 1e-12
@@ -268,7 +266,7 @@ class TestCentredKernel:
         rng = np.random.default_rng(23)
         samples = offset + rng.normal(0.0, [1.0, 2.0, 0.5], size=(40, 3))
         probes = np.vstack([samples[:10], offset + rng.normal(0.3, 1.5, size=(10, 3))])
-        model = fit_kde(samples, Bandwidth(np.full(3, 1e-6)))
+        model = DensityModel(samples, Bandwidth(np.full(3, 1e-6)))
         reference = self.extended_reference(model.samples, model.bandwidth.diag, probes)
         got = log_density_batch(model, probes)
         rows = np.vstack([samples, probes]) - samples.mean(axis=0)
@@ -277,21 +275,19 @@ class TestCentredKernel:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_log_kernel_is_an_error(self):
-        model = fit_kde([[0.0], [1e155]], Bandwidth(np.array([1.0])))
+        model = DensityModel([[0.0], [1e155]], Bandwidth(np.array([1.0])))
         with pytest.raises(ValueError, match="log kernel is NaN"):
             log_density_batch(model, model.samples)
 
     def test_collection_block_is_log_density_batch_bit_for_bit(self):
-        from statdiv.density import _KdeCollection
-
         rng = np.random.default_rng(22)
         sets = [rng.normal(k, 1.0, size=(12 + 5 * k, 3)) for k in range(3)]
         bandwidths = [silverman_bandwidth(s) for s in sets]
-        kdes = _KdeCollection(sets, bandwidths)
+        models = [DensityModel(s, bw) for s, bw in zip(sets, bandwidths)]
         points = rng.normal(1.0, 2.0, size=(17, 3))
         for b, (s, bw) in enumerate(zip(sets, bandwidths)):
-            np.testing.assert_array_equal(kdes.block(points, b)[0],
-                                          log_density_batch(fit_kde(s, bw), points))
+            np.testing.assert_array_equal(models[b].block(points)[0],
+                                          log_density_batch(DensityModel(s, bw), points))
 
     def test_model_whitens_its_anchors_once(self, monkeypatch):
         from statdiv import density
@@ -305,7 +301,8 @@ class TestCentredKernel:
 
         monkeypatch.setattr(density, "_anchors", counting)
         rng = np.random.default_rng(24)
-        model = fit_kde(rng.normal(size=(20, 3)))
+        samples = rng.normal(size=(20, 3))
+        model = DensityModel(samples, silverman_bandwidth(samples))
         points = rng.normal(size=(7, 3))
         first = log_density_batch(model, points)
         np.testing.assert_array_equal(log_density_batch(model, points), first)
@@ -340,18 +337,18 @@ class TestStackedCollection:
             monkeypatch.setattr(density, "_STACK_BLOCK", stack_block)
         rng = np.random.default_rng(600 + dim)
         sets, bandwidths, pairs, dup = self.problem(rng, dim)
-        kdes = density._KdeCollection(sets, bandwidths)
+        models = [density.DensityModel(s, bw) for s, bw in zip(sets, bandwidths)]
         seen = []
-        for s, partners, z in kdes.log_ratios(pairs):
+        for s, partners, z in density.log_ratios(models, pairs):
             seen.append(s)
             assert sorted(partners) == sorted({j for i, j in pairs if i == s} | {i for i, j in pairs if j == s})
             assert z.shape == (len(partners), sets[s].shape[0])
-            own = kdes.block(sets[s], s)[0]
+            own = models[s].block(sets[s])[0]
             for r, row in zip(partners, z):
-                two = density._KdeCollection([sets[s], sets[r]], [bandwidths[s], bandwidths[r]])
-                [two_row] = {t: zz for t, _, zz in two.log_ratios([(0, 1)])}[0]
+                two = [density.DensityModel(sets[t], bandwidths[t]) for t in (s, r)]
+                [two_row] = {t: zz for t, _, zz in density.log_ratios(two, [(0, 1)])}[0]
                 np.testing.assert_array_equal(row, two_row)
-                np.testing.assert_array_equal(row, own - kdes.block(sets[s], r)[0])
+                np.testing.assert_array_equal(row, own - models[r].block(sets[s])[0])
                 if {s, r} == {1, dup}:
                     np.testing.assert_array_equal(row, 0.0)
         assert sorted(seen) == sorted({k for pair in pairs for k in pair})

@@ -2,9 +2,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from statdiv import oracles
-from statdiv.density import Bandwidth, silverman_bandwidth
+from statdiv.density import Bandwidth, DensityModel, log_density_batch, log_ratios, silverman_bandwidth
 from statdiv.divergence import (
     _TERMS,
     T_CLAMP,
@@ -13,13 +15,11 @@ from statdiv.divergence import (
     cross_divergence_matrix,
     divergence_matrix,
     hellinger_empirical,
-    hellinger_naive,
     jeffrey_empirical,
     load_divergence_matrix,
     pair_divergence,
     _kde_collection,
     save_divergence_matrix,
-    t_ratio,
 )
 from statdiv.oracles import GaussianParams
 
@@ -36,26 +36,6 @@ def gaussian_pair(seed, n, shift=1.0):
 
 def random_set(rng, n=15, dim=2, spread=1.0):
     return rng.normal(rng.uniform(-spread, spread, size=dim), 1.0, size=(n, dim))
-
-
-class TestTRatio:
-    def test_equal_logs_give_half(self):
-        assert t_ratio(-3.7, -3.7) == 0.5
-
-    def test_saturates_to_clamp(self):
-        assert t_ratio(60.0, 0.0) == 1.0 - T_CLAMP
-        assert t_ratio(0.0, 60.0) == T_CLAMP
-
-    def test_log_ratio_ln3_gives_three_quarters(self):
-        assert t_ratio(np.log(3.0), 0.0) == pytest.approx(0.75, rel=1e-14)
-
-    def test_vectorized(self):
-        values = t_ratio(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
-        np.testing.assert_array_equal(values, [0.5, 0.5])
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            t_ratio(np.inf, 0.0)
 
 
 KINDS = list(DivergenceKind)
@@ -113,7 +93,7 @@ class TestClosedFormTerms:
         p = rng.standard_normal((40, 2))
         q = p + 1e-7 * rng.standard_normal((40, 2))
         bw = Bandwidth([0.4, 0.6])
-        z = {s: z for s, _, [z] in _kde_collection([p, q], [bw, bw]).log_ratios([(0, 1)])}
+        z = {s: z for s, _, [z] in log_ratios(_kde_collection([p, q], [bw, bw]), [(0, 1)])}
         z_p, z_q = z[0], z[1]
         assert 0.0 < np.max(np.abs(np.concatenate([z_p, z_q]))) < 1e-6
         series = sum(float(np.mean(z**2 / 8.0 - 5.0 * z**4 / 384.0)) for z in (z_p, z_q))
@@ -223,22 +203,31 @@ class TestDefaultBandwidths:
         assert matrix.values[0, 1] == pair_divergence(p, q, kind, bw_p, bw_q)
 
 
+class TestSharedVariancePolicy:
+    @pytest.mark.parametrize("policy, equal", [(True, None), (False, None), (np.float32(0.5), 0.5),
+                                               (np.float64(0.3), 0.3), (np.int64(1), 1.0)], ids=repr)
+    def test_numbers_are_a_shared_variance_and_bools_are_rejected(self, policy, equal):
+        rng = np.random.default_rng(41)
+        sets = [random_set(rng, n=10, dim=2) for _ in range(3)]
+        kind = DivergenceKind.HELLINGER_SQUARED
+        if equal is None:
+            with pytest.raises(ValueError, match="positive number"):
+                divergence_matrix(sets, kind, policy)
+            return
+        got, want = divergence_matrix(sets, kind, policy), divergence_matrix(sets, kind, equal)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.bw_policy == want.bw_policy == f"shared-isotropic:{float(equal)!r}"
+
+
 class TestHellingerNaive:
-    def test_identical_sets_give_zero(self):
-        rng = np.random.default_rng(2)
-        p = random_set(rng)
-        assert hellinger_naive(p, p.copy()) == pytest.approx(0.0, abs=1e-12)
+    """The one-sided estimate E_p[(1 - sqrt(q/p))^2] at the samples of p,
+    from the two Silverman KDEs: asymmetric, and it blows up where q dominates."""
 
-    def test_directions_differ(self):
-        p, q = gaussian_pair(6, 60, shift=1.5)
-        over_p = hellinger_naive(p, q, direction="overP")
-        over_q = hellinger_naive(p, q, direction="overQ")
-        assert over_p != pytest.approx(over_q, rel=1e-3)
-
-    def test_rejects_unknown_direction(self):
-        p, q = gaussian_pair(7, 10)
-        with pytest.raises(ValueError, match="direction"):
-            hellinger_naive(p, q, direction="both")
+    @staticmethod
+    def one_sided(p, q):
+        z = (log_density_batch(DensityModel(p, silverman_bandwidth(p)), p)
+             - log_density_batch(DensityModel(q, silverman_bandwidth(q)), p))
+        return float(np.mean(np.expm1(np.minimum(-0.5 * z, 350.0)) ** 2))
 
     def test_symmetric_estimator_beats_naive_on_most_trials(self):
         # the one-sided estimator should lose to the T-ratio form on >= 80%
@@ -247,7 +236,7 @@ class TestHellingerNaive:
         trials = 50
         for seed in range(trials):
             p, q = gaussian_pair(10_000 + seed, 2000)
-            naive_err = abs(hellinger_naive(p, q, direction="overP") - TRUE_HELLINGER)
+            naive_err = abs(self.one_sided(p, q) - TRUE_HELLINGER)
             sym_err = abs(hellinger_empirical(p, q) - TRUE_HELLINGER)
             wins += naive_err >= sym_err
         assert wins >= 0.8 * trials
@@ -326,14 +315,12 @@ class TestDivergenceMatrix:
             other = matrix.values[i, labels != labels[i]]
             assert same.max() < other.min()
 
-    def test_identical_across_thread_counts(self, monkeypatch):
+    def test_repeated_call_is_bit_identical(self):
         rng = np.random.default_rng(11)
         sets = [random_set(rng) for _ in range(5)]
-        monkeypatch.setenv("STATDIV_THREADS", "1")
-        serial = divergence_matrix(sets, DivergenceKind.HELLINGER_SQUARED)
-        monkeypatch.setenv("STATDIV_THREADS", "4")
-        threaded = divergence_matrix(sets, DivergenceKind.HELLINGER_SQUARED)
-        np.testing.assert_array_equal(serial.values, threaded.values)
+        first = divergence_matrix(sets, DivergenceKind.HELLINGER_SQUARED)
+        second = divergence_matrix(sets, DivergenceKind.HELLINGER_SQUARED)
+        assert first.values.tobytes() == second.values.tobytes()
 
     def test_cross_matrix_matches_pairwise_estimates(self):
         rng = np.random.default_rng(12)
@@ -399,6 +386,55 @@ class TestDivergenceMatrix:
             DivergenceMatrix(values=bad, kind=DivergenceKind.JEFFREY)
 
 
+@st.composite
+def adversarial_sets(draw):
+    """2-6 sets of 2-40 rows in D = 1-12, D >= n in some; each set may have a
+    duplicate row, a constant column and an offset of 1e6."""
+    dim = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sets = []
+    for _ in range(draw(st.integers(2, 6))):
+        s = rng.normal(size=(draw(st.integers(2, 40)), dim))
+        if draw(st.booleans()):
+            s[-1] = s[0]
+        if draw(st.booleans()):
+            s[:, -1] = 3.0
+        sets.append(s + draw(st.sampled_from([0.0, 1e6])))
+    return sets
+
+
+PROPERTY_SETTINGS = settings(derandomize=True, deadline=None)
+
+
+class TestMatrixProperties:
+    """Invariants of `divergence_matrix` on adversarial sets, for both kinds."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @PROPERTY_SETTINGS
+    @given(sets=adversarial_sets())
+    def test_exactly_symmetric(self, kind, sets):
+        values = divergence_matrix(sets, kind).values
+        assert values.tobytes() == values.T.tobytes()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @PROPERTY_SETTINGS
+    @given(sets=adversarial_sets(), data=st.data())
+    def test_duplicated_set_at_any_position_gives_exact_zero(self, kind, sets, data):
+        k = data.draw(st.integers(0, len(sets) - 1))
+        at = data.draw(st.integers(0, len(sets)))
+        sets.insert(at, sets[k].copy())
+        assert divergence_matrix(sets, kind).values[k + (k >= at), at] == 0.0
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @PROPERTY_SETTINGS
+    @given(sets=adversarial_sets())
+    def test_entries_in_range(self, kind, sets):
+        values = divergence_matrix(sets, kind).values
+        assert np.all(values >= 0.0)
+        if kind is DivergenceKind.HELLINGER_SQUARED:
+            assert np.all(values <= 2.0)
+
+
 class TestCentring:
     """Shifting both sets by a constant leaves the estimates unchanged, up
     to the rounding of the shifted inputs themselves."""
@@ -426,14 +462,6 @@ class TestKernelBlockCount:
 
         monkeypatch.setattr(density, "_log_kernel_matrix", counting)
         return calls
-
-    @pytest.mark.parametrize("direction", ["overP", "overQ"])
-    def test_naive_estimate_forms_two_blocks(self, blocks, direction):
-        rng = np.random.default_rng(4)
-        p, q = rng.standard_normal((30, 2)), rng.standard_normal((20, 2)) + 0.5
-        hellinger_naive(p, q, direction)
-        own = 30 if direction == "overP" else 20
-        assert blocks == [own, own]
 
     def test_symmetric_pair_forms_two_stacked_blocks(self, blocks):
         # each KDE at the 30 + 20 stacked samples of both sets
