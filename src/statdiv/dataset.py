@@ -9,7 +9,7 @@ produce them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +17,7 @@ import numpy as np
 from .density import _read_only
 
 __all__ = [
+    "ConfigError",
     "FeatureSet",
     "Dataset",
     "SyntheticSpec",
@@ -26,6 +27,45 @@ __all__ = [
     "split_gallery_probe",
     "standardize_dataset",
 ]
+
+
+class ConfigError(ValueError):
+    """Invalid configuration or manifest field; message carries the field path."""
+
+
+_KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string", dict: "an object"}
+
+
+def _is_kind(value, kind) -> bool:
+    """JSON typing: a bool is no number, and an integer is also a float."""
+    if isinstance(value, bool):
+        return kind in (bool, object)
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _field(raw: dict, key: str, path: str, kind, default=MISSING):
+    """Pop `raw[key]`, a JSON value of `kind` or of one of a tuple of kinds,
+    from the object at field path `path`: a float field returns a float, a
+    dict field a copy. An absent key, or null where `default` is None, gives
+    `default`; any other value is a ConfigError naming the field path."""
+    name = f"{path}.{key}" if path else key
+    value = raw.pop(key, default)
+    if value is MISSING:
+        raise ConfigError(f"{name}: missing field")
+    if value is None and default is None:
+        return None
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    for k in kinds:
+        if _is_kind(value, k):
+            return float(value) if k is float else dict(value) if k is dict else value
+    raise ConfigError(f"{name}: must be {' or '.join(_KIND_NAMES[k] for k in kinds)}, got {value!r}")
+
+
+def _no_unread_keys(raw: dict, path: str) -> None:
+    """A ConfigError naming the first key that no `_field` read from `raw`."""
+    if raw:
+        key = next(iter(raw))
+        raise ConfigError(f"{path}.{key}: unknown key" if path else f"{key}: unknown key")
 
 
 @dataclass(frozen=True)
@@ -148,9 +188,9 @@ def load_dataset(manifest_path) -> Dataset:
     """Load a dataset from a JSON manifest.
 
     Manifest format: {"sets": [{"id": str, "label": str, "path": str}, ...]}
-    with feature-file paths relative to the manifest's directory. String
-    labels are remapped to dense integers 0..C-1 in first-seen order; set
-    order is preserved.
+    with feature-file paths relative to the manifest's directory; an id or
+    a label may also be an integer. Labels are remapped to dense integers
+    0..C-1 in first-seen order of their string form; set order is preserved.
     """
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
@@ -172,11 +212,12 @@ def load_dataset(manifest_path) -> Dataset:
         for key in ("id", "label", "path"):
             if key not in entry:
                 raise ValueError(f"manifest {manifest_path} entry {idx} is missing the {key!r} field")
-        raw_label = str(entry["label"])
+        where, entry = f"manifest {manifest_path} sets[{idx}]", dict(entry)
+        set_id, raw_label = (str(_field(entry, key, where, (str, int))) for key in ("id", "label"))
         if raw_label not in label_map:
             label_map[raw_label] = len(label_map)
-        features = _read_feature_csv(base / entry["path"], str(entry["id"]))
-        sets.append(FeatureSet(id=str(entry["id"]), label=label_map[raw_label], features=features))
+        features = _read_feature_csv(base / _field(entry, "path", where, str), set_id)
+        sets.append(FeatureSet(id=set_id, label=label_map[raw_label], features=features))
     return Dataset(sets=tuple(sets))
 
 

@@ -83,10 +83,9 @@ def resolve_bandwidths(sample_matrices, bw_policy, kind: DivergenceKind | None =
             return [isotropic_silverman_bandwidth(m) for m in mats]
         raise ValueError(f"unknown bandwidth policy {bw_policy!r}")
     if isinstance(bw_policy, numbers.Real):
-        h2 = float(bw_policy)
-        if isinstance(bw_policy, bool) or not 0 < h2 < np.inf:
+        if not _is_positive_number(bw_policy):
             raise ValueError(f"shared isotropic bandwidth must be a positive number, got {bw_policy!r}")
-        return [Bandwidth(np.full(m.shape[1], h2)) for m in mats]
+        return [Bandwidth(np.full(m.shape[1], float(bw_policy))) for m in mats]
     bandwidths = list(bw_policy)
     if len(bandwidths) != len(mats):
         raise ValueError(
@@ -95,10 +94,16 @@ def resolve_bandwidths(sample_matrices, bw_policy, kind: DivergenceKind | None =
     return [b if isinstance(b, Bandwidth) else Bandwidth(np.asarray(b, dtype=float)) for b in bandwidths]
 
 
+def _is_positive_number(value) -> bool:
+    """Whether `value` is a positive, finite real number that is not a bool:
+    a shared isotropic variance as a bandwidth policy, or a kernel scale."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 < value < np.inf
+
+
 def describe_bandwidth_policy(bw_policy) -> str:
     if isinstance(bw_policy, str):
         return bw_policy
-    if isinstance(bw_policy, numbers.Real) and not isinstance(bw_policy, bool):
+    if _is_positive_number(bw_policy):
         return f"shared-isotropic:{float(bw_policy)!r}"
     return "fixed"
 

@@ -9,17 +9,19 @@ Wall-clock timings are kept out of the report.
 from __future__ import annotations
 
 import json
-import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from .classify import KfdaModel, accuracy, kfda_fit, latent_nn_classify, nn_classify
-from .dataset import Dataset, SyntheticSpec, generate_synthetic, load_dataset, split_gallery_probe, standardize_dataset
+from .dataset import (ConfigError, Dataset, SyntheticSpec, _field, _no_unread_keys, generate_synthetic,
+                      load_dataset, split_gallery_probe, standardize_dataset)
 from .dimred import DrConfig, learn_projection, project_sets
-from .divergence import DivergenceKind, DivergenceMatrix, cross_divergence_matrix, divergence_matrix
+from .divergence import (DivergenceKind, DivergenceMatrix, _is_positive_number, cross_divergence_matrix,
+                         divergence_matrix)
 from .kernels import _DIVERGENCE_FAMILIES, SIGMA_GRID, KernelFamily, KernelSpec, _gram_from_divergences, cross_gram, gram
 from .manifold import CgOptions, save_trace
 
@@ -34,13 +36,26 @@ __all__ = [
 PIPELINES = ("nn", "kfda", "nn_dr")
 
 
-class ConfigError(ValueError):
-    """Invalid experiment configuration; message carries the field path."""
-
-
 def _require(cond: bool, path: str, message: str):
     if not cond:
         raise ConfigError(f"{path}: {message}")
+
+
+def _checked(build, path: str):
+    """`build()`, with a ValueError from the type's own checks as a
+    ConfigError prefixed with `path`."""
+    try:
+        return build()
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _read_dataclass(cls, raw: dict, path: str):
+    """A `cls` whose every field is read from `raw` as its annotated type,
+    with the dataclass's own default."""
+    hints = get_type_hints(cls)
+    values = {f.name: _field(raw, f.name, path, hints[f.name], f.default) for f in fields(cls)}
+    return _checked(lambda: cls(**values), path)
 
 
 def _divergence_kind(raw, path: str) -> DivergenceKind:
@@ -56,9 +71,7 @@ def _kernel_family(raw, path: str) -> KernelFamily:
     try:
         return KernelFamily(raw)
     except ValueError:
-        raise ConfigError(
-            f"{path}: must be one of {[f.value for f in KernelFamily]}, got {raw!r}"
-        ) from None
+        raise ConfigError(f"{path}: must be one of {[f.value for f in KernelFamily]}, got {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -78,62 +91,45 @@ class ExperimentConfig:
     bandwidth_policy: object
     kfda_latent_dim: int | None
     kfda_regularization: float
-    dr_target_dim: int | None
-    dr_nu_w: int | str
-    dr_nu_b: int
-    dr_init: str
-    dr_cg: CgOptions
+    dr: DrConfig | None  # with the divergence, bandwidth policy and CG options; seed 0
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
+        """Read a parsed JSON config; every key is read once as its type, and
+        a wrong type, an unknown key or a failed check is a ConfigError
+        naming the field path."""
         _require(isinstance(raw, dict), "config", "must be a JSON object")
-        pipeline = raw.get("pipeline")
+        raw = dict(raw)
+        pipeline = _field(raw, "pipeline", "", str)
         _require(pipeline in PIPELINES, "pipeline", f"must be one of {PIPELINES}, got {pipeline!r}")
 
-        data = raw.get("data")
-        _require(isinstance(data, dict), "data", "must be an object with 'manifest' or 'synthetic'")
-        manifest = data.get("manifest")
-        synthetic_raw = data.get("synthetic")
-        _require((manifest is None) != (synthetic_raw is None), "data",
+        data = _field(raw, "data", "", dict)
+        manifest = _field(data, "manifest", "data", str, None)
+        synthetic = _field(data, "synthetic", "data", dict, None)
+        _no_unread_keys(data, "data")
+        _require((manifest is None) != (synthetic is None), "data",
                  "exactly one of 'manifest' or 'synthetic' is required")
-        synthetic = None
-        if synthetic_raw is not None:
-            _require(isinstance(synthetic_raw, dict), "data.synthetic", "must be an object")
-            try:
-                synthetic = SyntheticSpec(
-                    classes=int(synthetic_raw["classes"]),
-                    sets_per_class=int(synthetic_raw["sets_per_class"]),
-                    samples_per_set=int(synthetic_raw["samples_per_set"]),
-                    dim=int(synthetic_raw["dim"]),
-                    class_separation=float(synthetic_raw["class_separation"]),
-                    within_class_jitter=float(synthetic_raw["within_class_jitter"]),
-                    seed=int(synthetic_raw.get("seed", 0)),
-                )
-            except KeyError as exc:
-                raise ConfigError(f"data.synthetic.{exc.args[0]}: missing field") from exc
-            except ValueError as exc:
-                raise ConfigError(f"data.synthetic: {exc}") from exc
+        if synthetic is not None:
+            spec = _read_dataclass(SyntheticSpec, synthetic, "data.synthetic")
+            _no_unread_keys(synthetic, "data.synthetic")
+            synthetic = spec
 
-        divergence = None
-        if raw.get("divergence") is not None:
-            divergence = _divergence_kind(raw["divergence"], "divergence")
+        divergence = _field(raw, "divergence", "", str, None)
+        if divergence is not None:
+            divergence = _divergence_kind(divergence, "divergence")
 
-        kernel = None
+        kernel = _field(raw, "kernel", "", dict, None)
         sigma_grid_search = False
-        kernel_raw = raw.get("kernel")
-        if kernel_raw is not None:
+        if kernel is not None:
             _require(pipeline == "kfda", "kernel", "only valid with the kfda pipeline")
-            _require(isinstance(kernel_raw, dict), "kernel", "must be an object")
-            family = _kernel_family(kernel_raw.get("family"), "kernel.family")
-            sigma = kernel_raw.get("sigma", 0.1)
-            if sigma == "grid":
-                sigma_grid_search = True
-                sigma = SIGMA_GRID[0]
-            try:
-                kernel = KernelSpec(family=family, sigma=float(sigma),
-                                    subspace_dim=kernel_raw.get("subspace_dim"))
-            except ValueError as exc:
-                raise ConfigError(f"kernel: {exc}") from exc
+            family = _kernel_family(_field(kernel, "family", "kernel", str), "kernel.family")
+            sigma_grid_search = kernel.get("sigma") == "grid"
+            if sigma_grid_search:
+                kernel["sigma"] = SIGMA_GRID[0]
+            sigma = _field(kernel, "sigma", "kernel", float, 0.1)
+            subspace_dim = _field(kernel, "subspace_dim", "kernel", int, None)
+            _no_unread_keys(kernel, "kernel")
+            kernel = _checked(lambda: KernelSpec(family, sigma, subspace_dim), "kernel")
 
         if pipeline == "kfda":
             _require(kernel is not None, "kernel", "required by the kfda pipeline")
@@ -141,77 +137,55 @@ class ExperimentConfig:
                      "not allowed with kfda (the kernel family implies it)")
         else:
             _require(divergence is not None, "divergence", f"required by the {pipeline} pipeline")
+            _require("kfda" not in raw, "kfda", "only valid with the kfda pipeline")
 
-        dr_raw = raw.get("dr")
-        if pipeline == "nn_dr":
-            _require(isinstance(dr_raw, dict), "dr", "required by the nn_dr pipeline")
-            _require("target_dim" in dr_raw, "dr.target_dim", "missing field")
-        else:
-            _require(dr_raw is None, "dr", "only valid with the nn_dr pipeline")
-            dr_raw = {}
+        kfda = _field(raw, "kfda", "", dict, {})
+        kfda_latent_dim = _field(kfda, "latent_dim", "kfda", int, None)
+        kfda_regularization = _field(kfda, "regularization", "kfda", float, 1e-4)
+        _no_unread_keys(kfda, "kfda")
 
-        split_raw = raw.get("split", {})
-        _require(isinstance(split_raw, dict), "split", "must be an object")
-        per_class_gallery = int(split_raw.get("per_class_gallery", 3))
+        split = _field(raw, "split", "", dict, {})
+        per_class_gallery = _field(split, "per_class_gallery", "split", int, 3)
+        _no_unread_keys(split, "split")
         _require(per_class_gallery >= 1, "split.per_class_gallery", "must be >= 1")
 
-        repetitions = int(raw.get("repetitions", 1))
+        repetitions = _field(raw, "repetitions", "", int, 1)
         _require(repetitions >= 1, "repetitions", "must be >= 1")
-
-        kfda_raw = raw.get("kfda", {})
-        _require(isinstance(kfda_raw, dict), "kfda", "must be an object")
 
         # One shared variance, not a per-set list: the gallery, the probe and
         # their union have different set counts.
-        bw_policy = raw.get("bandwidth_policy", "silverman")
-        number = isinstance(bw_policy, (int, float)) and not isinstance(bw_policy, bool)
-        _require(bw_policy in ("silverman", "isotropic") or (number and 0 < bw_policy < math.inf),
+        bw_policy = _field(raw, "bandwidth_policy", "", object, "silverman")
+        _require(bw_policy in ("silverman", "isotropic") or _is_positive_number(bw_policy),
                  "bandwidth_policy", f"must be 'silverman', 'isotropic' or a positive number, got {bw_policy!r}")
 
-        try:
-            dr_cg = CgOptions(
-                max_iters=int(dr_raw.get("max_iters", 50)),
-                grad_tol=float(dr_raw.get("grad_tol", 1e-5)),
-                rel_cost_tol=float(dr_raw.get("rel_cost_tol", 1e-6)),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"dr: {exc}") from exc
+        dr = _field(raw, "dr", "", dict, None)
+        if pipeline == "nn_dr":
+            _require(dr is not None, "dr", "required by the nn_dr pipeline")
+            cg = _read_dataclass(CgOptions, dr, "dr")
+            target_dim = _field(dr, "target_dim", "dr", int)
+            nu_w = _field(dr, "nu_w", "dr", (int, str), "auto")
+            _require(nu_w == "auto" or isinstance(nu_w, int) and nu_w >= 0, "dr.nu_w",
+                     f"must be 'auto' or an integer >= 0, got {nu_w!r}")
+            nu_b = _field(dr, "nu_b", "dr", int, 1)
+            init = _field(dr, "init", "dr", str, "pca")
+            _no_unread_keys(dr, "dr")
+            dr = _checked(lambda: DrConfig(target_dim=target_dim, kind=divergence, nu_w=nu_w, nu_b=nu_b,
+                                           cg=cg, init=init, affinity_bw_policy=bw_policy), "dr")
+        else:
+            _require(dr is None, "dr", "only valid with the nn_dr pipeline")
 
+        seed = _field(raw, "seed", "", int, 0)
+        standardize = _field(raw, "standardize", "", bool, False)
+        _no_unread_keys(raw, "")
         return ExperimentConfig(
-            data_manifest=manifest,
-            data_synthetic=synthetic,
-            pipeline=pipeline,
-            divergence=divergence,
-            kernel=kernel,
-            sigma_grid_search=sigma_grid_search,
-            per_class_gallery=per_class_gallery,
-            repetitions=repetitions,
-            seed=int(raw.get("seed", 0)),
-            standardize=bool(raw.get("standardize", False)),
-            bandwidth_policy=bw_policy,
-            kfda_latent_dim=(int(kfda_raw["latent_dim"]) if kfda_raw.get("latent_dim") is not None else None),
-            kfda_regularization=float(kfda_raw.get("regularization", 1e-4)),
-            dr_target_dim=(int(dr_raw["target_dim"]) if "target_dim" in dr_raw else None),
-            dr_nu_w=dr_raw.get("nu_w", "auto"),
-            dr_nu_b=int(dr_raw.get("nu_b", 1)),
-            dr_init=str(dr_raw.get("init", "pca")),
-            dr_cg=dr_cg,
-        )
+            data_manifest=manifest, data_synthetic=synthetic, pipeline=pipeline, divergence=divergence,
+            kernel=kernel, sigma_grid_search=sigma_grid_search, per_class_gallery=per_class_gallery,
+            repetitions=repetitions, seed=seed, standardize=standardize, bandwidth_policy=bw_policy,
+            kfda_latent_dim=kfda_latent_dim, kfda_regularization=kfda_regularization, dr=dr)
 
     def to_dict(self) -> dict:
-        data = (
-            {"manifest": self.data_manifest}
-            if self.data_manifest is not None
-            else {"synthetic": {
-                "classes": self.data_synthetic.classes,
-                "sets_per_class": self.data_synthetic.sets_per_class,
-                "samples_per_set": self.data_synthetic.samples_per_set,
-                "dim": self.data_synthetic.dim,
-                "class_separation": self.data_synthetic.class_separation,
-                "within_class_jitter": self.data_synthetic.within_class_jitter,
-                "seed": self.data_synthetic.seed,
-            }}
-        )
+        data = ({"manifest": self.data_manifest} if self.data_manifest is not None
+                else {"synthetic": asdict(self.data_synthetic)})
         out = {
             "data": data,
             "pipeline": self.pipeline,
@@ -224,25 +198,13 @@ class ExperimentConfig:
         if self.divergence is not None:
             out["divergence"] = self.divergence.value
         if self.kernel is not None:
-            out["kernel"] = {
-                "family": self.kernel.family.value,
-                "sigma": "grid" if self.sigma_grid_search else self.kernel.sigma,
-                "subspace_dim": self.kernel.subspace_dim,
-            }
-            out["kfda"] = {
-                "latent_dim": self.kfda_latent_dim,
-                "regularization": self.kfda_regularization,
-            }
-        if self.pipeline == "nn_dr":
-            out["dr"] = {
-                "target_dim": self.dr_target_dim,
-                "nu_w": self.dr_nu_w,
-                "nu_b": self.dr_nu_b,
-                "init": self.dr_init,
-                "max_iters": self.dr_cg.max_iters,
-                "grad_tol": self.dr_cg.grad_tol,
-                "rel_cost_tol": self.dr_cg.rel_cost_tol,
-            }
+            out["kernel"] = {"family": self.kernel.family.value,
+                             "sigma": "grid" if self.sigma_grid_search else self.kernel.sigma,
+                             "subspace_dim": self.kernel.subspace_dim}
+            out["kfda"] = {"latent_dim": self.kfda_latent_dim, "regularization": self.kfda_regularization}
+        if self.dr is not None:
+            out["dr"] = {"target_dim": self.dr.target_dim, "nu_w": self.dr.nu_w, "nu_b": self.dr.nu_b,
+                         "init": self.dr.init, **asdict(self.dr.cg)}
         return out
 
 
@@ -333,17 +295,7 @@ def _run_repetition(dataset: Dataset, config: ExperimentConfig,
         predicted = latent_nn_classify(model, gram_cross)
         record["sigma"] = spec.sigma
     else:  # nn_dr
-        dr_config = DrConfig(
-            target_dim=config.dr_target_dim,
-            kind=config.divergence,
-            nu_w=config.dr_nu_w,
-            nu_b=config.dr_nu_b,
-            cg=config.dr_cg,
-            init=config.dr_init,
-            seed=dr_seed,
-            affinity_bw_policy=config.bandwidth_policy,
-        )
-        learned = learn_projection(gallery.sets, gallery.labels, dr_config)
+        learned = learn_projection(gallery.sets, gallery.labels, replace(config.dr, seed=dr_seed))
         gallery_proj = project_sets(gallery.sets, learned.point)
         probe_proj = project_sets(probe.sets, learned.point)
         cross = cross_divergence_matrix(gallery_proj, probe_proj, config.divergence,

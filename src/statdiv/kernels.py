@@ -9,7 +9,6 @@ covariances).
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -21,6 +20,7 @@ from .divergence import (
     DivergenceKind,
     DivergenceMatrix,
     _ids_of,
+    _is_positive_number,
     _load_with_sidecar,
     _save_with_sidecar,
     cross_divergence_matrix,
@@ -74,7 +74,7 @@ class KernelSpec:
     subspace_dim: int | None = None
 
     def __post_init__(self):
-        if not isinstance(self.sigma, numbers.Real) or self.sigma <= 0 or not np.isfinite(self.sigma):
+        if not _is_positive_number(self.sigma):
             raise ValueError(f"sigma must be a positive number, got {self.sigma!r}")
         if self.family is KernelFamily.GRASSMANN_PROJECTION:
             if self.subspace_dim is None or int(self.subspace_dim) < 1:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from statdiv.classify import accuracy, nn_classify
+from statdiv.cli import main
 from statdiv.dataset import (
     Dataset,
     FeatureSet,
@@ -104,6 +105,32 @@ class TestLoadDataset:
         manifest.write_text(json.dumps({"sets": [{"id": "s", "path": "x.csv"}]}))
         with pytest.raises(ValueError, match="entry 0 is missing the 'label' field"):
             load_dataset(manifest)
+
+    @pytest.mark.parametrize("field, value", [
+        ("path", 5), ("path", None), ("path", ["a.csv"]),
+        ("id", None), ("id", True), ("id", 1.5), ("id", ["s"]), ("id", {"s": 1}),
+        ("label", None), ("label", False), ("label", ["x"]), ("label", {"x": 1}),
+    ])
+    def test_entry_field_of_wrong_type_names_manifest_index_and_field(self, tmp_path, capsys, field, value):
+        good = {"id": "r", "label": "a", "path": "a.csv"}
+        manifest = write_manifest(tmp_path, [good, {**good, "id": "s", field: value}],
+                                  {"a.csv": np.eye(3)})
+        with pytest.raises(ValueError, match=rf"^manifest {re.escape(str(manifest))} sets\[1\]\.{field}: must be"):
+            load_dataset(manifest)
+        capsys.readouterr()
+        assert main(["dist", "--manifest", str(manifest), "--divergence", "hellinger",
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: manifest {manifest} sets[1].{field}: ")
+
+    def test_integer_id_and_label_read_as_strings(self, tmp_path):
+        manifest = write_manifest(
+            tmp_path,
+            [{"id": 7, "label": 1, "path": "a.csv"}, {"id": "8", "label": "1", "path": "a.csv"}],
+            {"a.csv": np.eye(3)},
+        )
+        ds = load_dataset(manifest)
+        assert [fs.id for fs in ds.sets] == ["7", "8"]
+        assert [fs.label for fs in ds.sets] == [0, 0]
 
     def test_ragged_row_reports_row_index(self, tmp_path):
         (tmp_path / "r.csv").write_text("1.0,2.0\n3.0\n")

@@ -279,16 +279,6 @@ class TestCentredKernel:
         with pytest.raises(ValueError, match="log kernel is NaN"):
             log_density_batch(model, model.samples)
 
-    def test_collection_block_is_log_density_batch_bit_for_bit(self):
-        rng = np.random.default_rng(22)
-        sets = [rng.normal(k, 1.0, size=(12 + 5 * k, 3)) for k in range(3)]
-        bandwidths = [silverman_bandwidth(s) for s in sets]
-        models = [DensityModel(s, bw) for s, bw in zip(sets, bandwidths)]
-        points = rng.normal(1.0, 2.0, size=(17, 3))
-        for b, (s, bw) in enumerate(zip(sets, bandwidths)):
-            np.testing.assert_array_equal(models[b].block(points)[0],
-                                          log_density_batch(DensityModel(s, bw), points))
-
     def test_model_whitens_its_anchors_once(self, monkeypatch):
         from statdiv import density
 

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -26,6 +27,35 @@ def synthetic_config(pipeline="nn", **overrides):
     if pipeline == "nn_dr":
         raw["dr"] = {"target_dim": 2, "max_iters": 8}
     raw.update(overrides)
+    return raw
+
+
+# Values of the wrong type and unknown keys: each is an error, never coerced
+# or ignored, and its message starts with the field path.
+REJECTED = [
+    ("nn", "standardize", "false", "standardize: must be true or false"),
+    ("nn", "repetitions", 2.9, "repetitions: must be an integer"),
+    ("nn", "split.per_class_gallery", 2.5, "split.per_class_gallery: must be an integer"),
+    ("kfda", "kernel.sigma", True, "kernel.sigma: must be a number"),
+    ("nn_dr", "dr.init", "bogus", "dr: init must be 'pca' or 'random'"),
+    ("nn_dr", "dr.target_dim", 0, "dr: target_dim must be >= 1"),
+    ("nn", "repetition", 5, "repetition: unknown key"),
+    ("nn", "seed", "7", "seed: must be an integer"),
+    ("nn_dr", "dr.max_iters", 2.5, "dr.max_iters: must be an integer"),
+    ("kfda", "kfda.latent_dim", 1.7, "kfda.latent_dim: must be an integer"),
+    ("nn", "data.synthetic.classes", 2.5, "data.synthetic.classes: must be an integer"),
+    ("nn_dr", "dr.maxiters", 8, "dr.maxiters: unknown key"),
+    ("nn_dr", "dr.nu_w", -1, "dr.nu_w: must be 'auto' or an integer >= 0"),
+]
+
+
+def rejected_config(pipeline, path, value):
+    raw = synthetic_config(pipeline)
+    *parents, key = path.split(".")
+    node = raw
+    for name in parents:
+        node = node.setdefault(name, {})
+    node[key] = value
     return raw
 
 
@@ -84,6 +114,27 @@ class TestConfigValidation:
     def test_valid_bandwidth_policy_is_reported_as_given(self, policy):
         config = ExperimentConfig.from_dict(synthetic_config("nn", bandwidth_policy=policy))
         assert json.dumps(config.to_dict()["bandwidth_policy"]) == json.dumps(policy)
+
+    @pytest.mark.parametrize("pipeline, path, value, message", REJECTED)
+    def test_wrong_type_or_unknown_key_names_field(self, pipeline, path, value, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            ExperimentConfig.from_dict(rejected_config(pipeline, path, value))
+
+    @pytest.mark.parametrize("raw", [
+        synthetic_config("nn"),
+        synthetic_config("nn", data={"manifest": "sets/manifest.json"}, standardize=True,
+                         bandwidth_policy=0.5),
+        synthetic_config("kfda"),
+        synthetic_config("kfda", kernel={"family": "hg", "sigma": "grid"},
+                         kfda={"latent_dim": 1, "regularization": 1e-3}),
+        synthetic_config("kfda", kernel={"family": "gda", "subspace_dim": 2}),
+        synthetic_config("nn_dr"),
+        synthetic_config("nn_dr", dr={"target_dim": 2, "nu_w": 2, "nu_b": 0, "init": "random",
+                                      "max_iters": 8, "grad_tol": 1e-3, "rel_cost_tol": 1}),
+    ])
+    def test_to_dict_round_trips(self, raw):
+        config = ExperimentConfig.from_dict(raw)
+        assert ExperimentConfig.from_dict(config.to_dict()) == config
 
 
 class TestRunExperiment:
@@ -241,6 +292,14 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(synthetic_config("svm")))
         assert self.run("eval", "--config", str(bad), "--out", str(tmp_path / "run2")) == 1
+
+    @pytest.mark.parametrize("pipeline, path, value, message", REJECTED)
+    def test_eval_rejects_config_naming_field(self, tmp_path, capsys, pipeline, path, value, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(rejected_config(pipeline, path, value)))
+        assert self.run("eval", "--config", str(config), "--out", str(tmp_path / "run")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and "Traceback" not in err
 
     def test_gda_kernel_without_dim_is_validation_error(self, tmp_path):
         data = tmp_path / "data"

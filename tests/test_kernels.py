@@ -39,6 +39,11 @@ class TestKernelFromDivergence:
     def test_zero_divergence_maps_to_one(self, family):
         assert kernel_from_divergence(0.0, KernelSpec(family=family, sigma=0.3)) == 1.0
 
+    @pytest.mark.parametrize("sigma", [True, False, 0, -1.0, float("nan"), float("inf"), "0.5"])
+    def test_spec_rejects_sigma_that_is_not_a_positive_number(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be a positive number"):
+            KernelSpec(family=KernelFamily.HELLINGER_GAUSSIAN, sigma=sigma)
+
     def test_gaussian_at_max_distance(self):
         spec = KernelSpec(family=KernelFamily.HELLINGER_GAUSSIAN, sigma=1.0)
         assert kernel_from_divergence(2.0, spec) == pytest.approx(np.exp(-2.0), rel=1e-14)
