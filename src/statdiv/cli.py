@@ -173,8 +173,17 @@ def _cmd_train_kfda(args) -> int:
     return 0
 
 
+def _object_at(raw: dict, key: str) -> dict:
+    """`raw[key]` (an empty object if absent) for an override; a ConfigError if not an object."""
+    if not isinstance(value := raw.setdefault(key, {}), dict):
+        raise ConfigError(f"{key}: must be an object, got {value!r}")
+    return value
+
+
 def _cmd_eval(args) -> int:
     raw = json.loads(Path(args.config).read_text())
+    if not isinstance(raw, dict):
+        raise ConfigError("config: must be a JSON object")
     if args.seed is not None:
         raw["seed"] = args.seed
     if args.pipeline is not None:
@@ -182,13 +191,13 @@ def _cmd_eval(args) -> int:
     if args.divergence is not None:
         raw["divergence"] = _divergence_arg(args.divergence).value
     if args.kernel is not None:
-        raw.setdefault("kernel", {})["family"] = args.kernel
+        _object_at(raw, "kernel")["family"] = args.kernel
     if args.sigma is not None:
-        raw.setdefault("kernel", {})["sigma"] = (
+        _object_at(raw, "kernel")["sigma"] = (
             "grid" if args.sigma == "grid" else float(args.sigma)
         )
     if args.dim is not None:
-        raw.setdefault("dr", {})["target_dim"] = args.dim
+        _object_at(raw, "dr")["target_dim"] = args.dim
     config = ExperimentConfig.from_dict(raw)
     report = run_experiment(config)
     emit_report(report, args.out)

@@ -1,23 +1,20 @@
 """Gaussian kernel density estimation with diagonal per-set bandwidths.
 
 A fitted density is a mixture of identical axis-aligned Gaussians centered
-at the sample rows. `DensityModel` is the one fitted-KDE record: its log
-normalizer and its whitened anchors (`_anchors`) are computed once, and
-:meth:`DensityModel.block` is the one evaluation. It forms a block of log
-kernels, a row per point and a column per sample, by a centred GEMM on
-those anchors (`_log_kernel_matrix`), and reduces its rows by log-sum-exp
-(`_log_mixture`), so densities never underflow to 0 (for the accuracy see
-`_log_kernel_matrix`). The log-sum-exp runs in cache-sized row blocks
-(`_LSE_BLOCK` entries, its largest temporary) and is bit-equal to
-`scipy.special.logsumexp` per row. Several sets' models are a plain list:
-:func:`stacked` evaluates each KDE once per list of pairs at the stacked
-samples of the sets it meets, and :func:`log_ratios` forms each set's log
-ratios as one array."""
+at the sample rows. `DensityModel` is the one fitted-KDE record, for one set
+or for the sets of one size on a leading axis: its log normalizer and
+whitened anchors (`_anchors`) are computed once. A block of log kernels, a
+row per point and a column per sample, is a centred GEMM on those anchors
+(`_log_kernel_matrix`), its rows reduced by a log-sum-exp bit-equal to
+`scipy.special.logsumexp` (`_log_mixture`), so densities never underflow
+to 0. :func:`tiles` evaluates every block a list of pairs needs in tiles of
+one size of KDE, and :func:`log_ratios` forms each set's log ratios as one array."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate, groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -37,41 +34,41 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _features_of(samples) -> np.ndarray:
-    """Coerce to an n x D float matrix, accepting objects with a `.features` attribute."""
+def _features_of(samples, stacked: int = 0) -> np.ndarray:
+    """Coerce to an n x D float matrix (K x n x D if `stacked`), accepting objects with a `.features` attribute."""
     mat = np.asarray(getattr(samples, "features", samples), dtype=float)
-    if mat.ndim != 2:
-        raise ValueError(f"expected an n x D sample matrix, got shape {mat.shape}")
+    if mat.ndim != 2 + stacked:
+        raise ValueError(f"expected an {'K x ' * stacked}n x D sample matrix, got shape {mat.shape}")
     return mat
 
 
-def _as_sample_matrix(samples) -> np.ndarray:
+def _as_sample_matrix(samples, stacked: int = 0) -> np.ndarray:
     """:func:`_features_of` plus the KDE's requirements: n >= 2, finite entries."""
-    mat = _features_of(samples)
-    if mat.shape[0] < 2:
-        raise ValueError(f"n >= 2 violated: got {mat.shape[0]} samples")
-    if not np.all(np.isfinite(mat)):
+    mat = _features_of(samples, stacked)
+    if mat.shape[-2] < 2:
+        raise ValueError(f"n >= 2 violated: got {mat.shape[-2]} samples")
+    if not np.isfinite(mat).all():
         raise ValueError("sample matrix contains non-finite entries")
     return mat
 
 
 @dataclass(frozen=True)
 class Bandwidth:
-    """Diagonal of the smoothing covariance (variances, not standard deviations)."""
+    """Diagonal of the smoothing covariance (variances, not standard deviations); K x D for K KDEs."""
 
     diag: np.ndarray
 
     def __post_init__(self):
         diag = np.atleast_1d(np.asarray(self.diag, dtype=float))
-        if diag.ndim != 1:
-            raise ValueError(f"bandwidth diagonal must be a vector, got shape {diag.shape}")
+        if diag.ndim > 2:
+            raise ValueError(f"bandwidth diagonal must be a vector or a stack of them, got shape {diag.shape}")
         if not np.all(np.isfinite(diag)) or np.any(diag <= 0):
             raise ValueError("bandwidth diagonal entries must be positive and finite")
         object.__setattr__(self, "diag", _read_only(diag))
 
     @property
     def dim(self) -> int:
-        return self.diag.size
+        return self.diag.shape[-1]
 
 
 def _silverman_factor(n: int, d: int) -> float:
@@ -111,98 +108,105 @@ def isotropic_silverman_bandwidth(samples) -> Bandwidth:
 
 @dataclass(frozen=True)
 class DensityModel:
-    """A fitted kernel density: samples and bandwidth, plus what every
-    evaluation reuses, computed once here: the log normalizer
-    -log(n) - 0.5 log det(2 pi Sigma) and the whitened anchors of :func:`_anchors`."""
+    """A fitted kernel density, or K of them on sets of one size (samples K x n x D,
+    bandwidth diagonals K x D), with what every evaluation reuses computed once: the
+    log normalizer -log(n) - 0.5 log det(2 pi Sigma) per KDE and :func:`_anchors`."""
 
     samples: np.ndarray
     bandwidth: Bandwidth
-    log_norm: float = field(init=False)
+    log_norm: float | np.ndarray = field(init=False)
     anchors: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        samples, diag = _as_sample_matrix(self.samples), self.bandwidth.diag
-        if samples.shape[1] != diag.size:
-            raise ValueError(f"bandwidth dimension {diag.size} does not match sample dimension {samples.shape[1]}")
-        object.__setattr__(self, "samples", _read_only(samples))
-        object.__setattr__(self, "log_norm", -np.log(self.n) - 0.5 * float(np.sum(np.log(2.0 * np.pi * diag))))
-        if not np.isfinite(self.log_norm):
+        diag = self.bandwidth.diag
+        samples = _read_only(_as_sample_matrix(self.samples, diag.ndim - 1))
+        if samples.shape[:-2] + samples.shape[-1:] != diag.shape:
+            raise ValueError(f"bandwidth dimension {diag.shape[-1]} does not match sample dimension "
+                             f"{samples.shape[-1]} (bandwidths {diag.shape}, samples {samples.shape})")
+        log_norm = -np.log(samples.shape[-2]) - 0.5 * np.log(2.0 * np.pi * diag).sum(axis=-1)
+        if not np.isfinite(log_norm).all():
             raise ValueError("log normalizer is not finite")
-        object.__setattr__(self, "anchors", _anchors(self.samples, diag))
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "log_norm", log_norm)
+        object.__setattr__(self, "anchors", _anchors(samples, diag, log_norm))
 
     @property
     def n(self) -> int:
-        return self.samples.shape[0]
+        return self.samples.shape[-2]
 
     @property
     def dim(self) -> int:
-        return self.samples.shape[1]
+        return self.samples.shape[-1]
 
-    def block(self, points: np.ndarray, sizes=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """This KDE at each row of `points` (stacked from sets of `sizes` rows, if given): the
-        log density, the log-kernel rows and their log-sum-exp (see :func:`_log_mixture`)."""
-        rows = _log_kernel_matrix(points, self.anchors, sizes)
-        log_density, lse = _log_mixture(rows, self.log_norm)
-        return log_density, rows, lse
+    def block(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """This KDE (one, with no leading axis) at each row of `points`; see :func:`_log_mixture`."""
+        _, _, centre, scale, a = self.anchors
+        return _log_mixture(_log_kernel_matrix(points, centre, scale, [(1, len(points), a.transpose(0, 2, 1))]),
+                            self.log_norm)
 
 
 def _whitened(rows: np.ndarray, centre: np.ndarray, scale: np.ndarray, norm_last: bool) -> np.ndarray:
     """[w, -|w|^2/2, 1], or [w, 1, -|w|^2/2] if `norm_last`, w = (rows - centre) * scale."""
-    out = np.empty((rows.shape[0], rows.shape[1] + 2))
-    w = np.multiply(rows - centre, scale, out=out[:, :-2])
-    out[:, -2 + norm_last] = -0.5 * np.einsum("ij,ij->i", w, w)
-    out[:, -1 - norm_last] = 1.0
+    out = np.empty(rows.shape[:-1] + (rows.shape[-1] + 2,))
+    w = np.multiply(rows - centre, scale, out=out[..., :-2])
+    out[..., -2 + norm_last] = -0.5 * np.einsum("...j,...j->...", w, w)
+    out[..., -1 - norm_last] = 1.0
     return out
 
 
-def _anchors(samples: np.ndarray, diag: np.ndarray) -> tuple:
-    """A mixture's samples centred on their mean c and whitened by its
-    bandwidth: (c, 1/sqrt(diag), rows [a, 1, -|a|^2/2]), a = (samples - c)/sqrt(diag)."""
-    centre, scale = samples.mean(axis=0), 1.0 / np.sqrt(diag)
-    return centre, scale, _whitened(samples, centre, scale, norm_last=True)
+def _anchors(samples: np.ndarray, diag: np.ndarray, log_norm) -> tuple:
+    """What every evaluation reads, each with a leading axis over the KDEs: (log_norm,
+    samples, their means c, 1/sqrt(diag), rows [a, 1, -|a|^2/2]), a = (samples - c)/sqrt(diag)."""
+    samples, diag = samples.reshape(-1, *samples.shape[-2:]), diag.reshape(-1, diag.shape[-1])
+    centre, scale = samples.sum(axis=1) / samples.shape[1], 1.0 / np.sqrt(diag)  # the mean, bit-equal to np.mean
+    rows = _whitened(samples, centre[:, None], scale[:, None], norm_last=True)
+    return log_norm.reshape(-1), samples, centre, scale, rows
 
 
-def _log_kernel_matrix(points: np.ndarray, anchors: tuple, sizes=None) -> np.ndarray:
+def _log_kernel_matrix(points: np.ndarray, centre: np.ndarray, scale: np.ndarray, runs) -> np.ndarray:
     """L[k, i] = -0.5 * sum_j (points[k,j] - samples[i,j])^2 / diag[j] = x_k . a_i - |x_k|^2/2
     - |a_i|^2/2 clamped at 0, a GEMM in the centred coordinates of :func:`_anchors`.
     Absolute error about eps * max(|x_k|^2, |a_i|^2), also where L is near 0; NaN once one overflows.
-    `points` stacked from sets of `sizes` rows get one GEMM per set, the BLAS call of that
-    set alone, so each set's rows are bit-equal to its own block on any BLAS core."""
-    centre, scale, a = anchors
+    Each row is whitened by its own KDE's `centre` and `scale` (broadcast). `runs` holds (P, n, a)
+    per run of P blocks of n rows, a the P x (D+2) x n_b transposed anchors of their KDEs (or of
+    the one they share): a batched matmul, one GEMM per block, so each is bit-equal on any core."""
     w = _whitened(points, centre, scale, norm_last=False)
-    out = np.empty((w.shape[0], a.shape[0]))
-    for stop, size in zip(accumulate(sizes or [len(w)]), sizes or [len(w)]):
-        np.matmul(w[stop - size:stop], a.T, out=out[stop - size:stop])
+    out = np.empty((w.shape[0], runs[0][2].shape[2]))
+    start = 0
+    for count, n, a in runs:
+        stop = start + count * n
+        if count == 1:
+            np.matmul(w[start:stop], a[0], out=out[start:stop])
+        else:
+            np.matmul(w[start:stop].reshape(count, n, -1), a, out=out[start:stop].reshape(count, n, -1))
+        start = stop
     return np.minimum(out, 0.0, out=out)
 
 
 # Entries per row block of `_row_logsumexp`: 512 KiB of float64, so its
 # temporaries stay in cache instead of doubling a large block's footprint.
 _LSE_BLOCK = 2**16
-# Window of `_runs`: 64 KiB of float64, under glibc's 128 KiB mmap threshold; stacking
+# Window of `tiles`: 64 KiB of float64, under glibc's 128 KiB mmap threshold; tiling
 # 100 x 100 blocks to 600 x 100 (512 KiB) raised peak RSS and time on a 2-core x86 host.
 _STACK_BLOCK = 2**13
 
 
-def _runs(items: list, sizes: list[int]) -> list[list]:
-    """`items`, of `sizes` entries each, cut into runs of those that start in the same
-    `_STACK_BLOCK` entries laid end to end: under `_STACK_BLOCK` plus its last item."""
-    start = np.cumsum([0] + sizes[:-1]) // _STACK_BLOCK
-    return [[items[k] for k in run] for _, run in groupby(range(len(items)), key=start.__getitem__)]
-
-
 def _block_logsumexp(a: np.ndarray) -> np.ndarray:
-    """The row log-sum-exp of one row block; see :func:`_row_logsumexp`."""
-    a_max = a.max(axis=1, keepdims=True)
+    """The row log-sum-exp of one row block; see :func:`_row_logsumexp`. Rows under 48 entries, in
+    a block of up to half `_LSE_BLOCK`, find their exact maxima and counts across rows, on a
+    transposed copy that stays in cache: numpy reduces short rows slowly."""
+    short = a.shape[1] < 48 and a.size <= _LSE_BLOCK // 2
+    t = a.T.copy() if short else a.T
+    a_max = t.max(axis=0)
     if np.isnan(a_max).any():
         raise ValueError("a log kernel is NaN: a point or sample lies ~1e154 bandwidths from the samples' mean")
-    is_max = a == a_max
-    count = is_max.sum(axis=1, keepdims=True, dtype=float)
+    is_max = a == a_max[:, None]
+    count = (t == a_max if short else is_max.T).sum(axis=0, dtype=float)
     rest = np.where(is_max, -np.inf, a)
-    rest -= np.where(a_max == -np.inf, 0.0, a_max)
+    rest -= np.where(a_max == -np.inf, 0.0, a_max)[:, None]
     np.exp(rest, out=rest)
-    s = rest.sum(axis=1, keepdims=True) / count
-    return (np.log1p(s) + np.log(count) + a_max)[:, 0]
+    s = rest.sum(axis=1) / count
+    return np.log1p(s) + np.log(count) + a_max
 
 
 def _row_logsumexp(a: np.ndarray) -> np.ndarray:
@@ -225,43 +229,58 @@ def _row_logsumexp(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_mixture(log_kernels: np.ndarray, log_norm: float) -> tuple[np.ndarray, np.ndarray]:
-    """KDE log density from its log-kernel matrix (a row per evaluation
-    point, a column per mixture component): the row log-sum-exp plus the
-    log normalizer. Also returns that log-sum-exp, from which a caller forms
-    the component weights exp(L - lse) without a second reduction. The
-    log-sum-exp is :func:`_row_logsumexp`, bit-equal to scipy's per row and
-    reduced in row blocks, so its largest temporary is 512 KiB."""
+def _log_mixture(log_kernels: np.ndarray, log_norm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """KDE log density from its log-kernel matrix (a row per point, a column per
+    component): the row log-sum-exp (:func:`_row_logsumexp`) plus each row's log
+    normalizer; then the matrix and that log-sum-exp, from which a caller forms
+    the component weights exp(L - lse) without a second reduction."""
     lse = _row_logsumexp(log_kernels)
-    return lse + log_norm, lse
+    return lse + log_norm, log_kernels, lse
 
 
-def stacked(models: list[DensityModel], pairs):
-    """Yields (b, sets, their stacked samples, *:meth:`DensityModel.block` there) for each
-    KDE b of `models` in `pairs`, at set b and each distinct partner cut into :func:`_runs`
-    of their blocks. Each set's rows are bit-equal to its own block: the whitening and the
-    log-sum-exp are row by row, and each set gets its own GEMM."""
-    stacks = {}  # b: {b, then each distinct partner}, in order
+def tiles(kdes, pairs):
+    """Yields (runs, points, *:func:`_log_mixture`) per tile of the blocks (KDE b, set s) that
+    `pairs` of `kdes` need, b at b and at each distinct partner; `kdes` holds (model, k) per set,
+    KDE k on the model's leading axis, or a model without one. A tile is blocks of one model's
+    KDEs, by set size, cut where one starts past `_STACK_BLOCK` entries; its points are the
+    sets' samples in `runs`, (n, [(b, s), ...]) per run of sets of n rows. All but the GEMM is
+    row by row and each block gets its own, so each is bit-equal to :meth:`DensityModel.block`."""
+    kdes = [(m, 0) if isinstance(m, DensityModel) else m for m in kdes]
+    samples, groups = [m.anchors[1][k] for m, k in kdes], {}  # id of a model: its blocks (n_s, b, s)
     for i, j in pairs:
-        stacks.setdefault(i, {i: None})[j] = None
-        stacks.setdefault(j, {j: None})[i] = None
-    n = [model.n for model in models]
-    for b, stack in stacks.items():
-        for group in _runs(list(stack), [n[s] * n[b] for s in stack]):
-            points = np.concatenate([models[s].samples for s in group])
-            yield (b, group, points, *models[b].block(points, [n[s] for s in group]))
+        for b, s in ((i, i), (i, j), (j, j), (j, i)):
+            groups.setdefault(id(kdes[b][0]), {})[len(samples[s]), b, s] = None
+    for blocks in map(sorted, groups.values()):
+        log_norm, _, centre, scale, a = kdes[blocks[0][1]][0].anchors
+        starts = accumulate((n * a.shape[1] for n, _, _ in blocks), initial=0)
+        for _, tile in groupby(blocks, key=lambda _: next(starts) // _STACK_BLOCK):
+            runs = [(n, [(b, s) for _, b, s in run]) for n, run in groupby(tile, key=itemgetter(0))]
+            ks = [[kdes[b][1] for b, _ in run] for _, run in runs]
+            if min(map(min, ks)) == max(map(max, ks)):  # one KDE: broadcast it
+                ks = [slice(ks[0][0], ks[0][0] + 1)] * len(runs)
+                per_row = [x[ks[0]] for x in (log_norm, centre, scale)]
+            else:
+                per_row = [np.repeat(x[sum(ks, [])], [n for n, run in runs for _ in run], axis=0)
+                           for x in (log_norm, centre, scale)]
+            gathered = [(len(run), n, a[k].transpose(0, 2, 1)) for (n, run), k in zip(runs, ks)]
+            points = [samples[s] for _, run in runs for _, s in run]
+            points = points[0] if len(points) == 1 else np.concatenate(points)
+            yield runs, points, *_log_mixture(_log_kernel_matrix(points, *per_row[1:], gathered), per_row[0])
 
 
-def log_ratios(models: list[DensityModel], pairs, blocks=None):
+def log_ratios(kdes, pairs, tiled=None):
     """Yields (s, its distinct partners r, z) for each set s in `pairs`, one row
-    z[r] = log p_s - log p_r at the samples of s per partner, from `blocks` of
-    :func:`stacked` (by default made here and dropped as read). Each set's log
+    z[r] = log p_s - log p_r at the samples of s per partner, from the blocks of
+    :func:`tiles` (by default made here and dropped as read). Each set's log
     densities are dropped as its z is formed, so one z exists at a time."""
     at = {}  # s: {b: log p_b at the samples of s}
-    for b, group, _, log_density, *kernels in stacked(models, pairs) if blocks is None else blocks:
-        del kernels  # before the next block is formed, so two never coexist
-        for s, stop in zip(group, accumulate(models[s].n for s in group)):
-            at.setdefault(s, {})[b] = log_density[stop - models[s].n:stop]
+    for runs, _, log_density, *kernels in tiles(kdes, pairs) if tiled is None else tiled:
+        del kernels  # before the next tile is formed, so two never coexist
+        stop = 0
+        for n, run in runs:
+            for b, s in run:
+                at.setdefault(s, {})[b] = log_density[stop:stop + n]
+                stop += n
     while at:
         s, logs = at.popitem()
         own = logs.pop(s)
@@ -287,7 +306,7 @@ def log_density_loo(model: DensityModel, sample_index: int | None = None) -> np.
     """
     if model.n < 3:
         raise ValueError("leave-one-out evaluation needs at least 3 samples")
-    log_kernels = _log_kernel_matrix(model.samples, model.anchors)
+    log_kernels = model.block(model.samples)[1]
     np.fill_diagonal(log_kernels, -np.inf)
     log_norm = model.log_norm + np.log(model.n) - np.log(model.n - 1)
     out = _log_mixture(log_kernels, log_norm)[0]

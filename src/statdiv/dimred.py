@@ -8,11 +8,10 @@ bandwidths are data: both are computed once and stay fixed during the
 optimization, which runs a projection-based conjugate gradient over
 orthonormal frames.
 
-The cost and the gradient evaluate the projected sets' KDEs, a list of
-`density.DensityModel`s, through the estimators' `density.stacked`, one
-stacked block per KDE; the gradient reads the same blocks and weighs each
-sample by its term's slope in its set's log ratios z (`divergence._TERMS`),
-one weight array per set.
+The cost and the gradient fit the projected sets' KDEs by size and read
+them through `density.tiles`. The gradient weighs each sample by its
+term's slope in its set's log ratios z (`divergence._TERMS`) and sums
+each tile's blocks by batched contractions and one GEMM per side.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classify import _fix_column_signs
-from .density import Bandwidth, DensityModel, _features_of, _read_only, log_ratios, stacked
+from .density import Bandwidth, DensityModel, _features_of, _read_only, log_ratios, tiles
 from .divergence import _TERMS, DivergenceKind, _estimates, _kde_collection, divergence_matrix, resolve_bandwidths
 from .manifold import CgOptions, CgResult, cg_minimize, random_orthonormal
 
@@ -141,7 +140,7 @@ def _active_pairs(affinity: AffinityMatrix) -> tuple[list[tuple[int, int]], list
     return list(zip(i.tolist(), j.tolist())), affinity.values[i, j].astype(float).tolist()
 
 
-def _projected_kdes(w: np.ndarray, sets, bandwidths) -> list[DensityModel]:
+def _projected_kdes(w: np.ndarray, sets, bandwidths) -> list[tuple[DensityModel, int]]:
     """The KDEs of the projected sets with frozen bandwidths. A bandwidth
     policy would recompute them from each W, and the gradient, which holds
     them fixed, would no longer be the derivative of the cost."""
@@ -169,25 +168,29 @@ def dr_cost(w: np.ndarray, sets, affinity: AffinityMatrix,
     return total
 
 
-def _mixture_gradient(omega: np.ndarray, points: np.ndarray, points_proj: np.ndarray,
-                      anchors: np.ndarray, model: DensityModel, block) -> np.ndarray:
-    """sum_x omega[x] * d(log density at point x)/dW for the projected KDE `model`
-    of the full-dimensional samples `anchors`, from its `block` at the projected points.
-
-    The softmax weights of the mixture components at each point come from
-    its log kernels; the gradient of each log kernel is the outer product
-    of the full-dimensional offset with the scaled projected offset.
-    """
-    _, rows, lse = block
-    anchors_proj = model.samples
-    soft = np.exp(rows - lse[:, None])
-    inv = 1.0 / model.bandwidth.diag
-    b = omega[:, None] * soft
-    row_sum = b.sum(axis=1)
-    col_sum = b.sum(axis=0)
-    left = points.T @ ((row_sum[:, None] * points_proj - b @ anchors_proj) * inv)
-    right = anchors.T @ ((b.T @ points_proj - col_sum[:, None] * anchors_proj) * inv)
-    return -(left - right)
+def _mixture_gradient(omega: np.ndarray, points: np.ndarray, points_proj: np.ndarray, anchors: np.ndarray,
+                      anchors_proj: np.ndarray, inv: np.ndarray, runs, kernels, lse) -> np.ndarray:
+    """sum_x omega[x] * d(log p(x))/dW over the rows x of a tile, from its log `kernels` at the
+    projected `points_proj` of the full-dimensional `points`; `runs` holds (P, n) per run of P
+    blocks of n rows. Block k's KDE p is the projection of its full-dimensional samples
+    `anchors[k]` (laid end to end), with samples `anchors_proj[k]` and inverse bandwidths `inv[k]`.
+    The softmax weights of the mixture components at each point come from its log kernels; the
+    gradient of each log kernel is the outer product of the full-dimensional offset with the
+    scaled projected offset."""
+    b = np.exp(kernels - lse[:, None])
+    b *= omega[:, None]
+    left = b.sum(axis=1)[:, None] * points_proj
+    right = np.empty_like(anchors_proj)
+    stop = last = 0
+    for count, n in runs:
+        rows, blocks = slice(stop, stop + count * n), slice(last, last + count)
+        b3, left3, inv3 = b[rows].reshape(count, n, -1), left[rows].reshape(count, n, -1), inv[blocks, None]
+        left3 -= b3 @ anchors_proj[blocks]
+        left3 *= inv3
+        right[blocks] = (b3.transpose(0, 2, 1) @ points_proj[rows].reshape(count, n, -1)
+                         - b3.sum(axis=1)[..., None] * anchors_proj[blocks]) * inv3
+        stop, last = rows.stop, blocks.stop
+    return anchors.T @ right.reshape(-1, right.shape[-1]) - points.T @ left
 
 
 def dr_euclidean_gradient(w: np.ndarray, sets, affinity: AffinityMatrix,
@@ -196,24 +199,29 @@ def dr_euclidean_gradient(w: np.ndarray, sets, affinity: AffinityMatrix,
 
     A sample of set s depends on W only through its log ratios z = log p_s - log p_r,
     each weighed by the pair's sign times the term's slope in z over the set's size:
-    minus that under each partner's KDE r, the sum under its own KDE s, so each of
-    the cost's blocks gives one :func:`_mixture_gradient`.
+    minus that under each partner's KDE r, the sum under its own KDE s, so each tile
+    of the cost's blocks gives one :func:`_mixture_gradient`.
     """
     w = np.asarray(w, dtype=float)
     mats = [_features_of(s) for s in sets]
     kdes = _projected_kdes(w, mats, bandwidths)
     pairs = _active_pairs(affinity)[0]
-    blocks = list(stacked(kdes, pairs))
+    tiled = list(tiles(kdes, pairs))
     omega = {}  # (b, s): the weight of each sample of set s in d(log p_b)/dW
-    for s, partners, z in log_ratios(kdes, pairs, blocks):
+    for s, partners, z in log_ratios(kdes, pairs, tiled):
         weights = affinity.values[s, partners, None] * _TERMS[kind][1](z) / mats[s].shape[0]
         omega[s, s] = weights.sum(axis=0)
         omega.update(((r, s), -row) for r, row in zip(partners, weights))
     total = np.zeros_like(w)
-    for b, group, points_proj, *block in blocks:
-        weights = np.concatenate([omega[b, s] for s in group])
-        points = np.concatenate([mats[s] for s in group])
-        total += _mixture_gradient(weights, points, points_proj, mats[b], kdes[b], block)
+    for runs, points_proj, _, *block in tiled:
+        blocks = [bs for _, run in runs for bs in run]
+        model, one = kdes[blocks[0][0]][0], len({b for b, _ in blocks}) == 1  # one KDE: its blocks are one run
+        own = [kdes[b][1] for b, _ in blocks[:1 if one else None]]
+        total += _mixture_gradient(
+            np.concatenate([omega[bs] for bs in blocks]), np.concatenate([mats[s] for _, s in blocks]), points_proj,
+            np.concatenate([mats[b] for b, _ in blocks[:len(own)]]), model.anchors[1][own],
+            1.0 / model.bandwidth.diag.reshape(-1, w.shape[1])[own],
+            [(1, len(points_proj))] if one else [(len(run), n) for n, run in runs], *block)
     return total
 
 

@@ -3,12 +3,11 @@
 The symmetric estimators average a per-sample term over the samples of
 both sets. Each term, and its slope for the DR gradient (`_TERMS`), is a
 closed form in the log ratio z = log p - log q = logit T, T = p / (p + q),
-that `density.log_ratios` gives from a list of the sets' `DensityModel`s,
-so neither density is ever exponentiated on its own and T is never formed.
-Each KDE is evaluated once per list of pairs and each set's log ratios
-against all its partners come as one array, so a term runs once per set
-and a pair's estimate is the sum of two row means.
-"""
+that `density.log_ratios` gives from the sets' KDEs (fitted by size), so
+neither density is ever exponentiated on its own and T is never formed.
+Each KDE is evaluated once per list of pairs (`density.tiles`) and each
+set's log ratios against all its partners come as one array, so a term
+runs once per set and a pair's estimate is the sum of two row means."""
 
 from __future__ import annotations
 
@@ -108,15 +107,23 @@ def describe_bandwidth_policy(bw_policy) -> str:
     return "fixed"
 
 
-def _kde_collection(sets, bw_policy, kind: DivergenceKind | None = None) -> list[DensityModel]:
-    """The KDEs of `sets`, bandwidths by :func:`resolve_bandwidths`; the
-    sets must share one dimension."""
+def _kde_collection(sets, bw_policy, kind: DivergenceKind | None = None) -> list[tuple[DensityModel, int]]:
+    """The KDEs of `sets` (one dimension), bandwidths by :func:`resolve_bandwidths`, as (model,
+    k) per set: the sets of one size are fitted at once, the KDEs on one model's leading axis."""
     mats = [_features_of(s) for s in sets]
     for m in mats[1:]:
         if m.shape[1] != mats[0].shape[1]:
             raise ValueError(
                 f"dimension mismatch: first set has D={mats[0].shape[1]}, second has D={m.shape[1]}")
-    return [DensityModel(m, bw) for m, bw in zip(mats, resolve_bandwidths(mats, bw_policy, kind))]
+    bandwidths, by_size, kdes = resolve_bandwidths(mats, bw_policy, kind), {}, [None] * len(mats)
+    for s, m in enumerate(mats):
+        by_size.setdefault(len(m), []).append(s)
+    for group in by_size.values():
+        model = DensityModel(mats[group[0]], bandwidths[group[0]]) if len(group) == 1 else DensityModel(
+            np.stack([mats[s] for s in group]), Bandwidth(np.stack([bandwidths[s].diag for s in group])))
+        for k, s in enumerate(group):
+            kdes[s] = (model, k)
+    return kdes
 
 
 # The clamp on T as a bound on the log ratio: |z| <= log((1 - T_CLAMP) / T_CLAMP).
@@ -156,7 +163,7 @@ _TERMS = {
 }
 
 
-def _estimates(kind: DivergenceKind, kdes: list[DensityModel], pairs) -> list[float]:
+def _estimates(kind: DivergenceKind, kdes: list[tuple[DensityModel, int]], pairs) -> list[float]:
     """Each pair's symmetric estimate (i, j) among the sets of `kdes`, each KDE evaluated
     once for all `pairs`: the mean per-sample term over set i plus that over set j."""
     means = {}  # s: {r: the mean term at the samples of s against partner r}

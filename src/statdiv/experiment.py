@@ -141,7 +141,9 @@ class ExperimentConfig:
 
         kfda = _field(raw, "kfda", "", dict, {})
         kfda_latent_dim = _field(kfda, "latent_dim", "kfda", int, None)
+        _require(kfda_latent_dim is None or kfda_latent_dim >= 1, "kfda.latent_dim", "must be >= 1")
         kfda_regularization = _field(kfda, "regularization", "kfda", float, 1e-4)
+        _require(kfda_regularization > 0, "kfda.regularization", "must be > 0")
         _no_unread_keys(kfda, "kfda")
 
         split = _field(raw, "split", "", dict, {})

@@ -9,6 +9,7 @@ covariances).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -77,9 +78,10 @@ class KernelSpec:
         if not _is_positive_number(self.sigma):
             raise ValueError(f"sigma must be a positive number, got {self.sigma!r}")
         if self.family is KernelFamily.GRASSMANN_PROJECTION:
-            if self.subspace_dim is None or int(self.subspace_dim) < 1:
-                raise ValueError("the projection kernel needs subspace_dim >= 1")
-            object.__setattr__(self, "subspace_dim", int(self.subspace_dim))
+            dim = self.subspace_dim
+            if not isinstance(dim, numbers.Integral) or isinstance(dim, bool) or dim < 1:
+                raise ValueError(f"the projection kernel needs an integer subspace_dim >= 1, got {dim!r}")
+            object.__setattr__(self, "subspace_dim", int(dim))
 
 
 def kernel_from_divergence(delta, spec: KernelSpec):

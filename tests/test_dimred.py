@@ -309,7 +309,7 @@ class TestLearnProjection:
 class TestGradientBlockCount:
     @pytest.mark.parametrize("fn", [dr_cost, dr_euclidean_gradient])
     @pytest.mark.parametrize("kind", list(DivergenceKind))
-    def test_one_stacked_block_per_set_an_active_pair_touches(self, fn, kind, monkeypatch):
+    def test_one_tile_per_set_an_active_pair_touches(self, fn, kind, monkeypatch):
         from statdiv import density
 
         mats, _, affinity, rng = toy_problem(31)
@@ -319,9 +319,9 @@ class TestGradientBlockCount:
         calls = []
         kernel = density._log_kernel_matrix
 
-        def counting(points, anchors, *rest):
-            calls.append((points.shape[0], anchors[2].shape[0]))
-            return kernel(points, anchors, *rest)
+        def counting(points, centre, scale, runs):
+            calls.append((points.shape[0], runs[0][2].shape[2]))  # rows, KDE size
+            return kernel(points, centre, scale, runs)
 
         monkeypatch.setattr(density, "_log_kernel_matrix", counting)
         fn(w, mats, affinity, kind, bandwidths)

@@ -18,9 +18,12 @@ from statdiv.divergence import (
     jeffrey_empirical,
     load_divergence_matrix,
     pair_divergence,
+    resolve_bandwidths,
     _kde_collection,
     save_divergence_matrix,
 )
+from statdiv.dimred import AffinityMatrix, dr_euclidean_gradient, project_sets
+from statdiv.manifold import random_orthonormal
 from statdiv.oracles import GaussianParams
 
 TRUE_HELLINGER = oracles.hellinger_gaussian_closed_form(
@@ -387,19 +390,24 @@ class TestDivergenceMatrix:
 
 
 @st.composite
-def adversarial_sets(draw):
+def adversarial_sets(draw, pool=None, offsets=(0.0, 1e6), min_dim=1, degenerate=True):
     """2-6 sets of 2-40 rows in D = 1-12, D >= n in some; each set may have a
-    duplicate row, a constant column and an offset of 1e6."""
-    dim = draw(st.integers(1, 12))
+    duplicate row and a constant column (if `degenerate`) and an offset of
+    1e6. With `pool`, the sizes are drawn from that many sizes, so sets
+    share sizes and a tile's runs hold several blocks."""
+    dim = draw(st.integers(min_dim, 12))
+    sizes = st.integers(2, 40)
+    if pool:
+        sizes = st.sampled_from(draw(st.lists(sizes, min_size=pool, max_size=pool)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sets = []
     for _ in range(draw(st.integers(2, 6))):
-        s = rng.normal(size=(draw(st.integers(2, 40)), dim))
-        if draw(st.booleans()):
+        s = rng.normal(size=(draw(sizes), dim))
+        if degenerate and draw(st.booleans()):
             s[-1] = s[0]
-        if draw(st.booleans()):
+        if degenerate and draw(st.booleans()):
             s[:, -1] = 3.0
-        sets.append(s + draw(st.sampled_from([0.0, 1e6])))
+        sets.append(s + draw(st.sampled_from(offsets)))
     return sets
 
 
@@ -435,6 +443,56 @@ class TestMatrixProperties:
             assert np.all(values <= 2.0)
 
 
+class TestTileProperties:
+    """The tiles on sets that share sizes, where one batched matmul serves
+    several blocks and one fit several sets."""
+
+    @PROPERTY_SETTINGS
+    @given(sets=adversarial_sets(pool=2))
+    def test_each_log_ratio_row_is_its_blocks_alone(self, sets):
+        bandwidths = resolve_bandwidths(sets, "silverman")
+        models = [DensityModel(s, bw) for s, bw in zip(sets, bandwidths)]
+        pairs = [(i, j) for i in range(len(sets)) for j in range(i + 1, len(sets))]
+        for s, partners, z in log_ratios(_kde_collection(sets, bandwidths), pairs):
+            own = models[s].block(sets[s])[0]
+            for r, row in zip(partners, z):
+                np.testing.assert_array_equal(row, own - models[r].block(sets[s])[0])
+
+    @PROPERTY_SETTINGS
+    @given(sets=adversarial_sets(pool=2), data=st.data())
+    def test_duplicated_set_gives_zero_log_ratios(self, sets, data):
+        k = data.draw(st.integers(0, len(sets) - 1))
+        at = data.draw(st.integers(0, len(sets)))
+        sets.insert(at, sets[k].copy())
+        kdes = _kde_collection(sets, "silverman")
+        pairs = [(i, j) for i in range(len(sets)) for j in range(i + 1, len(sets))]
+        copies = {k + (k >= at), at}
+        for s, partners, z in log_ratios(kdes, pairs):
+            if s in copies:
+                np.testing.assert_array_equal(z[partners.index((copies - {s}).pop())], 0.0)
+
+    # Gaussian sets of one size: a constant column can leave a projected
+    # bandwidth near 1e-4, where the terms cancel and the sum misses by up to
+    # 1e-12 of the largest entry however the blocks are grouped.
+    @pytest.mark.parametrize("kind", KINDS)
+    @PROPERTY_SETTINGS
+    @given(sets=adversarial_sets(pool=1, offsets=(0.0,), min_dim=2, degenerate=False), data=st.data())
+    def test_dr_gradient_is_the_sum_of_one_pair_gradients(self, kind, sets, data):
+        count, dim = len(sets), sets[0].shape[1]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        values = np.triu(rng.integers(-1, 2, size=(count, count)), 1)
+        values[0, 1] = 1  # at least one active pair
+        w = random_orthonormal(dim, data.draw(st.integers(1, dim - 1)), rng)
+        bandwidths = resolve_bandwidths(project_sets(sets, w), "isotropic")
+        total = dr_euclidean_gradient(w, sets, AffinityMatrix(values + values.T, 1, 1), kind, bandwidths)
+        parts = np.zeros_like(total)
+        for i, j in zip(*np.nonzero(values)):
+            single = np.zeros((count, count), dtype=int)
+            single[i, j] = single[j, i] = values[i, j]
+            parts += dr_euclidean_gradient(w, sets, AffinityMatrix(single, 1, 1), kind, bandwidths)
+        assert np.max(np.abs(total - parts)) <= 1e-13 * np.max(np.abs(total))
+
+
 class TestCentring:
     """Shifting both sets by a constant leaves the estimates unchanged, up
     to the rounding of the shifted inputs themselves."""
@@ -449,6 +507,9 @@ class TestCentring:
 
 
 class TestKernelBlockCount:
+    """One `_log_kernel_matrix` call per tile: the blocks of the KDEs of one
+    size, cut at the `_STACK_BLOCK` window."""
+
     @pytest.fixture
     def blocks(self, monkeypatch):
         from statdiv import density
@@ -456,29 +517,55 @@ class TestKernelBlockCount:
         calls = []
         kernel = density._log_kernel_matrix
 
-        def counting(points, anchors, *rest):
-            calls.append(points.shape[0])
-            return kernel(points, anchors, *rest)
+        def counting(points, centre, scale, runs):
+            calls.append((points.shape[0], runs[0][2].shape[2]))  # rows, KDE size
+            return kernel(points, centre, scale, runs)
 
         monkeypatch.setattr(density, "_log_kernel_matrix", counting)
         return calls
 
-    def test_symmetric_pair_forms_two_stacked_blocks(self, blocks):
-        # each KDE at the 30 + 20 stacked samples of both sets
+    def test_symmetric_pair_forms_two_tiles(self, blocks):
+        # sets of two sizes: each KDE at the 30 + 20 samples of both sets
         rng = np.random.default_rng(5)
         p, q = rng.standard_normal((30, 2)), rng.standard_normal((20, 2)) + 0.5
         hellinger_empirical(p, q)
-        assert blocks == [50, 50]
+        assert blocks == [(50, 30), (50, 20)]
 
-    def test_matrix_of_small_sets_forms_one_block_per_set(self, blocks):
+    def test_equal_sizes_form_one_tile(self, blocks):
+        # both KDEs at both sets: four 20 x 20 blocks
+        rng = np.random.default_rng(5)
+        p, q = rng.standard_normal((20, 2)), rng.standard_normal((20, 2)) + 0.5
+        hellinger_empirical(p, q)
+        assert blocks == [(80, 20)]
+
+    @staticmethod
+    def matrix_of_small_sets():
         rng = np.random.default_rng(6)
-        sets = [random_set(rng, n=int(rng.integers(2, 40))) for _ in range(7)]
+        sizes = [int(n) for n in rng.integers(2, 60, size=6)]
+        sizes += sizes[:2]  # two sizes shared by two sets
+        sets = [random_set(rng, n=n) for n in sizes]
         divergence_matrix(sets, DivergenceKind.JEFFREY)
-        assert blocks == [sum(s.shape[0] for s in sets)] * len(sets)
+        return sizes
+
+    def test_matrix_of_small_sets_forms_one_tile_per_size(self, blocks, monkeypatch):
+        from statdiv import density
+
+        monkeypatch.setattr(density, "_STACK_BLOCK", 2**40)  # never cut
+        sizes = self.matrix_of_small_sets()
+        # each KDE at every set, so each size's tile has all samples once per KDE
+        assert sorted(blocks) == sorted((sizes.count(n) * sum(sizes), n) for n in set(sizes))
+
+    def test_tiles_are_cut_at_the_window(self, blocks):
+        from statdiv.density import _STACK_BLOCK
+
+        sizes = self.matrix_of_small_sets()
+        assert sum(rows * cols for rows, cols in blocks) == sum(sizes) ** 2  # each block once
+        assert len(blocks) > len(set(sizes))
+        assert all(rows * cols < _STACK_BLOCK + cols * max(sizes) for rows, cols in blocks)
 
 
 class TestKernelBlockMemory:
-    """No stacked block grows past what one set's own block already needs."""
+    """No tile grows past what one set's own block already needs."""
 
     @pytest.fixture
     def shapes(self, monkeypatch):
@@ -487,9 +574,9 @@ class TestKernelBlockMemory:
         calls = []
         kernel = density._log_kernel_matrix
 
-        def spying(points, anchors, *rest):
-            calls.append((points.shape[0], anchors[2].shape[0]))
-            return kernel(points, anchors, *rest)
+        def spying(points, centre, scale, runs):
+            calls.append((points.shape[0], runs[0][2].shape[2]))  # rows, KDE size
+            return kernel(points, centre, scale, runs)
 
         monkeypatch.setattr(density, "_log_kernel_matrix", spying)
         return calls
@@ -512,7 +599,7 @@ class TestKernelBlockMemory:
             tracemalloc.stop()
         assert peak <= 1.1 * 2000 * 2000 * 8
 
-    def test_stacked_blocks_stay_within_the_lse_block(self, shapes):
+    def test_tiles_stay_within_the_lse_block(self, shapes):
         from statdiv.density import _LSE_BLOCK
 
         rng = np.random.default_rng(8)
@@ -522,4 +609,4 @@ class TestKernelBlockMemory:
         cross_divergence_matrix(gallery, probe, DivergenceKind.HELLINGER_SQUARED)
         assert shapes
         assert max(rows * cols for rows, cols in shapes) <= _LSE_BLOCK
-        assert set(shapes) == {(100, 100)}  # above _STACK_BLOCK, so never stacked
+        assert set(shapes) == {(100, 100)}  # above _STACK_BLOCK, so each block is a tile alone

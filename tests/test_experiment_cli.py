@@ -46,6 +46,9 @@ REJECTED = [
     ("nn", "data.synthetic.classes", 2.5, "data.synthetic.classes: must be an integer"),
     ("nn_dr", "dr.maxiters", 8, "dr.maxiters: unknown key"),
     ("nn_dr", "dr.nu_w", -1, "dr.nu_w: must be 'auto' or an integer >= 0"),
+    ("kfda", "kfda.latent_dim", 0, "kfda.latent_dim: must be >= 1"),
+    ("kfda", "kfda.regularization", -1.0, "kfda.regularization: must be > 0"),
+    ("kfda", "kfda.regularization", 0, "kfda.regularization: must be > 0"),
 ]
 
 
@@ -298,6 +301,19 @@ class TestCli:
         config = tmp_path / "config.json"
         config.write_text(json.dumps(rejected_config(pipeline, path, value)))
         assert self.run("eval", "--config", str(config), "--out", str(tmp_path / "run")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and "Traceback" not in err
+
+    @pytest.mark.parametrize("raw, flags, message", [
+        ([1], ["--seed", "3"], "config: must be a JSON object"),
+        (dict(synthetic_config("kfda"), kernel=[1]), ["--kernel", "hl"], "kernel: must be an object"),
+        (dict(synthetic_config("kfda"), kernel="hg"), ["--sigma", "0.5"], "kernel: must be an object"),
+        (dict(synthetic_config("nn_dr"), dr=2), ["--dim", "2"], "dr: must be an object"),
+    ], ids=["config", "kernel-family", "kernel-sigma", "dr-dim"])
+    def test_eval_override_into_a_non_object_names_it(self, tmp_path, capsys, raw, flags, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
+        assert self.run("eval", "--config", str(config), *flags, "--out", str(tmp_path / "run")) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and "Traceback" not in err
 

@@ -211,3 +211,12 @@ class TestSetSummaries:
     def test_grassmann_spec_requires_subspace_dim(self):
         with pytest.raises(ValueError, match="subspace_dim"):
             KernelSpec(family=KernelFamily.GRASSMANN_PROJECTION)
+
+    @pytest.mark.parametrize("dim", [2.7, 2.0, True, "2", 0, -1])
+    def test_grassmann_spec_rejects_subspace_dim_that_is_not_a_positive_integer(self, dim):
+        with pytest.raises(ValueError, match="integer subspace_dim >= 1"):
+            KernelSpec(KernelFamily.GRASSMANN_PROJECTION, 0.1, dim)
+
+    def test_grassmann_spec_takes_a_numpy_integer(self):
+        spec = KernelSpec(KernelFamily.GRASSMANN_PROJECTION, 0.1, np.int64(2))
+        assert spec.subspace_dim == 2 and type(spec.subspace_dim) is int
