@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg
 
+from .dataset import _json_fields
 from .density import _read_only
-from .divergence import _read_json_fields
 
 __all__ = [
     "KfdaModel",
@@ -216,18 +216,13 @@ def save_kfda_model(model: KfdaModel, directory) -> None:
 
 
 def load_kfda_model(directory) -> KfdaModel:
+    """A model saved by :func:`save_kfda_model`; each model.json field is read as its type."""
     directory = Path(directory)
-    meta = _read_json_fields(directory / "model.json",
-                             ("latent_dim", "regularization", "labels", "train_grand_mean"))
-    coefficients = np.loadtxt(directory / "coefficients.csv", delimiter=",", ndmin=2)
-    train_latent = np.loadtxt(directory / "train_latent.csv", delimiter=",", ndmin=2)
-    row_means = np.loadtxt(directory / "train_row_means.csv", delimiter=",", ndmin=1)
+    meta = _json_fields(directory / "model.json", {"latent_dim": int, "regularization": float,
+                                                   "labels": list[int], "train_grand_mean": float})
     return KfdaModel(
-        coefficients=coefficients,
-        train_latent=train_latent,
-        latent_dim=int(meta["latent_dim"]),
-        regularization=float(meta["regularization"]),
-        labels=np.asarray(meta["labels"], dtype=int),
-        train_row_means=row_means,
-        train_grand_mean=float(meta["train_grand_mean"]),
+        coefficients=np.loadtxt(directory / "coefficients.csv", delimiter=",", ndmin=2),
+        train_latent=np.loadtxt(directory / "train_latent.csv", delimiter=",", ndmin=2),
+        train_row_means=np.loadtxt(directory / "train_row_means.csv", delimiter=",", ndmin=1),
+        **meta,
     )

@@ -21,14 +21,14 @@ from .dataset import SyntheticSpec, generate_synthetic, load_dataset, save_datas
 from .dimred import DrConfig, learn_projection
 from .divergence import (
     DivergenceKind,
-    _read_json_fields,
+    _divergence_kind,
     _save_with_sidecar,
     cross_divergence_matrix,
     divergence_matrix,
     save_divergence_matrix,
 )
-from .experiment import ConfigError, ExperimentConfig, _divergence_kind, _kernel_family, emit_report, run_experiment
-from .kernels import KernelSpec, cross_gram, gram, save_gram_matrix
+from .experiment import ConfigError, ExperimentConfig, emit_report, run_experiment
+from .kernels import KernelSpec, _kernel_family, _load_spec, _spec_record, cross_gram, gram, save_gram_matrix
 from .manifold import CgOptions, save_trace
 from .validation import run_validation
 
@@ -132,10 +132,7 @@ def _cmd_classify(args) -> int:
         raise ConfigError("classify: exactly one of --model or --divergence is required")
     if args.model is not None:
         model = load_kfda_model(args.model)
-        meta = _read_json_fields(Path(args.model) / "kernel.json",
-                                 ("family", "sigma", "subspace_dim", "bandwidth_policy"))
-        spec = KernelSpec(family=_kernel_family(meta["family"], "kernel"), sigma=meta["sigma"],
-                          subspace_dim=meta["subspace_dim"])
+        spec, meta = _load_spec(Path(args.model) / "kernel.json", {"bandwidth_policy": str})
         cross = cross_gram(gallery.sets, probe.sets, spec, _parse_bw(meta["bandwidth_policy"]))
         predicted = latent_nn_classify(model, cross)
     else:
@@ -156,19 +153,14 @@ def _cmd_classify(args) -> int:
 
 def _cmd_train_kfda(args) -> int:
     dataset = load_dataset(args.manifest)
-    family = _kernel_family(args.kernel, "kernel")
-    spec = KernelSpec(family=family, sigma=args.sigma, subspace_dim=args.dim)
+    spec = KernelSpec(family=_kernel_family(args.kernel, "kernel"), sigma=args.sigma, subspace_dim=args.dim)
     gram_train = gram(dataset.sets, spec, _parse_bw(args.bw))
     model = kfda_fit(gram_train.values, dataset.labels,
                      latent_dim=args.latent_dim, regularization=args.regularization)
     out = Path(args.out)
     save_kfda_model(model, out)
-    (out / "kernel.json").write_text(json.dumps({
-        "family": family.value,
-        "sigma": args.sigma,
-        "subspace_dim": args.dim,
-        "bandwidth_policy": args.bw,
-    }, indent=2, sort_keys=True) + "\n")
+    (out / "kernel.json").write_text(json.dumps({**_spec_record(spec), "bandwidth_policy": args.bw},
+                                                indent=2, sort_keys=True) + "\n")
     print(f"fitted discriminant model on {dataset.size} sets -> {out}")
     return 0
 

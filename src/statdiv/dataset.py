@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import MISSING, dataclass
 from pathlib import Path
+from types import GenericAlias
 
 import numpy as np
 
@@ -33,11 +34,14 @@ class ConfigError(ValueError):
     """Invalid configuration or manifest field; message carries the field path."""
 
 
-_KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string", dict: "an object"}
+_KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string", dict: "an object",
+               type(None): "null", list[int]: "a list of integers", list[str]: "a list of strings"}
 
 
 def _is_kind(value, kind) -> bool:
-    """JSON typing: a bool is no number, and an integer is also a float."""
+    """JSON typing: a bool is no number, an integer is also a float, and list[k] holds only k."""
+    if isinstance(kind, GenericAlias):
+        return isinstance(value, list) and all(_is_kind(v, *kind.__args__) for v in value)
     if isinstance(value, bool):
         return kind in (bool, object)
     return isinstance(value, (int, float) if kind is float else kind)
@@ -51,7 +55,7 @@ def _field(raw: dict, key: str, path: str, kind, default=MISSING):
     name = f"{path}.{key}" if path else key
     value = raw.pop(key, default)
     if value is MISSING:
-        raise ConfigError(f"{name}: missing field")
+        raise ConfigError(f"{path or 'config'}: missing the {key!r} field")
     if value is None and default is None:
         return None
     kinds = kind if isinstance(kind, tuple) else (kind,)
@@ -66,6 +70,28 @@ def _no_unread_keys(raw: dict, path: str) -> None:
     if raw:
         key = next(iter(raw))
         raise ConfigError(f"{path}.{key}: unknown key" if path else f"{key}: unknown key")
+
+
+def _checked(build, path: str):
+    """`build()`, with a ValueError from the type's own checks as a
+    ConfigError prefixed with `path`."""
+    try:
+        return build()
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _json_fields(path, kinds: dict) -> dict:
+    """The fields of the JSON object saved in the file `path`, each read by
+    :func:`_field` as its kind in `kinds`; an unknown key, or a file that
+    holds no object, is a ConfigError naming the file."""
+    where = str(path)
+    raw = _checked(lambda: json.loads(Path(path).read_text()), where)
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where}: must hold a JSON object")
+    fields = {key: _field(raw, key, where, kind) for key, kind in kinds.items()}
+    _no_unread_keys(raw, where)
+    return fields
 
 
 @dataclass(frozen=True)

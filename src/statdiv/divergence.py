@@ -7,7 +7,10 @@ that `density.log_ratios` gives from the sets' KDEs (fitted by size), so
 neither density is ever exponentiated on its own and T is never formed.
 Each KDE is evaluated once per list of pairs (`density.tiles`) and each
 set's log ratios against all its partners come as one array, so a term
-runs once per set and a pair's estimate is the sum of two row means."""
+runs once per set and a pair's estimate is the sum of two row means.
+The square and cross matrices are two layouts of one builder, which fits
+a gallery's and a probe's KDEs once and estimates the gallery's pairs,
+its gallery x probe pairs, or both in one pass."""
 
 from __future__ import annotations
 
@@ -19,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dataset import ConfigError, _json_fields
 from .density import (Bandwidth, DensityModel, _features_of, _read_only, isotropic_silverman_bandwidth, log_ratios,
                       silverman_bandwidth)
 
@@ -44,6 +48,14 @@ T_CLAMP = 1e-12
 class DivergenceKind(Enum):
     HELLINGER_SQUARED = "hellinger"
     JEFFREY = "jeffrey"
+
+
+def _divergence_kind(raw, path: str) -> DivergenceKind:
+    """`raw` as a DivergenceKind; a ConfigError naming `path` otherwise."""
+    try:
+        return DivergenceKind(raw)
+    except ValueError:
+        raise ConfigError(f"{path}: must be 'hellinger' or 'jeffrey', got {raw!r}") from None
 
 
 def hellinger_bandwidth(samples) -> Bandwidth:
@@ -240,6 +252,20 @@ def _ids_of(sets) -> tuple[str, ...]:
     return tuple(str(getattr(s, "id", f"set{i}")) for i, s in enumerate(sets))
 
 
+def _square_and_cross(gallery, probe, kind: DivergenceKind, bw_policy,
+                      square: bool = True) -> tuple[DivergenceMatrix, np.ndarray]:
+    """The divergence matrix of `gallery` (zero unless `square`) and its rows x `probe` matrix,
+    from one fit of every KDE and one evaluation of each for all the pairs (:func:`_estimates`)."""
+    sets, g = [*gallery, *probe], len(gallery)
+    pairs = [(i, j) for i in range(g) for j in range(i + 1, g) if square]
+    pairs += [(i, j) for i in range(g) for j in range(g, len(sets))]
+    values = np.zeros((g, len(sets)))
+    for (i, j), value in zip(pairs, _estimates(kind, _kde_collection(sets, bw_policy, kind), pairs)):
+        values[i, j] = value
+    own = values[:, :g] + values[:, :g].T
+    return DivergenceMatrix(own, kind, _ids_of(gallery), describe_bandwidth_policy(bw_policy)), values[:, g:].copy()
+
+
 def divergence_matrix(sets, kind: DivergenceKind, bw_policy="silverman") -> DivergenceMatrix:
     """All pairwise divergences among `sets`.
 
@@ -248,14 +274,7 @@ def divergence_matrix(sets, kind: DivergenceKind, bw_policy="silverman") -> Dive
     sets = list(sets)
     if not sets:
         raise ValueError("divergence_matrix needs at least one set")
-    m = len(sets)
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    values = np.zeros((m, m))
-    kdes = _kde_collection(sets, bw_policy, kind)
-    for (i, j), value in zip(pairs, _estimates(kind, kdes, pairs)):
-        values[i, j] = values[j, i] = value
-    return DivergenceMatrix(values=values, kind=kind, set_ids=_ids_of(sets),
-                            bw_policy=describe_bandwidth_policy(bw_policy))
+    return _square_and_cross(sets, [], kind, bw_policy)[0]
 
 
 def cross_divergence_matrix(sets_a, sets_b, kind: DivergenceKind, bw_policy="silverman") -> np.ndarray:
@@ -265,13 +284,7 @@ def cross_divergence_matrix(sets_a, sets_b, kind: DivergenceKind, bw_policy="sil
     sets_b = list(sets_b)
     if not sets_a or not sets_b:
         raise ValueError("cross_divergence_matrix needs non-empty collections")
-    na = len(sets_a)
-    pairs = [(i, na + j) for i in range(na) for j in range(len(sets_b))]
-    values = np.zeros((na, len(sets_b)))
-    kdes = _kde_collection(sets_a + sets_b, bw_policy, kind)
-    for (i, j), value in zip(pairs, _estimates(kind, kdes, pairs)):
-        values[i, j - na] = value
-    return values
+    return _square_and_cross(sets_a, sets_b, kind, bw_policy, square=False)[1]
 
 
 def _save_with_sidecar(csv_path, values: np.ndarray, sidecar: dict) -> None:
@@ -279,26 +292,6 @@ def _save_with_sidecar(csv_path, values: np.ndarray, sidecar: dict) -> None:
     csv_path = Path(csv_path)
     np.savetxt(csv_path, values, delimiter=",", fmt="%.17g")
     csv_path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
-
-
-def _read_json_fields(path, fields) -> dict:
-    """The JSON object in `path`; a missing field is a ValueError naming the
-    file and the field."""
-    path = Path(path)
-    meta = json.loads(path.read_text())
-    if not isinstance(meta, dict):
-        raise ValueError(f"{path} must hold a JSON object")
-    for key in fields:
-        if key not in meta:
-            raise ValueError(f"{path} is missing the {key!r} field")
-    return meta
-
-
-def _load_with_sidecar(csv_path, fields) -> tuple[np.ndarray, dict]:
-    """Values and sidecar written by :func:`_save_with_sidecar`."""
-    csv_path = Path(csv_path)
-    values = np.loadtxt(csv_path, delimiter=",", ndmin=2)
-    return values, _read_json_fields(csv_path.with_suffix(".json"), fields)
 
 
 def save_divergence_matrix(matrix: DivergenceMatrix, csv_path) -> None:
@@ -311,10 +304,11 @@ def save_divergence_matrix(matrix: DivergenceMatrix, csv_path) -> None:
 
 
 def load_divergence_matrix(csv_path) -> DivergenceMatrix:
-    values, sidecar = _load_with_sidecar(csv_path, ("kind", "set_ids", "bandwidth_policy"))
+    sidecar = Path(csv_path).with_suffix(".json")
+    fields = _json_fields(sidecar, {"kind": str, "set_ids": list[str], "bandwidth_policy": str})
     return DivergenceMatrix(
-        values=values,
-        kind=DivergenceKind(sidecar["kind"]),
-        set_ids=tuple(sidecar["set_ids"]),
-        bw_policy=sidecar["bandwidth_policy"],
+        values=np.loadtxt(csv_path, delimiter=",", ndmin=2),
+        kind=_divergence_kind(fields["kind"], f"{sidecar}.kind"),
+        set_ids=tuple(fields["set_ids"]),
+        bw_policy=fields["bandwidth_policy"],
     )

@@ -3,7 +3,9 @@
 A run is a pure function of its config: all randomness flows from one seed
 through per-repetition child seeds, pairs are evaluated serially in a
 fixed order, and reports serialize to byte-identical JSON across runs.
-Wall-clock timings are kept out of the report.
+Wall-clock timings are kept out of the report. A kFDA repetition on a
+divergence kernel takes its gallery matrix (sigma search, training Gram)
+and its gallery x probe matrix from one pass over the two sides' KDEs.
 """
 
 from __future__ import annotations
@@ -17,12 +19,13 @@ from typing import get_type_hints
 import numpy as np
 
 from .classify import KfdaModel, accuracy, kfda_fit, latent_nn_classify, nn_classify
-from .dataset import (ConfigError, Dataset, SyntheticSpec, _field, _no_unread_keys, generate_synthetic,
+from .dataset import (ConfigError, Dataset, SyntheticSpec, _checked, _field, _no_unread_keys, generate_synthetic,
                       load_dataset, split_gallery_probe, standardize_dataset)
 from .dimred import DrConfig, learn_projection, project_sets
-from .divergence import (DivergenceKind, DivergenceMatrix, _is_positive_number, cross_divergence_matrix,
-                         divergence_matrix)
-from .kernels import _DIVERGENCE_FAMILIES, SIGMA_GRID, KernelFamily, KernelSpec, _gram_from_divergences, cross_gram, gram
+from .divergence import (DivergenceKind, DivergenceMatrix, _divergence_kind, _is_positive_number, _square_and_cross,
+                         cross_divergence_matrix)
+from .kernels import (_DIVERGENCE_FAMILIES, SIGMA_GRID, KernelSpec, _gram_from_divergences, _kernel_family,
+                      _spec_record, cross_gram, gram, kernel_from_divergence)
 from .manifold import CgOptions, save_trace
 
 __all__ = [
@@ -41,37 +44,12 @@ def _require(cond: bool, path: str, message: str):
         raise ConfigError(f"{path}: {message}")
 
 
-def _checked(build, path: str):
-    """`build()`, with a ValueError from the type's own checks as a
-    ConfigError prefixed with `path`."""
-    try:
-        return build()
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
 def _read_dataclass(cls, raw: dict, path: str):
     """A `cls` whose every field is read from `raw` as its annotated type,
     with the dataclass's own default."""
     hints = get_type_hints(cls)
     values = {f.name: _field(raw, f.name, path, hints[f.name], f.default) for f in fields(cls)}
     return _checked(lambda: cls(**values), path)
-
-
-def _divergence_kind(raw, path: str) -> DivergenceKind:
-    """`raw` as a DivergenceKind; a ConfigError naming `path` otherwise."""
-    try:
-        return DivergenceKind(raw)
-    except ValueError:
-        raise ConfigError(f"{path}: must be 'hellinger' or 'jeffrey', got {raw!r}") from None
-
-
-def _kernel_family(raw, path: str) -> KernelFamily:
-    """`raw` as a KernelFamily; a ConfigError naming `path` otherwise."""
-    try:
-        return KernelFamily(raw)
-    except ValueError:
-        raise ConfigError(f"{path}: must be one of {[f.value for f in KernelFamily]}, got {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -200,9 +178,7 @@ class ExperimentConfig:
         if self.divergence is not None:
             out["divergence"] = self.divergence.value
         if self.kernel is not None:
-            out["kernel"] = {"family": self.kernel.family.value,
-                             "sigma": "grid" if self.sigma_grid_search else self.kernel.sigma,
-                             "subspace_dim": self.kernel.subspace_dim}
+            out["kernel"] = {**_spec_record(self.kernel), **({"sigma": "grid"} if self.sigma_grid_search else {})}
             out["kfda"] = {"latent_dim": self.kfda_latent_dim, "regularization": self.kfda_regularization}
         if self.dr is not None:
             out["dr"] = {"target_dim": self.dr.target_dim, "nu_w": self.dr.nu_w, "nu_b": self.dr.nu_b,
@@ -283,17 +259,18 @@ def _run_repetition(dataset: Dataset, config: ExperimentConfig,
     elif config.pipeline == "kfda":
         spec = config.kernel
         if spec.family in _DIVERGENCE_FAMILIES:
-            # One gallery matrix serves the sigma search and the training Gram.
-            gallery_div = divergence_matrix(gallery.sets, _DIVERGENCE_FAMILIES[spec.family],
-                                            config.bandwidth_policy)
+            # One pass gives the gallery matrix (sigma search and training Gram) and the cross one.
+            gallery_div, cross = _square_and_cross(gallery.sets, probe.sets, _DIVERGENCE_FAMILIES[spec.family],
+                                                   config.bandwidth_policy)
             if config.sigma_grid_search:
                 spec = replace(spec, sigma=_choose_sigma(gallery_div, gallery.labels, config))
             gram_train = _gram_from_divergences(gallery_div, spec)
+            gram_cross = kernel_from_divergence(cross, spec)
         else:
             gram_train = gram(gallery.sets, spec, config.bandwidth_policy)
+            gram_cross = cross_gram(gallery.sets, probe.sets, spec, config.bandwidth_policy)
         model = kfda_fit(gram_train.values, gallery.labels,
                          config.kfda_latent_dim, config.kfda_regularization)
-        gram_cross = cross_gram(gallery.sets, probe.sets, spec, config.bandwidth_policy)
         predicted = latent_nn_classify(model, gram_cross)
         record["sigma"] = spec.sigma
     else:  # nn_dr

@@ -12,17 +12,18 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
 
 from .classify import _fix_column_signs
+from .dataset import ConfigError, _checked, _json_fields
 from .density import _features_of, _read_only
 from .divergence import (
     DivergenceKind,
     DivergenceMatrix,
     _ids_of,
     _is_positive_number,
-    _load_with_sidecar,
     _save_with_sidecar,
     cross_divergence_matrix,
     divergence_matrix,
@@ -53,6 +54,14 @@ class KernelFamily(Enum):
     JEFFREY_EXPONENTIAL = "j"
     GRASSMANN_PROJECTION = "gda"
     SPD_LOG_EUCLIDEAN = "cdl"
+
+
+def _kernel_family(raw, path: str) -> KernelFamily:
+    """`raw` as a KernelFamily; a ConfigError naming `path` otherwise."""
+    try:
+        return KernelFamily(raw)
+    except ValueError:
+        raise ConfigError(f"{path}: must be one of {[f.value for f in KernelFamily]}, got {raw!r}") from None
 
 
 _DIVERGENCE_FAMILIES = {
@@ -250,24 +259,29 @@ def min_eigenvalue(gram_values) -> float:
     return float(np.linalg.eigvalsh(values)[0])
 
 
+def _spec_record(spec: KernelSpec) -> dict:
+    """`spec` as the JSON fields that `train-kfda` and :func:`save_gram_matrix` write."""
+    return {"family": spec.family.value, "sigma": spec.sigma, "subspace_dim": spec.subspace_dim}
+
+
+def _load_spec(path, kinds: dict) -> tuple[KernelSpec, dict]:
+    """The KernelSpec of the :func:`_spec_record` fields in the JSON file `path`, and
+    every field, each read by `dataset._json_fields` (the others as their kind in `kinds`)."""
+    fields = _json_fields(path, {"family": str, "sigma": float, "subspace_dim": (int, type(None)), **kinds})
+    family = _kernel_family(fields["family"], f"{path}.family")
+    return _checked(lambda: KernelSpec(family, fields["sigma"], fields["subspace_dim"]), str(path)), fields
+
+
 def save_gram_matrix(matrix: GramMatrix, csv_path) -> None:
     """Write values as CSV plus a JSON sidecar describing the kernel."""
     _save_with_sidecar(csv_path, matrix.values, {
-        "family": matrix.spec.family.value,
-        "sigma": matrix.spec.sigma,
-        "subspace_dim": matrix.spec.subspace_dim,
+        **_spec_record(matrix.spec),
         "set_ids": list(matrix.set_ids),
         "bandwidth_policy": matrix.bw_policy,
     })
 
 
 def load_gram_matrix(csv_path) -> GramMatrix:
-    values, sidecar = _load_with_sidecar(
-        csv_path, ("family", "sigma", "subspace_dim", "set_ids", "bandwidth_policy"))
-    spec = KernelSpec(
-        family=KernelFamily(sidecar["family"]),
-        sigma=sidecar["sigma"],
-        subspace_dim=sidecar["subspace_dim"],
-    )
-    return GramMatrix(values=values, spec=spec, set_ids=tuple(sidecar["set_ids"]),
-                      bw_policy=sidecar["bandwidth_policy"])
+    spec, fields = _load_spec(Path(csv_path).with_suffix(".json"), {"set_ids": list[str], "bandwidth_policy": str})
+    return GramMatrix(values=np.loadtxt(csv_path, delimiter=",", ndmin=2), spec=spec,
+                      set_ids=tuple(fields["set_ids"]), bw_policy=fields["bandwidth_policy"])

@@ -20,6 +20,7 @@ from statdiv.divergence import (
     pair_divergence,
     resolve_bandwidths,
     _kde_collection,
+    _square_and_cross,
     save_divergence_matrix,
 )
 from statdiv.dimred import AffinityMatrix, dr_euclidean_gradient, project_sets
@@ -342,6 +343,20 @@ class TestDivergenceMatrix:
         cross = cross_divergence_matrix(sets, sets, kind, bw)
         square = divergence_matrix(sets, kind, bw).values
         assert cross.tobytes() == square.tobytes()
+
+    @pytest.mark.parametrize("kind", list(DivergenceKind))
+    @pytest.mark.parametrize("bw", ["silverman", "isotropic", 0.3])
+    def test_one_pass_square_and_cross_equal_the_separate_matrices(self, kind, bw):
+        # ragged sizes, some shared across the two sides, and one set on both sides
+        rng = np.random.default_rng(16)
+        gallery = [random_set(rng, n=n, dim=3) for n in (12, 20, 12, 31, 7)]
+        probe = [random_set(rng, n=n, dim=3) for n in (20, 17, 12)] + [gallery[3]]
+        square, cross = _square_and_cross(gallery, probe, kind, bw)
+        alone = divergence_matrix(gallery, kind, bw)
+        assert np.array_equal(square.values, alone.values)
+        assert (square.set_ids, square.bw_policy) == (alone.set_ids, alone.bw_policy)
+        assert np.array_equal(cross, cross_divergence_matrix(gallery, probe, kind, bw))
+        assert cross[3, -1] == 0.0
 
     @pytest.mark.parametrize("kind", list(DivergenceKind))
     def test_cross_matrix_over_several_term_runs_matches_pairwise_estimates(self, kind):

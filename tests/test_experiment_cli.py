@@ -52,6 +52,10 @@ REJECTED = [
 ]
 
 
+# A JSON null written into a saved file, where None in a table means "delete the field".
+JSON_NULL = object()
+
+
 def rejected_config(pipeline, path, value):
     raw = synthetic_config(pipeline)
     *parents, key = path.split(".")
@@ -200,26 +204,25 @@ class TestRunExperiment:
         assert all(r["sigma"] in SIGMA_GRID for r in report.repetitions)
         assert report.hyperparameters["sigma_grid"] == list(SIGMA_GRID)
 
-    def test_sigma_grid_builds_gallery_matrix_once_per_repetition(self, monkeypatch):
-        # the sigma search and the training Gram share one gallery matrix
-        import statdiv.divergence as divergence_mod
-        import statdiv.experiment as experiment_mod
-        import statdiv.kernels as kernels_mod
+    @pytest.mark.parametrize("sigma", [0.1, "grid"])
+    def test_kfda_repetition_forms_each_kde_block_once(self, monkeypatch, sigma):
+        # one pass over gallery and probe serves the sigma search, the training Gram and the
+        # cross Gram: every set's own block, and both blocks of each gallery and cross pair
+        from statdiv import density
 
-        real = divergence_mod.divergence_matrix
-        calls = []
+        blocks = []
+        kernel = density._log_kernel_matrix
 
-        def counting(sets, *args, **kwargs):
-            sets = list(sets)
-            calls.append(len(sets))
-            return real(sets, *args, **kwargs)
+        def counting(points, centre, scale, runs):
+            blocks.append(sum(count for count, _, _ in runs))
+            return kernel(points, centre, scale, runs)
 
-        for module in (divergence_mod, kernels_mod, experiment_mod):
-            monkeypatch.setattr(module, "divergence_matrix", counting, raising=False)
-        raw = synthetic_config("kfda")
-        raw["kernel"]["sigma"] = "grid"
-        report = run_experiment(ExperimentConfig.from_dict(raw))
-        assert calls == [len(r["gallery_ids"]) for r in report.repetitions]
+        monkeypatch.setattr(density, "_log_kernel_matrix", counting)
+        raw = synthetic_config("kfda", repetitions=1)
+        raw["kernel"]["sigma"] = sigma
+        record = run_experiment(ExperimentConfig.from_dict(raw)).repetitions[0]
+        g, p = len(record["gallery_ids"]), len(record["probe_ids"])
+        assert sum(blocks) == g + p + g * (g - 1) + 2 * g * p
 
     def test_dr_pipeline_produces_traces(self):
         report = run_experiment(ExperimentConfig.from_dict(synthetic_config("nn_dr")))
@@ -399,7 +402,17 @@ class TestCli:
                                                         ("model.json", "labels", None),
                                                         ("model.json", "latent_dim", None),
                                                         ("kernel.json", "sigma", "abc"),
-                                                        ("kernel.json", "family", "svm")])
+                                                        ("kernel.json", "family", "svm"),
+                                                        ("kernel.json", "bandwidth_policy", JSON_NULL),
+                                                        ("kernel.json", "bandwidth_policy", [1]),
+                                                        ("kernel.json", "bandwidth_policy", True),
+                                                        ("kernel.json", "subspace_dim", 2.7),
+                                                        ("model.json", "latent_dim", JSON_NULL),
+                                                        ("model.json", "labels", JSON_NULL),
+                                                        ("model.json", "regularization", JSON_NULL),
+                                                        ("model.json", "latent_dim", 1.7),
+                                                        ("model.json", "regularization", True),
+                                                        ("model.json", "labels", [0, 1.5])])
     def test_classify_with_bad_model_directory(self, tmp_path, capsys, filename, field, value):
         data = tmp_path / "data"
         assert self.run("gen", "--classes", "2", "--sets-per-class", "3",
@@ -412,7 +425,7 @@ class TestCli:
         if value is None:
             del meta[field]
         else:
-            meta[field] = value
+            meta[field] = None if value is JSON_NULL else value
         (model / filename).write_text(json.dumps(meta))
         capsys.readouterr()
         assert self.run("classify", "--gallery", manifest, "--probe", manifest,
@@ -422,7 +435,63 @@ class TestCli:
         if value is None:
             assert str(model / filename) in err and repr(field) in err
         else:
-            assert repr(value) in err
+            assert repr(None if value is JSON_NULL else value) in err
+        assert str(model / filename) in err and field in err
+
+    def test_classify_reads_a_numeric_bandwidth_stored_as_a_string(self, tmp_path):
+        data = tmp_path / "data"
+        assert self.run("gen", "--classes", "2", "--sets-per-class", "3",
+                        "--samples-per-set", "10", "--dim", "3", "--out", str(data)) == 0
+        manifest, model = str(data / "manifest.json"), tmp_path / "model"
+        assert self.run("train-kfda", "--manifest", manifest, "--kernel", "hg", "--bw", "0.5",
+                        "--out", str(model)) == 0
+        assert json.loads((model / "kernel.json").read_text())["bandwidth_policy"] == "0.5"
+        assert self.run("classify", "--gallery", manifest, "--probe", manifest,
+                        "--model", str(model), "--out", str(tmp_path / "cls")) == 0
+
+    def test_kernel_json_holds_the_fitted_spec(self, tmp_path):
+        data = tmp_path / "data"
+        assert self.run("gen", "--classes", "2", "--sets-per-class", "3",
+                        "--samples-per-set", "10", "--dim", "3", "--out", str(data)) == 0
+        manifest, model = str(data / "manifest.json"), tmp_path / "model"
+        assert self.run("train-kfda", "--manifest", manifest, "--kernel", "gda", "--dim", "2",
+                        "--out", str(model)) == 0
+        raw = (model / "kernel.json").read_text()
+        assert raw == json.dumps({"bandwidth_policy": "silverman", "family": "gda", "sigma": 0.1,
+                                  "subspace_dim": 2}, indent=2, sort_keys=True) + "\n"
+        assert self.run("classify", "--gallery", manifest, "--probe", manifest,
+                        "--model", str(model), "--out", str(tmp_path / "cls")) == 0
+
+    @pytest.mark.parametrize("command, filename, field, value", [
+        ("dist", "divergences.json", "set_ids", 5),
+        ("dist", "divergences.json", "set_ids", ["c0s0", 1]),
+        ("dist", "divergences.json", "kind", "kl"),
+        ("dist", "divergences.json", "extra", 1),
+        ("gram", "gram.json", "set_ids", JSON_NULL),
+        ("gram", "gram.json", "sigma", True),
+        ("gram", "gram.json", "subspace_dim", 2.7),
+        ("gram", "gram.json", "family", None),
+    ])
+    def test_bad_matrix_sidecar_names_file_and_field(self, tmp_path, command, filename, field, value):
+        from statdiv.divergence import load_divergence_matrix
+        from statdiv.kernels import load_gram_matrix
+
+        data, out = tmp_path / "data", tmp_path / "out"
+        assert self.run("gen", "--classes", "2", "--sets-per-class", "2",
+                        "--samples-per-set", "8", "--dim", "2", "--out", str(data)) == 0
+        flag = ("--divergence", "hellinger") if command == "dist" else ("--kernel", "hg")
+        assert self.run(command, "--manifest", str(data / "manifest.json"), *flag, "--out", str(out)) == 0
+        sidecar = out / filename
+        meta = json.loads(sidecar.read_text())
+        if value is None:
+            del meta[field]
+        else:
+            meta[field] = None if value is JSON_NULL else value
+        sidecar.write_text(json.dumps(meta))
+        load = load_divergence_matrix if command == "dist" else load_gram_matrix
+        with pytest.raises(ConfigError) as info:
+            load(sidecar.with_suffix(".csv"))
+        assert str(sidecar) in str(info.value) and field in str(info.value)
 
     def test_io_error_exit_code(self, tmp_path):
         blocker = tmp_path / "blocker"
