@@ -9,14 +9,13 @@ with ridge regularization on the within part.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import scipy.linalg
 
-from .dataset import _json_fields
+from .dataset import _json_fields, _read_csv, _write_csv, _write_json
 from .density import _read_only
 
 __all__ = [
@@ -62,6 +61,9 @@ def accuracy(predicted, truth) -> float:
     return float(np.mean(predicted == truth))
 
 
+_MODEL_ARRAYS = ("coefficients", "train_latent", "train_row_means")  # a saved model's CSV files, by stem
+
+
 @dataclass(frozen=True)
 class KfdaModel:
     """Fitted discriminant directions in dual (coefficient) form.
@@ -81,7 +83,7 @@ class KfdaModel:
     train_grand_mean: float
 
     def __post_init__(self):
-        for name in ("coefficients", "train_latent", "train_row_means"):
+        for name in _MODEL_ARRAYS:
             object.__setattr__(self, name, _read_only(np.asarray(getattr(self, name), dtype=float)))
         object.__setattr__(self, "labels", _read_only(np.asarray(self.labels, dtype=int)))
         if not np.all(np.isfinite(self.train_latent)):
@@ -203,16 +205,14 @@ def save_kfda_model(model: KfdaModel, directory) -> None:
     """Persist a model as a directory of CSVs plus a JSON description."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    np.savetxt(directory / "coefficients.csv", model.coefficients, delimiter=",", fmt="%.17g")
-    np.savetxt(directory / "train_latent.csv", model.train_latent, delimiter=",", fmt="%.17g")
-    np.savetxt(directory / "train_row_means.csv", model.train_row_means, delimiter=",", fmt="%.17g")
-    meta = {
+    for name in _MODEL_ARRAYS:
+        _write_csv(directory / f"{name}.csv", getattr(model, name))
+    _write_json(directory / "model.json", {
         "latent_dim": model.latent_dim,
         "regularization": model.regularization,
         "labels": model.labels.tolist(),
         "train_grand_mean": model.train_grand_mean,
-    }
-    (directory / "model.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    })
 
 
 def load_kfda_model(directory) -> KfdaModel:
@@ -220,9 +220,6 @@ def load_kfda_model(directory) -> KfdaModel:
     directory = Path(directory)
     meta = _json_fields(directory / "model.json", {"latent_dim": int, "regularization": float,
                                                    "labels": list[int], "train_grand_mean": float})
-    return KfdaModel(
-        coefficients=np.loadtxt(directory / "coefficients.csv", delimiter=",", ndmin=2),
-        train_latent=np.loadtxt(directory / "train_latent.csv", delimiter=",", ndmin=2),
-        train_row_means=np.loadtxt(directory / "train_row_means.csv", delimiter=",", ndmin=1),
-        **meta,
-    )
+    coefficients, train_latent, row_means = (_read_csv(directory / f"{name}.csv", "kfda model")
+                                             for name in _MODEL_ARRAYS)
+    return KfdaModel(coefficients=coefficients, train_latent=train_latent, train_row_means=row_means.ravel(), **meta)

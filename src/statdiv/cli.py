@@ -17,17 +17,17 @@ import sys
 from pathlib import Path
 
 from .classify import accuracy, kfda_fit, latent_nn_classify, load_kfda_model, nn_classify, save_kfda_model
-from .dataset import SyntheticSpec, generate_synthetic, load_dataset, save_dataset
+from .dataset import (SyntheticSpec, _read_json, _save_with_sidecar, _write_json, generate_synthetic, load_dataset,
+                      save_dataset)
 from .dimred import DrConfig, learn_projection
 from .divergence import (
     DivergenceKind,
     _divergence_kind,
-    _save_with_sidecar,
     cross_divergence_matrix,
     divergence_matrix,
     save_divergence_matrix,
 )
-from .experiment import ConfigError, ExperimentConfig, emit_report, run_experiment
+from .experiment import ConfigError, ExperimentConfig, _bandwidth_policy, emit_report, run_experiment
 from .kernels import KernelSpec, _kernel_family, _load_spec, _spec_record, cross_gram, gram, save_gram_matrix
 from .manifold import CgOptions, save_trace
 from .validation import run_validation
@@ -132,8 +132,10 @@ def _cmd_classify(args) -> int:
         raise ConfigError("classify: exactly one of --model or --divergence is required")
     if args.model is not None:
         model = load_kfda_model(args.model)
-        spec, meta = _load_spec(Path(args.model) / "kernel.json", {"bandwidth_policy": str})
-        cross = cross_gram(gallery.sets, probe.sets, spec, _parse_bw(meta["bandwidth_policy"]))
+        path = Path(args.model) / "kernel.json"
+        spec, meta = _load_spec(path, {"bandwidth_policy": str})
+        bw_policy = _bandwidth_policy(meta["bandwidth_policy"], f"{path}.bandwidth_policy", _parse_bw)
+        cross = cross_gram(gallery.sets, probe.sets, spec, bw_policy)
         predicted = latent_nn_classify(model, cross)
     else:
         kind = _divergence_arg(args.divergence)
@@ -146,7 +148,7 @@ def _cmd_classify(args) -> int:
         fh.write("probe_id,predicted_label,true_label\n")
         for fs, label in zip(probe.sets, predicted):
             fh.write(f"{fs.id},{int(label)},{fs.label}\n")
-    (out / "score.json").write_text(json.dumps({"accuracy": score}, indent=2) + "\n")
+    _write_json(out / "score.json", {"accuracy": score})
     print(f"classified {probe.size} probes, accuracy {score:.4f}")
     return 0
 
@@ -159,8 +161,7 @@ def _cmd_train_kfda(args) -> int:
                      latent_dim=args.latent_dim, regularization=args.regularization)
     out = Path(args.out)
     save_kfda_model(model, out)
-    (out / "kernel.json").write_text(json.dumps({**_spec_record(spec), "bandwidth_policy": args.bw},
-                                                indent=2, sort_keys=True) + "\n")
+    _write_json(out / "kernel.json", {**_spec_record(spec), "bandwidth_policy": args.bw})
     print(f"fitted discriminant model on {dataset.size} sets -> {out}")
     return 0
 
@@ -173,7 +174,7 @@ def _object_at(raw: dict, key: str) -> dict:
 
 
 def _cmd_eval(args) -> int:
-    raw = json.loads(Path(args.config).read_text())
+    raw = _read_json(args.config)
     if not isinstance(raw, dict):
         raise ConfigError("config: must be a JSON object")
     if args.seed is not None:

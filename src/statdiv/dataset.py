@@ -3,7 +3,8 @@
 A dataset is an ordered list of labeled feature sets, each an n x D matrix
 with one sample per row. On disk a dataset is a JSON manifest pointing at
 plain CSV files (no header, decimal floats), so any feature extractor can
-produce them.
+produce them. The readers and writers here serve every JSON file and
+every headerless CSV file statdiv reads or writes.
 """
 
 from __future__ import annotations
@@ -81,12 +82,26 @@ def _checked(build, path: str):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+def _read_json(path, where: str | None = None):
+    """The JSON value saved in the file `path`; text that is not JSON (or not
+    UTF-8) is a ConfigError naming `where` (by default the file)."""
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ConfigError(f"{where or path} is not valid JSON: {exc}") from exc
+
+
+def _write_json(path, value) -> None:
+    """Save `value` in the file `path` as JSON, indented by 2, keys sorted."""
+    Path(path).write_text(json.dumps(value, indent=2, sort_keys=True) + "\n")
+
+
 def _json_fields(path, kinds: dict) -> dict:
     """The fields of the JSON object saved in the file `path`, each read by
     :func:`_field` as its kind in `kinds`; an unknown key, or a file that
     holds no object, is a ConfigError naming the file."""
     where = str(path)
-    raw = _checked(lambda: json.loads(Path(path).read_text()), where)
+    raw = _read_json(path)
     if not isinstance(raw, dict):
         raise ConfigError(f"{where}: must hold a JSON object")
     fields = {key: _field(raw, key, where, kind) for key, kind in kinds.items()}
@@ -167,47 +182,59 @@ class Dataset:
         return [i for i, fs in enumerate(self.sets) if fs.label == label]
 
 
-def _cell_error(set_id: str, path: Path, line_no: int, cells: list[str]) -> ValueError:
-    """The error naming the first cell of a CSV row that is not a finite float."""
-    for col, cell in enumerate(cells):
-        try:
-            what = "non-numeric" if "_" in cell else None if np.isfinite(float(cell)) else "non-finite"
-        except ValueError:
-            what = "non-numeric"
-        if what:
-            return ValueError(f"set {set_id!r}: {what} cell {cell!r} in {path} at row {line_no}, column {col + 1}")
+def _read_csv(path, owner: str) -> np.ndarray:
+    """The matrix of floats in the headerless CSV file `path`, one row per
+    line. Blank and whitespace-only lines are skipped, `#` starts no
+    comment, and a cell may carry spaces around its number. An empty file, a
+    ragged row or a cell that is not a finite decimal float is a ValueError
+    naming `owner`, the file, the row and the column."""
+    text = Path(path).read_text()
+    lines = [(row, line) for row, line in enumerate(text.split("\n"), start=1) if line.strip()]
+    if not lines:
+        raise ValueError(f"{owner}: file {path} is empty")
+    try:
+        values = np.loadtxt([line for _, line in lines], delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        values = None
+    # np.loadtxt also reads nan, inf and a number padded with \x1c-\x1f, which float() refuses
+    if values is None or not np.isfinite(values).all() or any(c in text for c in "\x1c\x1d\x1e\x1f"):
+        return _scan_csv(lines, path, owner)
+    return values
 
 
-def _read_feature_csv(path: Path, set_id: str) -> np.ndarray:
-    if not path.exists():
-        raise ValueError(f"set {set_id!r}: feature file {path} does not exist")
+def _scan_csv(lines: list[tuple[int, str]], path, owner: str) -> np.ndarray:
+    """`lines` read cell by cell with float(), when np.loadtxt fails or reads
+    a value float() refuses: the first fault in file order raises its error,
+    and a file with none (a cell only float() reads, such as a non-ASCII
+    digit) still loads."""
     rows: list[list[float]] = []
-    lines: list[tuple[int, list[str]]] = []  # (line number, cells) of each row
-    with path.open() as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if lines and len(cells) != len(lines[0][1]):
-                raise ValueError(
-                    f"set {set_id!r}: ragged row in {path} at row {line_no} "
-                    f"({len(cells)} cells, expected {len(lines[0][1])})"
-                )
-            lines.append((line_no, cells))
+    for row, line in lines:
+        rows.append([])
+        for col, cell in enumerate(line.strip().split(","), start=1):
             try:
-                if "_" in line:  # float() reads "1_0" as 10.0
-                    raise ValueError
-                rows.append([float(cell) for cell in cells])
+                value = float(cell) if "_" not in cell else None  # float() reads "1_0" as 10.0
             except ValueError:
-                raise _cell_error(set_id, path, line_no, cells) from None
-    if not rows:
-        raise ValueError(f"set {set_id!r}: feature file {path} is empty")
-    features = np.array(rows, dtype=float)
-    finite = np.isfinite(features).all(axis=1)
-    if not finite.all():  # nan, inf or an overflow such as 1e999
-        raise _cell_error(set_id, path, *lines[int(np.argmin(finite))])
-    return features
+                value = None
+            if value is None or not np.isfinite(value):
+                what = "non-numeric" if value is None else "non-finite"  # nan, inf or an overflow such as 1e999
+                raise ValueError(f"{owner}: {what} cell {cell!r} in {path} at row {row}, column {col}")
+            rows[-1].append(value)
+        if (n := len(rows[-1])) != (width := len(rows[0])):
+            raise ValueError(f"{owner}: ragged row in {path} at row {row}, column {min(n, width) + 1} "
+                             f"({n} cells, expected {width})")
+    return np.array(rows)
+
+
+def _write_csv(path, values) -> None:
+    """Save `values` as a headerless CSV file with 17 significant digits, so
+    :func:`_read_csv` reproduces every float exactly."""
+    np.savetxt(path, values, delimiter=",", fmt="%.17g")
+
+
+def _save_with_sidecar(csv_path, values: np.ndarray, sidecar: dict) -> None:
+    """Write `values` as CSV plus `sidecar` as JSON (same stem, .json suffix)."""
+    _write_csv(csv_path, values)
+    _write_json(Path(csv_path).with_suffix(".json"), sidecar)
 
 
 def load_dataset(manifest_path) -> Dataset:
@@ -221,10 +248,7 @@ def load_dataset(manifest_path) -> Dataset:
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
         raise ValueError(f"manifest {manifest_path} does not exist")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"manifest {manifest_path} is not valid JSON: {exc}") from exc
+    manifest = _read_json(manifest_path, f"manifest {manifest_path}")
     entries = manifest.get("sets") if isinstance(manifest, dict) else None
     if not isinstance(entries, list) or not entries:
         raise ValueError(f"manifest {manifest_path} must be a JSON object with a non-empty 'sets' list")
@@ -242,7 +266,10 @@ def load_dataset(manifest_path) -> Dataset:
         set_id, raw_label = (str(_field(entry, key, where, (str, int))) for key in ("id", "label"))
         if raw_label not in label_map:
             label_map[raw_label] = len(label_map)
-        features = _read_feature_csv(base / _field(entry, "path", where, str), set_id)
+        path = base / _field(entry, "path", where, str)
+        if not path.exists():
+            raise ValueError(f"set {set_id!r}: feature file {path} does not exist")
+        features = _read_csv(path, f"set {set_id!r}")
         sets.append(FeatureSet(id=set_id, label=label_map[raw_label], features=features))
     return Dataset(sets=tuple(sets))
 
@@ -258,10 +285,10 @@ def save_dataset(dataset: Dataset, manifest_path, label_names: dict[int, str] | 
     entries = []
     for i, fs in enumerate(dataset.sets):
         rel = f"{manifest_path.stem}_set{i:04d}.csv"
-        np.savetxt(manifest_path.parent / rel, fs.features, delimiter=",", fmt="%.17g")
+        _write_csv(manifest_path.parent / rel, fs.features)
         label = label_names[fs.label] if label_names else str(fs.label)
         entries.append({"id": fs.id, "label": label, "path": rel})
-    manifest_path.write_text(json.dumps({"sets": entries}, indent=2, sort_keys=True) + "\n")
+    _write_json(manifest_path, {"sets": entries})
 
 
 @dataclass(frozen=True)

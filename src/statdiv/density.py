@@ -296,18 +296,3 @@ def log_density_batch(model: DensityModel, points) -> np.ndarray:
     if not np.all(np.isfinite(pts)):
         raise ValueError("evaluation points contain non-finite entries")
     return model.block(pts)[0]
-
-
-def log_density_loo(model: DensityModel, sample_index: int | None = None) -> np.ndarray:
-    """Leave-one-out log density of the model at its own samples.
-
-    Drops the i-th kernel term when evaluating at sample i and renormalizes
-    by n-1. Off by default everywhere; provided for diagnostics.
-    """
-    if model.n < 3:
-        raise ValueError("leave-one-out evaluation needs at least 3 samples")
-    log_kernels = model.block(model.samples)[1]
-    np.fill_diagonal(log_kernels, -np.inf)
-    log_norm = model.log_norm + np.log(model.n) - np.log(model.n - 1)
-    out = _log_mixture(log_kernels, log_norm)[0]
-    return out if sample_index is None else out[sample_index]

@@ -14,7 +14,6 @@ its gallery x probe pairs, or both in one pass."""
 
 from __future__ import annotations
 
-import json
 import numbers
 from dataclasses import dataclass
 from enum import Enum
@@ -22,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import ConfigError, _json_fields
+from .dataset import ConfigError, _json_fields, _read_csv, _save_with_sidecar
 from .density import (Bandwidth, DensityModel, _features_of, _read_only, isotropic_silverman_bandwidth, log_ratios,
                       silverman_bandwidth)
 
@@ -287,13 +286,6 @@ def cross_divergence_matrix(sets_a, sets_b, kind: DivergenceKind, bw_policy="sil
     return _square_and_cross(sets_a, sets_b, kind, bw_policy, square=False)[1]
 
 
-def _save_with_sidecar(csv_path, values: np.ndarray, sidecar: dict) -> None:
-    """Write `values` as CSV plus `sidecar` as JSON (same stem, .json suffix)."""
-    csv_path = Path(csv_path)
-    np.savetxt(csv_path, values, delimiter=",", fmt="%.17g")
-    csv_path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
-
-
 def save_divergence_matrix(matrix: DivergenceMatrix, csv_path) -> None:
     """Write the values as CSV plus a JSON sidecar (same stem, .json suffix)."""
     _save_with_sidecar(csv_path, matrix.values, {
@@ -307,7 +299,7 @@ def load_divergence_matrix(csv_path) -> DivergenceMatrix:
     sidecar = Path(csv_path).with_suffix(".json")
     fields = _json_fields(sidecar, {"kind": str, "set_ids": list[str], "bandwidth_policy": str})
     return DivergenceMatrix(
-        values=np.loadtxt(csv_path, delimiter=",", ndmin=2),
+        values=_read_csv(csv_path, "divergence matrix"),
         kind=_divergence_kind(fields["kind"], f"{sidecar}.kind"),
         set_ids=tuple(fields["set_ids"]),
         bw_policy=fields["bandwidth_policy"],

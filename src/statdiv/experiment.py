@@ -10,7 +10,6 @@ and its gallery x probe matrix from one pass over the two sides' KDEs.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -19,8 +18,8 @@ from typing import get_type_hints
 import numpy as np
 
 from .classify import KfdaModel, accuracy, kfda_fit, latent_nn_classify, nn_classify
-from .dataset import (ConfigError, Dataset, SyntheticSpec, _checked, _field, _no_unread_keys, generate_synthetic,
-                      load_dataset, split_gallery_probe, standardize_dataset)
+from .dataset import (ConfigError, Dataset, SyntheticSpec, _checked, _field, _no_unread_keys, _write_json,
+                      generate_synthetic, load_dataset, split_gallery_probe, standardize_dataset)
 from .dimred import DrConfig, learn_projection, project_sets
 from .divergence import (DivergenceKind, DivergenceMatrix, _divergence_kind, _is_positive_number, _square_and_cross,
                          cross_divergence_matrix)
@@ -42,6 +41,15 @@ PIPELINES = ("nn", "kfda", "nn_dr")
 def _require(cond: bool, path: str, message: str):
     if not cond:
         raise ConfigError(f"{path}: {message}")
+
+
+def _bandwidth_policy(value, path: str, parse=lambda v: v):
+    """`parse(value)` if it is "silverman", "isotropic" or a positive number
+    (one shared variance); a ConfigError naming `path` and `value` otherwise."""
+    policy = parse(value)
+    _require(policy in ("silverman", "isotropic") or _is_positive_number(policy), path,
+             f"must be 'silverman', 'isotropic' or a positive number, got {value!r}")
+    return policy
 
 
 def _read_dataclass(cls, raw: dict, path: str):
@@ -134,9 +142,7 @@ class ExperimentConfig:
 
         # One shared variance, not a per-set list: the gallery, the probe and
         # their union have different set counts.
-        bw_policy = _field(raw, "bandwidth_policy", "", object, "silverman")
-        _require(bw_policy in ("silverman", "isotropic") or _is_positive_number(bw_policy),
-                 "bandwidth_policy", f"must be 'silverman', 'isotropic' or a positive number, got {bw_policy!r}")
+        bw_policy = _bandwidth_policy(_field(raw, "bandwidth_policy", "", object, "silverman"), "bandwidth_policy")
 
         dr = _field(raw, "dr", "", dict, None)
         if pipeline == "nn_dr":
@@ -330,19 +336,11 @@ def emit_report(report: Report, out_dir) -> None:
     projection was learned), and a separate timings.json."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.json").write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-    )
+    _write_json(out_dir / "report.json", report.to_dict())
     with (out_dir / "accuracy.csv").open("w") as fh:
         fh.write("repetition,accuracy\n")
         for record in report.repetitions:
             fh.write(f"{record['index']},{record['accuracy']:.17g}\n")
     for rep, trace in enumerate(report.traces):
         save_trace(trace, out_dir / f"trace_rep{rep}.csv")
-    (out_dir / "timings.json").write_text(
-        json.dumps({"wall_times_seconds": report.wall_times}, indent=2) + "\n"
-    )
-
-
-def load_report(out_dir) -> dict:
-    return json.loads((Path(out_dir) / "report.json").read_text())
+    _write_json(out_dir / "timings.json", {"wall_times_seconds": report.wall_times})

@@ -17,14 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from .classify import _fix_column_signs
-from .dataset import ConfigError, _checked, _json_fields
+from .dataset import ConfigError, _checked, _json_fields, _read_csv, _save_with_sidecar
 from .density import _features_of, _read_only
 from .divergence import (
     DivergenceKind,
     DivergenceMatrix,
     _ids_of,
     _is_positive_number,
-    _save_with_sidecar,
     cross_divergence_matrix,
     divergence_matrix,
 )
@@ -283,5 +282,5 @@ def save_gram_matrix(matrix: GramMatrix, csv_path) -> None:
 
 def load_gram_matrix(csv_path) -> GramMatrix:
     spec, fields = _load_spec(Path(csv_path).with_suffix(".json"), {"set_ids": list[str], "bandwidth_policy": str})
-    return GramMatrix(values=np.loadtxt(csv_path, delimiter=",", ndmin=2), spec=spec,
+    return GramMatrix(values=_read_csv(csv_path, "gram matrix"), spec=spec,
                       set_ids=tuple(fields["set_ids"]), bw_policy=fields["bandwidth_policy"])

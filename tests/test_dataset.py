@@ -156,6 +156,31 @@ class TestLoadDataset:
         with pytest.raises(ValueError, match=re.escape(message)):
             load_dataset(manifest)
 
+    def test_blank_lines_skipped_and_padded_cells_read(self, tmp_path):
+        (tmp_path / "w.csv").write_text("1.0, 2 \n  \t\n\n3.0,\t4.0\n \n")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"sets": [{"id": "s", "label": "a", "path": "w.csv"}]}))
+        np.testing.assert_array_equal(load_dataset(manifest).sets[0].features, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_hash_starts_no_comment(self, tmp_path):
+        (tmp_path / "h.csv").write_text("1.0,2.0\n# note\n3.0,4.0\n")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"sets": [{"id": "s", "label": "a", "path": "h.csv"}]}))
+        message = f"set 's': non-numeric cell '# note' in {tmp_path / 'h.csv'} at row 2, column 1"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_dataset(manifest)
+
+    def test_cells_read_as_python_floats(self, tmp_path):
+        # numpy's parser skips \x1c-\x1f around a number and refuses non-ASCII
+        # digits; float() does the opposite, and the reader follows float()
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"sets": [{"id": "s", "label": "a", "path": "u.csv"}]}))
+        (tmp_path / "u.csv").write_text("1.0,\u0663\n3.0,4.0\n")
+        np.testing.assert_array_equal(load_dataset(manifest).sets[0].features, [[1.0, 3.0], [3.0, 4.0]])
+        (tmp_path / "u.csv").write_text("1.0,\x1c2.0\n3.0,4.0\n")
+        with pytest.raises(ValueError, match=re.escape(r"non-numeric cell '\x1c2.0'") + ".* at row 1, column 2"):
+            load_dataset(manifest)
+
     def test_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(7)
         ds = generate_synthetic(SyntheticSpec(2, 2, 6, 3, 1.5, 0.2, seed=5))

@@ -133,26 +133,6 @@ class TestLogDensity:
         assert np.all(np.isfinite(values))
 
 
-class TestLeaveOneOut:
-    def test_differs_from_inclusive_self_evaluation(self):
-        from statdiv.density import log_density_loo
-
-        rng = np.random.default_rng(17)
-        mat = rng.standard_normal((12, 2))
-        model = DensityModel(mat, silverman_bandwidth(mat))
-        inclusive = log_density_batch(model, model.samples)
-        loo = log_density_loo(model)
-        assert np.all(loo < inclusive)  # dropping the self kernel can only lower mass
-        assert np.all(np.isfinite(loo))
-
-    def test_needs_three_samples(self):
-        from statdiv.density import log_density_loo
-
-        model = DensityModel(np.array([[0.0], [1.0]]), Bandwidth([1.0]))
-        with pytest.raises(ValueError, match="at least 3"):
-            log_density_loo(model)
-
-
 class TestRowLogSumExp:
     """The KDE's row log-sum-exp is a numpy port of scipy's algorithm;
     scipy.special.logsumexp is the reference."""

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from statdiv.cli import main
-from statdiv.experiment import ConfigError, ExperimentConfig, emit_report, load_report, run_experiment
+from statdiv.experiment import ConfigError, ExperimentConfig, emit_report, run_experiment
 
 
 def synthetic_config(pipeline="nn", **overrides):
@@ -235,7 +235,7 @@ class TestEmitReport:
     def test_round_trip_and_companions(self, tmp_path):
         report = run_experiment(ExperimentConfig.from_dict(synthetic_config("nn_dr")))
         emit_report(report, tmp_path)
-        assert load_report(tmp_path) == report.to_dict()
+        assert json.loads((tmp_path / "report.json").read_text()) == report.to_dict()
         lines = (tmp_path / "accuracy.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + len(report.repetitions)
         assert (tmp_path / "trace_rep0.csv").exists()
@@ -319,6 +319,14 @@ class TestCli:
         assert self.run("eval", "--config", str(config), *flags, "--out", str(tmp_path / "run")) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and "Traceback" not in err
+
+    @pytest.mark.parametrize("text", ["{\n", "", '{"pipeline": "nn",}'])
+    def test_eval_config_that_is_not_json_names_the_file(self, tmp_path, capsys, text):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        assert self.run("eval", "--config", str(config), "--out", str(tmp_path / "run")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config} is not valid JSON: ") and "Traceback" not in err
 
     def test_gda_kernel_without_dim_is_validation_error(self, tmp_path):
         data = tmp_path / "data"
@@ -406,6 +414,8 @@ class TestCli:
                                                         ("kernel.json", "bandwidth_policy", JSON_NULL),
                                                         ("kernel.json", "bandwidth_policy", [1]),
                                                         ("kernel.json", "bandwidth_policy", True),
+                                                        ("kernel.json", "bandwidth_policy", "bogus"),
+                                                        ("kernel.json", "bandwidth_policy", "-1"),
                                                         ("kernel.json", "subspace_dim", 2.7),
                                                         ("model.json", "latent_dim", JSON_NULL),
                                                         ("model.json", "labels", JSON_NULL),
@@ -492,6 +502,36 @@ class TestCli:
         with pytest.raises(ConfigError) as info:
             load(sidecar.with_suffix(".csv"))
         assert str(sidecar) in str(info.value) and field in str(info.value)
+
+    @pytest.mark.parametrize("command", ["dist", "gram", "train-kfda"])
+    @pytest.mark.parametrize("fault, column", [("nan", 1), ("comment", 1), ("ragged", None)])
+    def test_malformed_saved_csv_names_file_row_and_column(self, tmp_path, command, fault, column):
+        from statdiv.classify import load_kfda_model
+        from statdiv.divergence import load_divergence_matrix
+        from statdiv.kernels import load_gram_matrix
+
+        data, out = tmp_path / "data", tmp_path / "out"
+        assert self.run("gen", "--classes", "2", "--sets-per-class", "2",
+                        "--samples-per-set", "8", "--dim", "2", "--out", str(data)) == 0
+        flag = ("--divergence", "hellinger") if command == "dist" else ("--kernel", "hg")
+        assert self.run(command, "--manifest", str(data / "manifest.json"), *flag, "--out", str(out)) == 0
+        csv, load = {"dist": (out / "divergences.csv", load_divergence_matrix),
+                     "gram": (out / "gram.csv", load_gram_matrix),
+                     "train-kfda": (out / "coefficients.csv", lambda _: load_kfda_model(out))}[command]
+        lines = csv.read_text().splitlines()
+        width = len(lines[1].split(","))
+        if fault == "nan":
+            lines[1] = ",".join(["nan"] + lines[1].split(",")[1:])
+        elif fault == "comment":
+            lines.insert(1, "# comment")
+        else:
+            lines[1] += ",0"
+        csv.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as info:
+            load(csv)
+        message = str(info.value)
+        assert str(csv) in message and "at row 2, " in message
+        assert f"column {column or width + 1}" in message
 
     def test_io_error_exit_code(self, tmp_path):
         blocker = tmp_path / "blocker"
