@@ -220,6 +220,11 @@ def load_kfda_model(directory) -> KfdaModel:
     directory = Path(directory)
     meta = _json_fields(directory / "model.json", {"latent_dim": int, "regularization": float,
                                                    "labels": list[int], "train_grand_mean": float})
-    coefficients, train_latent, row_means = (_read_csv(directory / f"{name}.csv", "kfda model")
-                                             for name in _MODEL_ARRAYS)
-    return KfdaModel(coefficients=coefficients, train_latent=train_latent, train_row_means=row_means.ravel(), **meta)
+    m, r = len(meta["labels"]), meta["latent_dim"]
+    arrays = {name: _read_csv(directory / f"{name}.csv", "kfda model") for name in _MODEL_ARRAYS}
+    for (name, values), shape in zip(arrays.items(), [(m, r), (m, r), (m, 1)]):
+        if values.shape != shape:
+            raise ValueError(f"kfda model: {directory / name}.csv holds a {values.shape} matrix, expected {shape} "
+                             f"from the {m} labels and latent_dim {r} of {directory / 'model.json'}")
+    arrays["train_row_means"] = arrays["train_row_means"].ravel()
+    return KfdaModel(**arrays, **meta)

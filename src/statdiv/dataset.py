@@ -188,7 +188,7 @@ def _read_csv(path, owner: str) -> np.ndarray:
     comment, and a cell may carry spaces around its number. An empty file, a
     ragged row or a cell that is not a finite decimal float is a ValueError
     naming `owner`, the file, the row and the column."""
-    text = Path(path).read_text()
+    text = Path(path).read_text(errors="replace")  # a byte that is not UTF-8 reads as U+FFFD: a non-numeric cell
     lines = [(row, line) for row, line in enumerate(text.split("\n"), start=1) if line.strip()]
     if not lines:
         raise ValueError(f"{owner}: file {path} is empty")

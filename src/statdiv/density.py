@@ -241,11 +241,10 @@ def _log_mixture(log_kernels: np.ndarray, log_norm) -> tuple[np.ndarray, np.ndar
 def tiles(kdes, pairs):
     """Yields (runs, points, *:func:`_log_mixture`) per tile of the blocks (KDE b, set s) that
     `pairs` of `kdes` need, b at b and at each distinct partner; `kdes` holds (model, k) per set,
-    KDE k on the model's leading axis, or a model without one. A tile is blocks of one model's
+    KDE k on the model's leading axis (0 for a model without one). A tile is blocks of one model's
     KDEs, by set size, cut where one starts past `_STACK_BLOCK` entries; its points are the
     sets' samples in `runs`, (n, [(b, s), ...]) per run of sets of n rows. All but the GEMM is
     row by row and each block gets its own, so each is bit-equal to :meth:`DensityModel.block`."""
-    kdes = [(m, 0) if isinstance(m, DensityModel) else m for m in kdes]
     samples, groups = [m.anchors[1][k] for m, k in kdes], {}  # id of a model: its blocks (n_s, b, s)
     for i, j in pairs:
         for b, s in ((i, i), (i, j), (j, j), (j, i)):
@@ -268,13 +267,12 @@ def tiles(kdes, pairs):
             yield runs, points, *_log_mixture(_log_kernel_matrix(points, *per_row[1:], gathered), per_row[0])
 
 
-def log_ratios(kdes, pairs, tiled=None):
-    """Yields (s, its distinct partners r, z) for each set s in `pairs`, one row
-    z[r] = log p_s - log p_r at the samples of s per partner, from the blocks of
-    :func:`tiles` (by default made here and dropped as read). Each set's log
-    densities are dropped as its z is formed, so one z exists at a time."""
+def log_ratios(tiled):
+    """Yields (s, its distinct partners r, z) for each set s of the `tiled` blocks
+    (:func:`tiles`), one row z[r] = log p_s - log p_r at the samples of s per partner.
+    Each set's log densities are dropped as its z is formed, so one z exists at a time."""
     at = {}  # s: {b: log p_b at the samples of s}
-    for runs, _, log_density, *kernels in tiles(kdes, pairs) if tiled is None else tiled:
+    for runs, _, log_density, *kernels in tiled:
         del kernels  # before the next tile is formed, so two never coexist
         stop = 0
         for n, run in runs:

@@ -8,10 +8,12 @@ bandwidths are data: both are computed once and stay fixed during the
 optimization, which runs a projection-based conjugate gradient over
 orthonormal frames.
 
-The cost and the gradient fit the projected sets' KDEs by size and read
-them through `density.tiles`. The gradient weighs each sample by its
-term's slope in its set's log ratios z (`divergence._TERMS`) and sums
-each tile's blocks by batched contractions and one GEMM per side.
+One pass per frame fits the projected sets' KDEs by size, reads them
+through `density.tiles` and sums the signed estimates into the cost. The
+optimizer asks for the gradient only at accepted frames, and it comes from
+that same pass's tiles and log ratios: each sample is weighed by its
+term's slope in its set's log ratios z (`divergence._TERMS`), and each
+tile's blocks are summed by batched contractions and one GEMM per side.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classify import _fix_column_signs
-from .density import Bandwidth, DensityModel, _features_of, _read_only, log_ratios, tiles
+from .density import Bandwidth, _features_of, _read_only, log_ratios, tiles
 from .divergence import _TERMS, DivergenceKind, _estimates, _kde_collection, divergence_matrix, resolve_bandwidths
 from .manifold import CgOptions, CgResult, cg_minimize, random_orthonormal
 
@@ -134,40 +136,6 @@ def project_sets(sets, w: np.ndarray) -> list[np.ndarray]:
     return [_features_of(s) @ w for s in sets]
 
 
-def _active_pairs(affinity: AffinityMatrix) -> tuple[list[tuple[int, int]], list[float]]:
-    """The index pairs i < j of nonzero affinity, row by row, and their signs."""
-    i, j = np.nonzero(np.triu(affinity.values, 1))
-    return list(zip(i.tolist(), j.tolist())), affinity.values[i, j].astype(float).tolist()
-
-
-def _projected_kdes(w: np.ndarray, sets, bandwidths) -> list[tuple[DensityModel, int]]:
-    """The KDEs of the projected sets with frozen bandwidths. A bandwidth
-    policy would recompute them from each W, and the gradient, which holds
-    them fixed, would no longer be the derivative of the cost."""
-    if isinstance(bandwidths, str):
-        raise ValueError(
-            f"bandwidths must be one Bandwidth per set in the projected dimension, got {bandwidths!r}")
-    return _kde_collection(project_sets(sets, w), bandwidths)
-
-
-def dr_cost(w: np.ndarray, sets, affinity: AffinityMatrix,
-            kind: DivergenceKind, bandwidths) -> float:
-    """Sum over unordered neighbor pairs of (sign) * divergence of the
-    projected sets.
-
-    Each term is the symmetric estimator of
-    :func:`statdiv.divergence.pair_divergence` on the projected pair.
-    `bandwidths` holds one :class:`Bandwidth` per set, already in the
-    projected dimension, so the objective is a pure function of `w`.
-    """
-    kdes = _projected_kdes(w, sets, bandwidths)
-    pairs, signs = _active_pairs(affinity)
-    total = 0.0
-    for sign, estimate in zip(signs, _estimates(kind, kdes, pairs)):
-        total += sign * estimate
-    return total
-
-
 def _mixture_gradient(omega: np.ndarray, points: np.ndarray, points_proj: np.ndarray, anchors: np.ndarray,
                       anchors_proj: np.ndarray, inv: np.ndarray, runs, kernels, lse) -> np.ndarray:
     """sum_x omega[x] * d(log p(x))/dW over the rows x of a tile, from its log `kernels` at the
@@ -193,6 +161,58 @@ def _mixture_gradient(omega: np.ndarray, points: np.ndarray, points_proj: np.nda
     return anchors.T @ right.reshape(-1, right.shape[-1]) - points.T @ left
 
 
+def _dr_pass(w: np.ndarray, sets, affinity: AffinityMatrix, kind: DivergenceKind, bandwidths):
+    """:func:`dr_cost` at `w`, and a function of no arguments that returns
+    :func:`dr_euclidean_gradient` there from the same tiles and log ratios."""
+    # Frozen bandwidths: a policy would recompute them from each W, and the gradient,
+    # which holds them fixed, would no longer be the derivative of the cost.
+    if isinstance(bandwidths, str):
+        raise ValueError(
+            f"bandwidths must be one Bandwidth per set in the projected dimension, got {bandwidths!r}")
+    mats = [_features_of(s) for s in sets]
+    kdes = _kde_collection(project_sets(mats, w), bandwidths)
+    i, j = np.nonzero(np.triu(affinity.values, 1))
+    pairs = list(zip(i.tolist(), j.tolist()))
+    tiled = list(tiles(kdes, pairs))
+    ratios = list(log_ratios(tiled))
+    cost = 0.0
+    for sign, estimate in zip(affinity.values[i, j].astype(float).tolist(), _estimates(kind, ratios, pairs)):
+        cost += sign * estimate
+
+    def gradient() -> np.ndarray:
+        omega = {}  # (b, s): the weight of each sample of set s in d(log p_b)/dW
+        for s, partners, z in ratios:
+            weights = affinity.values[s, partners, None] * _TERMS[kind][1](z) / mats[s].shape[0]
+            omega[s, s] = weights.sum(axis=0)
+            omega.update(((r, s), -row) for r, row in zip(partners, weights))
+        total = np.zeros(np.shape(w))
+        for runs, points_proj, _, *block in tiled:
+            blocks = [bs for _, run in runs for bs in run]
+            model, one = kdes[blocks[0][0]][0], len({b for b, _ in blocks}) == 1  # one KDE: its blocks are one run
+            own = [kdes[b][1] for b, _ in blocks[:1 if one else None]]
+            total += _mixture_gradient(
+                np.concatenate([omega[bs] for bs in blocks]), np.concatenate([mats[s] for _, s in blocks]),
+                points_proj, np.concatenate([mats[b] for b, _ in blocks[:len(own)]]), model.anchors[1][own],
+                1.0 / model.bandwidth.diag.reshape(-1, model.dim)[own],
+                [(1, len(points_proj))] if one else [(len(run), n) for n, run in runs], *block)
+        return total
+
+    return cost, gradient
+
+
+def dr_cost(w: np.ndarray, sets, affinity: AffinityMatrix,
+            kind: DivergenceKind, bandwidths) -> float:
+    """Sum over unordered neighbor pairs of (sign) * divergence of the
+    projected sets.
+
+    Each term is the symmetric estimator of
+    :func:`statdiv.divergence.pair_divergence` on the projected pair.
+    `bandwidths` holds one :class:`Bandwidth` per set, already in the
+    projected dimension, so the objective is a pure function of `w`.
+    """
+    return _dr_pass(w, sets, affinity, kind, bandwidths)[0]
+
+
 def dr_euclidean_gradient(w: np.ndarray, sets, affinity: AffinityMatrix,
                           kind: DivergenceKind, bandwidths) -> np.ndarray:
     """Matrix of partial derivatives of :func:`dr_cost` with respect to W.
@@ -202,27 +222,7 @@ def dr_euclidean_gradient(w: np.ndarray, sets, affinity: AffinityMatrix,
     minus that under each partner's KDE r, the sum under its own KDE s, so each tile
     of the cost's blocks gives one :func:`_mixture_gradient`.
     """
-    w = np.asarray(w, dtype=float)
-    mats = [_features_of(s) for s in sets]
-    kdes = _projected_kdes(w, mats, bandwidths)
-    pairs = _active_pairs(affinity)[0]
-    tiled = list(tiles(kdes, pairs))
-    omega = {}  # (b, s): the weight of each sample of set s in d(log p_b)/dW
-    for s, partners, z in log_ratios(kdes, pairs, tiled):
-        weights = affinity.values[s, partners, None] * _TERMS[kind][1](z) / mats[s].shape[0]
-        omega[s, s] = weights.sum(axis=0)
-        omega.update(((r, s), -row) for r, row in zip(partners, weights))
-    total = np.zeros_like(w)
-    for runs, points_proj, _, *block in tiled:
-        blocks = [bs for _, run in runs for bs in run]
-        model, one = kdes[blocks[0][0]][0], len({b for b, _ in blocks}) == 1  # one KDE: its blocks are one run
-        own = [kdes[b][1] for b, _ in blocks[:1 if one else None]]
-        total += _mixture_gradient(
-            np.concatenate([omega[bs] for bs in blocks]), np.concatenate([mats[s] for _, s in blocks]), points_proj,
-            np.concatenate([mats[b] for b, _ in blocks[:len(own)]]), model.anchors[1][own],
-            1.0 / model.bandwidth.diag.reshape(-1, w.shape[1])[own],
-            [(1, len(points_proj))] if one else [(len(run), n) for n, run in runs], *block)
-    return total
+    return _dr_pass(w, sets, affinity, kind, bandwidths)[1]()
 
 
 @dataclass(frozen=True)
@@ -294,12 +294,6 @@ def learn_projection(sets, labels, config: DrConfig) -> DrResult:
     # invariant to the choice of basis of W.
     bandwidths = tuple(resolve_bandwidths(project_sets(mats, w0), "isotropic"))
 
-    def cost(w: np.ndarray) -> float:
-        return dr_cost(w, mats, affinity, config.kind, bandwidths)
-
-    def egrad(w: np.ndarray) -> np.ndarray:
-        return dr_euclidean_gradient(w, mats, affinity, config.kind, bandwidths)
-
-    result = cg_minimize(cost, egrad, w0, config.cg)
+    result = cg_minimize(lambda w: _dr_pass(w, mats, affinity, config.kind, bandwidths), w0, config.cg)
     return DrResult(point=result.point, initial_point=w0, cg=result,
                     affinity=affinity, bandwidths=bandwidths)

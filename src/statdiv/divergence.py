@@ -23,7 +23,7 @@ import numpy as np
 
 from .dataset import ConfigError, _json_fields, _read_csv, _save_with_sidecar
 from .density import (Bandwidth, DensityModel, _features_of, _read_only, isotropic_silverman_bandwidth, log_ratios,
-                      silverman_bandwidth)
+                      silverman_bandwidth, tiles)
 
 __all__ = [
     "T_CLAMP",
@@ -174,11 +174,11 @@ _TERMS = {
 }
 
 
-def _estimates(kind: DivergenceKind, kdes: list[tuple[DensityModel, int]], pairs) -> list[float]:
-    """Each pair's symmetric estimate (i, j) among the sets of `kdes`, each KDE evaluated
-    once for all `pairs`: the mean per-sample term over set i plus that over set j."""
+def _estimates(kind: DivergenceKind, ratios, pairs) -> list[float]:
+    """Each pair's symmetric estimate (i, j) from the sets' log `ratios` (:func:`log_ratios`
+    of the tiles of `pairs`): the mean per-sample term over set i plus that over set j."""
     means = {}  # s: {r: the mean term at the samples of s against partner r}
-    for s, partners, z in log_ratios(kdes, pairs):
+    for s, partners, z in ratios:
         means[s] = dict(zip(partners, np.mean(_TERMS[kind][0](z), axis=1)))
     return [float(means[i][j] + means[j][i]) for i, j in pairs]
 
@@ -188,7 +188,7 @@ def pair_divergence(p_samples, q_samples, kind: DivergenceKind,
     """Symmetric empirical divergence between two sample matrices with
     explicitly fixed bandwidths. Identical inputs give exactly 0."""
     kdes = _kde_collection([p_samples, q_samples], [bandwidth_p, bandwidth_q])
-    return _estimates(kind, kdes, [(0, 1)])[0]
+    return _estimates(kind, log_ratios(tiles(kdes, [(0, 1)])), [(0, 1)])[0]
 
 
 def hellinger_empirical(p_samples, q_samples, bw_policy="silverman") -> float:
@@ -259,7 +259,8 @@ def _square_and_cross(gallery, probe, kind: DivergenceKind, bw_policy,
     pairs = [(i, j) for i in range(g) for j in range(i + 1, g) if square]
     pairs += [(i, j) for i in range(g) for j in range(g, len(sets))]
     values = np.zeros((g, len(sets)))
-    for (i, j), value in zip(pairs, _estimates(kind, _kde_collection(sets, bw_policy, kind), pairs)):
+    ratios = log_ratios(tiles(_kde_collection(sets, bw_policy, kind), pairs))
+    for (i, j), value in zip(pairs, _estimates(kind, ratios, pairs)):
         values[i, j] = value
     own = values[:, :g] + values[:, :g].T
     return DivergenceMatrix(own, kind, _ids_of(gallery), describe_bandwidth_policy(bw_policy)), values[:, g:].copy()

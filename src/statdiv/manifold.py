@@ -1,8 +1,8 @@
 """Subspace-manifold primitives and a projection-based conjugate gradient.
 
 Points are orthonormal D x d matrices identified with their column span.
-The optimizer consumes a cost callback and the plain matrix of partial
-derivatives; it projects to the tangent space, takes Polak-Ribiere
+The optimizer consumes one callback for the cost and the plain matrix of
+partial derivatives; it projects to the tangent space, takes Polak-Ribiere
 (non-negative) conjugate directions with re-projection in place of
 parallel transport, and retracts with a sign-fixed thin QR.
 """
@@ -133,19 +133,20 @@ def _inner(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(a * b))
 
 
-def cg_minimize(cost: Callable[[np.ndarray], float],
-                egrad: Callable[[np.ndarray], np.ndarray],
+def cg_minimize(objective: Callable[[np.ndarray], tuple[float, Callable[[], np.ndarray]]],
                 w0: np.ndarray,
                 opts: CgOptions = CgOptions()) -> CgResult:
-    """Minimize `cost` over orthonormal frames, given the ambient gradient.
+    """Minimize a cost over orthonormal frames: `objective(w)` returns the cost at w and a
+    function of no arguments for the ambient gradient at w, called only at w0 and at accepted
+    points and released before the next point is evaluated, so one point's work is held at a time.
 
     Every accepted iterate satisfies the orthonormality invariant, the
     recorded cost sequence is non-increasing (Armijo acceptance), and the
-    whole run is a pure function of (cost, egrad, w0, opts).
+    whole run is a pure function of (objective, w0, opts).
     """
     w = _check_point(w0)
-    f = float(cost(w))
-    g = tangent_project(w, egrad(w))
+    f, gradient = objective(w)
+    g = tangent_project(w, gradient())
     g_norm = float(np.linalg.norm(g))
     rows = [(0, f, g_norm, 0.0)]
 
@@ -163,24 +164,22 @@ def cg_minimize(cost: Callable[[np.ndarray], float],
             slope = -_inner(g, g)
 
         step = INITIAL_STEP
-        accepted = None
         for _ in range(MAX_BACKTRACKS):
             try:
-                candidate = retract(w, direction, step)
+                w_new = retract(w, direction, step)
             except np.linalg.LinAlgError:
                 step *= BACKTRACK_FACTOR
                 continue
-            f_new = float(cost(candidate))
+            gradient = None  # drop the last point's closure, and the work it holds, before forming this one's
+            f_new, gradient = objective(w_new)
             if f_new <= f + ARMIJO_C1 * step * slope:
-                accepted = (candidate, f_new, step)
                 break
             step *= BACKTRACK_FACTOR
-        if accepted is None:
+        else:  # no trial point was accepted
             stop_reason = "line_search_failed"
             break
-        w_new, f_new, step = accepted
 
-        g_new = tangent_project(w_new, egrad(w_new))
+        g_new = tangent_project(w_new, gradient())
         g_norm = float(np.linalg.norm(g_new))
         rows.append((iteration, f_new, g_norm, step))
 

@@ -156,6 +156,15 @@ class TestLoadDataset:
         with pytest.raises(ValueError, match=re.escape(message)):
             load_dataset(manifest)
 
+    def test_byte_that_is_not_utf8_names_set_file_row_and_column(self, tmp_path, capsys):
+        (tmp_path / "x.csv").write_bytes(b"1.0,2.0\n3.0,\xff4.0\n")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"sets": [{"id": "s", "label": "a", "path": "x.csv"}]}))
+        assert main(["dist", "--manifest", str(manifest), "--divergence", "hellinger",
+                     "--out", str(tmp_path / "out")]) == 1
+        message = f"set 's': non-numeric cell '\ufffd4.0' in {tmp_path / 'x.csv'} at row 2, column 2"
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_blank_lines_skipped_and_padded_cells_read(self, tmp_path):
         (tmp_path / "w.csv").write_text("1.0, 2 \n  \t\n\n3.0,\t4.0\n \n")
         manifest = tmp_path / "manifest.json"

@@ -309,14 +309,14 @@ class TestStackedCollection:
         sets, bandwidths, pairs, dup = self.problem(rng, dim)
         models = [density.DensityModel(s, bw) for s, bw in zip(sets, bandwidths)]
         seen = []
-        for s, partners, z in density.log_ratios(models, pairs):
+        for s, partners, z in density.log_ratios(density.tiles([(m, 0) for m in models], pairs)):
             seen.append(s)
             assert sorted(partners) == sorted({j for i, j in pairs if i == s} | {i for i, j in pairs if j == s})
             assert z.shape == (len(partners), sets[s].shape[0])
             own = models[s].block(sets[s])[0]
             for r, row in zip(partners, z):
-                two = [density.DensityModel(sets[t], bandwidths[t]) for t in (s, r)]
-                [two_row] = {t: zz for t, _, zz in density.log_ratios(two, [(0, 1)])}[0]
+                two = [(density.DensityModel(sets[t], bandwidths[t]), 0) for t in (s, r)]
+                [two_row] = {t: zz for t, _, zz in density.log_ratios(density.tiles(two, [(0, 1)]))}[0]
                 np.testing.assert_array_equal(row, two_row)
                 np.testing.assert_array_equal(row, own - models[r].block(sets[s])[0])
                 if {s, r} == {1, dup}:

@@ -14,7 +14,7 @@ from statdiv.dimred import (
     learn_projection,
     project_sets,
 )
-from statdiv.manifold import CgOptions, is_orthonormal, random_orthonormal
+from statdiv.manifold import CgOptions, cg_minimize, is_orthonormal, random_orthonormal
 
 
 def finite_difference(fn, w, step=1e-6):
@@ -304,6 +304,45 @@ class TestLearnProjection:
             learn_projection(sets, [0, 0, 1, 1], DrConfig(target_dim=3))
         with pytest.raises(ValueError, match="target_dim"):
             DrConfig(target_dim=0)
+
+
+class TestOnePassPerFrame:
+    @pytest.mark.parametrize("kind", list(DivergenceKind))
+    def test_one_tiles_call_per_objective_evaluation(self, kind, monkeypatch):
+        from statdiv import density, dimred
+
+        ds = TestLearnProjection().benchmark(2)
+        calls = {"tiles": 0, "objective": 0, "tiles_before_cg": None}
+        tiles, cg = density.tiles, dimred.cg_minimize
+
+        def counting_tiles(*args):
+            calls["tiles"] += 1
+            return tiles(*args)
+
+        def counting_cg(objective, *args):
+            calls["tiles_before_cg"] = calls["tiles"]
+
+            def counted(w):
+                calls["objective"] += 1
+                return objective(w)
+
+            return cg(counted, *args)
+
+        for module in (density, dimred):  # dimred reads the name it imported
+            monkeypatch.setattr(module, "tiles", counting_tiles)
+        monkeypatch.setattr(dimred, "cg_minimize", counting_cg)
+        config = DrConfig(target_dim=3, kind=kind, cg=CgOptions(max_iters=10, rel_cost_tol=1e-4))
+        result = learn_projection(ds.sets, ds.labels, config)
+        assert calls["objective"] > result.cg.trace.shape[0]  # some trial frames were rejected
+        assert calls["tiles"] - calls["tiles_before_cg"] == calls["objective"]
+
+        # the same run as a cost and a gradient formed apart
+        mats = [fs.features for fs in ds.sets]
+        args = (mats, result.affinity, kind, result.bandwidths)
+        apart = cg_minimize(lambda w: (dr_cost(w, *args), lambda: dr_euclidean_gradient(w, *args)),
+                            result.initial_point, config.cg)
+        np.testing.assert_array_equal(result.cg.trace, apart.trace)
+        np.testing.assert_array_equal(result.point, apart.point)
 
 
 class TestGradientBlockCount:

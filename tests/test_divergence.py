@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from statdiv import oracles
-from statdiv.density import Bandwidth, DensityModel, log_density_batch, log_ratios, silverman_bandwidth
+from statdiv.density import Bandwidth, DensityModel, log_density_batch, log_ratios, silverman_bandwidth, tiles
 from statdiv.divergence import (
     _TERMS,
     T_CLAMP,
@@ -97,7 +97,7 @@ class TestClosedFormTerms:
         p = rng.standard_normal((40, 2))
         q = p + 1e-7 * rng.standard_normal((40, 2))
         bw = Bandwidth([0.4, 0.6])
-        z = {s: z for s, _, [z] in log_ratios(_kde_collection([p, q], [bw, bw]), [(0, 1)])}
+        z = {s: z for s, _, [z] in log_ratios(tiles(_kde_collection([p, q], [bw, bw]), [(0, 1)]))}
         z_p, z_q = z[0], z[1]
         assert 0.0 < np.max(np.abs(np.concatenate([z_p, z_q]))) < 1e-6
         series = sum(float(np.mean(z**2 / 8.0 - 5.0 * z**4 / 384.0)) for z in (z_p, z_q))
@@ -468,7 +468,7 @@ class TestTileProperties:
         bandwidths = resolve_bandwidths(sets, "silverman")
         models = [DensityModel(s, bw) for s, bw in zip(sets, bandwidths)]
         pairs = [(i, j) for i in range(len(sets)) for j in range(i + 1, len(sets))]
-        for s, partners, z in log_ratios(_kde_collection(sets, bandwidths), pairs):
+        for s, partners, z in log_ratios(tiles(_kde_collection(sets, bandwidths), pairs)):
             own = models[s].block(sets[s])[0]
             for r, row in zip(partners, z):
                 np.testing.assert_array_equal(row, own - models[r].block(sets[s])[0])
@@ -482,7 +482,7 @@ class TestTileProperties:
         kdes = _kde_collection(sets, "silverman")
         pairs = [(i, j) for i in range(len(sets)) for j in range(i + 1, len(sets))]
         copies = {k + (k >= at), at}
-        for s, partners, z in log_ratios(kdes, pairs):
+        for s, partners, z in log_ratios(tiles(kdes, pairs)):
             if s in copies:
                 np.testing.assert_array_equal(z[partners.index((copies - {s}).pop())], 0.0)
 

@@ -56,6 +56,23 @@ REJECTED = [
 JSON_NULL = object()
 
 
+# Edits of a saved file's text.
+def _cut_last_line(text):
+    return "\n".join(text.splitlines()[:-1]) + "\n"
+
+
+def _add_column(text):
+    return "".join(f"{line},0\n" for line in text.splitlines())
+
+
+def _set_field(name, value):
+    def edit(text):
+        return json.dumps({**json.loads(text), name: value})
+
+    edit.__name__ = f"set_{name}"  # the test id
+    return edit
+
+
 def rejected_config(pipeline, path, value):
     raw = synthetic_config(pipeline)
     *parents, key = path.split(".")
@@ -422,7 +439,16 @@ class TestCli:
                                                         ("model.json", "regularization", JSON_NULL),
                                                         ("model.json", "latent_dim", 1.7),
                                                         ("model.json", "regularization", True),
-                                                        ("model.json", "labels", [0, 1.5])])
+                                                        ("model.json", "labels", [0, 1.5]),
+                                                        # a model of 6 sets and latent_dim 1 whose files disagree:
+                                                        # `field` is the file the error names, `value` the edit
+                                                        ("train_row_means.csv", "expected (6, 1)", _cut_last_line),
+                                                        ("coefficients.csv", "expected (6, 1)", _cut_last_line),
+                                                        ("train_latent.csv", "expected (6, 1)", _add_column),
+                                                        ("model.json", "coefficients.csv",
+                                                         _set_field("latent_dim", 2)),
+                                                        ("model.json", "coefficients.csv",
+                                                         _set_field("labels", [0, 1, 0, 1]))])
     def test_classify_with_bad_model_directory(self, tmp_path, capsys, filename, field, value):
         data = tmp_path / "data"
         assert self.run("gen", "--classes", "2", "--sets-per-class", "3",
@@ -431,12 +457,15 @@ class TestCli:
         model = tmp_path / "model"
         assert self.run("train-kfda", "--manifest", manifest, "--kernel", "hg",
                         "--out", str(model)) == 0
-        meta = json.loads((model / filename).read_text())
-        if value is None:
-            del meta[field]
+        if callable(value):
+            (model / filename).write_text(value((model / filename).read_text()))
         else:
-            meta[field] = None if value is JSON_NULL else value
-        (model / filename).write_text(json.dumps(meta))
+            meta = json.loads((model / filename).read_text())
+            if value is None:
+                del meta[field]
+            else:
+                meta[field] = None if value is JSON_NULL else value
+            (model / filename).write_text(json.dumps(meta))
         capsys.readouterr()
         assert self.run("classify", "--gallery", manifest, "--probe", manifest,
                         "--model", str(model), "--out", str(tmp_path / "cls")) == 1
@@ -444,7 +473,7 @@ class TestCli:
         assert err.startswith("error: ")
         if value is None:
             assert str(model / filename) in err and repr(field) in err
-        else:
+        elif not callable(value):
             assert repr(None if value is JSON_NULL else value) in err
         assert str(model / filename) in err and field in err
 
@@ -504,7 +533,7 @@ class TestCli:
         assert str(sidecar) in str(info.value) and field in str(info.value)
 
     @pytest.mark.parametrize("command", ["dist", "gram", "train-kfda"])
-    @pytest.mark.parametrize("fault, column", [("nan", 1), ("comment", 1), ("ragged", None)])
+    @pytest.mark.parametrize("fault, column", [("nan", 1), ("comment", 1), ("ragged", None), ("not_utf8", 1)])
     def test_malformed_saved_csv_names_file_row_and_column(self, tmp_path, command, fault, column):
         from statdiv.classify import load_kfda_model
         from statdiv.divergence import load_divergence_matrix
@@ -524,9 +553,11 @@ class TestCli:
             lines[1] = ",".join(["nan"] + lines[1].split(",")[1:])
         elif fault == "comment":
             lines.insert(1, "# comment")
+        elif fault == "not_utf8":
+            lines[1] = "\udcff" + lines[1]  # the byte 0xff
         else:
             lines[1] += ",0"
-        csv.write_text("\n".join(lines) + "\n")
+        csv.write_bytes(("\n".join(lines) + "\n").encode(errors="surrogateescape"))
         with pytest.raises(ValueError) as info:
             load(csv)
         message = str(info.value)

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,11 @@ from statdiv.manifold import (
     save_trace,
     tangent_project,
 )
+
+
+def objective(cost, egrad):
+    """The one callback of `cg_minimize`, from a cost and its ambient gradient."""
+    return lambda w: (cost(w), lambda: egrad(w))
 
 
 def subspace_distance(a, b):
@@ -82,7 +89,7 @@ class TestCgMinimize:
 
     def test_converges_to_dominant_subspace(self):
         spd, cost, egrad, w0 = self.trace_problem()
-        result = cg_minimize(cost, egrad, w0,
+        result = cg_minimize(objective(cost, egrad), w0,
                              CgOptions(max_iters=400, grad_tol=1e-9, rel_cost_tol=1e-14))
         _, eigvecs = np.linalg.eigh(spd)
         assert subspace_distance(eigvecs[:, -2:], result.point) < 1e-6
@@ -90,7 +97,7 @@ class TestCgMinimize:
     def test_zero_gradient_start_stops_immediately(self):
         spd, cost, egrad, _ = self.trace_problem()
         _, eigvecs = np.linalg.eigh(spd)
-        result = cg_minimize(cost, egrad, eigvecs[:, -2:], CgOptions(grad_tol=1e-6))
+        result = cg_minimize(objective(cost, egrad), eigvecs[:, -2:], CgOptions(grad_tol=1e-6))
         assert result.trace.shape[0] == 1
         assert result.converged
         assert result.stop_reason == "grad_tol"
@@ -98,7 +105,7 @@ class TestCgMinimize:
     @pytest.mark.parametrize("seed", range(5))
     def test_trace_never_increases(self, seed):
         _, cost, egrad, w0 = self.trace_problem(seed=seed)
-        result = cg_minimize(cost, egrad, w0, CgOptions(max_iters=60))
+        result = cg_minimize(objective(cost, egrad), w0, CgOptions(max_iters=60))
         assert np.all(np.diff(result.costs) <= 0.0)
 
     def test_iterates_stay_orthonormal(self):
@@ -107,10 +114,29 @@ class TestCgMinimize:
         def recording_cost(w):
             seen.append(w)
             return cost(w)
-        cg_minimize(recording_cost, egrad, w0, CgOptions(max_iters=30))
+        cg_minimize(objective(recording_cost, egrad), w0, CgOptions(max_iters=30))
         # the recorded points include line-search candidates; all come from
         # the retraction and must satisfy the frame invariant
         assert all(is_orthonormal(w) for w in seen)
+
+    def test_gradient_is_asked_only_at_accepted_points_and_one_point_is_held(self):
+        _, cost, egrad, w0 = self.trace_problem(seed=8)
+        held, asked = [], []
+
+        def tracked(w):
+            assert all(ref() is None for ref in held)  # every earlier point's work is released
+
+            def gradient():
+                asked.append(w)
+                return egrad(w)
+
+            held.append(weakref.ref(gradient))
+            return cost(w), gradient
+
+        result = cg_minimize(tracked, w0, CgOptions(max_iters=30))
+        assert len(held) > len(asked) == result.trace.shape[0]  # some trial points were rejected
+        assert [cost(w) for w in asked] == result.costs.tolist()
+        np.testing.assert_array_equal(asked[-1], result.point)
 
     def test_line_search_failure_returns_best_so_far(self):
         # an adversarial "gradient" pointing uphill defeats every backtrack
@@ -119,14 +145,14 @@ class TestCgMinimize:
         cost = lambda w: float(np.trace(w.T @ spd @ w))
         bad_egrad = lambda w: -2.0 * spd @ w  # negated true gradient
         w0 = random_orthonormal(6, 2, rng)
-        result = cg_minimize(cost, bad_egrad, w0, CgOptions(max_iters=10))
+        result = cg_minimize(objective(cost, bad_egrad), w0, CgOptions(max_iters=10))
         assert result.stop_reason == "line_search_failed"
         assert not result.converged
         assert result.cost == pytest.approx(cost(w0))
 
     def test_rejects_non_orthonormal_start(self):
         with pytest.raises(ValueError, match="orthonormal"):
-            cg_minimize(lambda w: 0.0, lambda w: np.zeros((4, 2)), np.ones((4, 2)))
+            cg_minimize(objective(lambda w: 0.0, lambda w: np.zeros((4, 2))), np.ones((4, 2)))
 
     def test_options_validation(self):
         with pytest.raises(ValueError):
@@ -136,7 +162,7 @@ class TestCgMinimize:
 class TestTraceSerialization:
     def test_csv_columns(self, tmp_path):
         _, cost, egrad, w0 = TestCgMinimize().trace_problem(seed=10)
-        result = cg_minimize(cost, egrad, w0, CgOptions(max_iters=5))
+        result = cg_minimize(objective(cost, egrad), w0, CgOptions(max_iters=5))
         save_trace(result, tmp_path / "trace.csv")
         lines = (tmp_path / "trace.csv").read_text().strip().splitlines()
         assert lines[0] == "iteration,cost,grad_norm,step"
