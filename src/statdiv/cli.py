@@ -144,7 +144,7 @@ def _cmd_classify(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     score = accuracy(predicted, probe.labels)
-    with (out / "predictions.csv").open("w") as fh:
+    with (out / "predictions.csv").open("w", encoding="utf-8") as fh:
         fh.write("probe_id,predicted_label,true_label\n")
         for fs, label in zip(probe.sets, predicted):
             fh.write(f"{fs.id},{int(label)},{fs.label}\n")

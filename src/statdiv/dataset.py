@@ -86,14 +86,14 @@ def _read_json(path, where: str | None = None):
     """The JSON value saved in the file `path`; text that is not JSON (or not
     UTF-8) is a ConfigError naming `where` (by default the file)."""
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except ValueError as exc:
         raise ConfigError(f"{where or path} is not valid JSON: {exc}") from exc
 
 
 def _write_json(path, value) -> None:
     """Save `value` in the file `path` as JSON, indented by 2, keys sorted."""
-    Path(path).write_text(json.dumps(value, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(value, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _json_fields(path, kinds: dict) -> dict:
@@ -183,12 +183,12 @@ class Dataset:
 
 
 def _read_csv(path, owner: str) -> np.ndarray:
-    """The matrix of floats in the headerless CSV file `path`, one row per
+    """The matrix of floats in the headerless UTF-8 CSV file `path`, one row per
     line. Blank and whitespace-only lines are skipped, `#` starts no
     comment, and a cell may carry spaces around its number. An empty file, a
     ragged row or a cell that is not a finite decimal float is a ValueError
     naming `owner`, the file, the row and the column."""
-    text = Path(path).read_text(errors="replace")  # a byte that is not UTF-8 reads as U+FFFD: a non-numeric cell
+    text = Path(path).read_text(encoding="utf-8-sig", errors="replace")  # a BOM is dropped, a bad byte is U+FFFD
     lines = [(row, line) for row, line in enumerate(text.split("\n"), start=1) if line.strip()]
     if not lines:
         raise ValueError(f"{owner}: file {path} is empty")

@@ -7,13 +7,15 @@ whitened anchors (`_anchors`) are computed once. A block of log kernels, a
 row per point and a column per sample, is a centred GEMM on those anchors
 (`_log_kernel_matrix`), its rows reduced by a log-sum-exp bit-equal to
 `scipy.special.logsumexp` (`_log_mixture`), so densities never underflow
-to 0. :func:`tiles` evaluates every block a list of pairs needs in tiles of
-one size of KDE, and :func:`log_ratios` forms each set's log ratios as one array."""
+to 0, chunk by chunk of rows in one buffer, so no large block is held whole.
+:func:`tiles` evaluates every block a list of pairs needs in tiles of one
+size of KDE, and :func:`log_ratios` forms each set's log ratios as one array."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, groupby
+from functools import partial
+from itertools import groupby
 from operator import itemgetter
 
 import numpy as np
@@ -138,11 +140,10 @@ class DensityModel:
     def dim(self) -> int:
         return self.samples.shape[-1]
 
-    def block(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def block(self, points: np.ndarray) -> tuple[np.ndarray, object, np.ndarray]:
         """This KDE (one, with no leading axis) at each row of `points`; see :func:`_log_mixture`."""
         _, _, centre, scale, a = self.anchors
-        return _log_mixture(_log_kernel_matrix(points, centre, scale, [(1, len(points), a.transpose(0, 2, 1))]),
-                            self.log_norm)
+        return _log_mixture(self.log_norm, points, centre, scale, [(1, len(points), a.transpose(0, 2, 1))])
 
 
 def _whitened(rows: np.ndarray, centre: np.ndarray, scale: np.ndarray, norm_last: bool) -> np.ndarray:
@@ -163,38 +164,47 @@ def _anchors(samples: np.ndarray, diag: np.ndarray, log_norm) -> tuple:
     return log_norm.reshape(-1), samples, centre, scale, rows
 
 
-def _log_kernel_matrix(points: np.ndarray, centre: np.ndarray, scale: np.ndarray, runs) -> np.ndarray:
-    """L[k, i] = -0.5 * sum_j (points[k,j] - samples[i,j])^2 / diag[j] = x_k . a_i - |x_k|^2/2
-    - |a_i|^2/2 clamped at 0, a GEMM in the centred coordinates of :func:`_anchors`.
-    Absolute error about eps * max(|x_k|^2, |a_i|^2), also where L is near 0; NaN once one overflows.
-    Each row is whitened by its own KDE's `centre` and `scale` (broadcast). `runs` holds (P, n, a)
-    per run of P blocks of n rows, a the P x (D+2) x n_b transposed anchors of their KDEs (or of
-    the one they share): a batched matmul, one GEMM per block, so each is bit-equal on any core."""
+def _log_kernel_matrix(points: np.ndarray, centre: np.ndarray, scale: np.ndarray, runs):
+    """Yields (first row, L[rows]) per chunk, L[k, i] = -0.5 * sum_j (points[k,j] - samples[i,j])^2 / diag[j]
+    = x_k . a_i - |x_k|^2/2 - |a_i|^2/2 clamped at 0, a GEMM in the centred coordinates of :func:`_anchors`.
+    Absolute error about eps * max(|x_k|^2, |a_i|^2), also where L is near 0; NaN once one overflows. Each
+    row is whitened by its own KDE's `centre` and `scale` (broadcast). `runs` holds (P, n, a) per run of P
+    blocks of n rows, a the P x (D+2) x n_b transposed anchors of their KDEs (or of the one they share): a
+    batched matmul, one GEMM per block, so each is bit-equal on any core. The chunks reuse one buffer: all
+    rows, or for one block of over `_LSE_BLOCK` entries, rows from fixed offsets, that many entries each
+    (one row if a row is longer), so a block is cut alike on every path."""
     w = _whitened(points, centre, scale, norm_last=False)
-    out = np.empty((w.shape[0], runs[0][2].shape[2]))
-    start = 0
-    for count, n, a in runs:
-        stop = start + count * n
-        if count == 1:
-            np.matmul(w[start:stop], a[0], out=out[start:stop])
-        else:
-            np.matmul(w[start:stop].reshape(count, n, -1), a, out=out[start:stop].reshape(count, n, -1))
-        start = stop
-    return np.minimum(out, 0.0, out=out)
+    m, n_b = w.shape[0], runs[0][2].shape[2]
+    step = max(_LSE_BLOCK // n_b, 1) if m * n_b > _LSE_BLOCK and runs[0][:2] == (1, m) else m or 1
+    runs = runs if step >= m else [(1, step, runs[0][2])]  # each chunk: one run of `step` rows of the block
+    buffer = np.empty((step, n_b))
+    for first in range(0, m or 1, step):  # no points: one empty chunk
+        out, start = buffer[:m - first], first
+        for count, n, a in runs:
+            stop = start + count * n
+            if count == 1:
+                np.matmul(w[start:stop], a[0], out=out[start - first:stop - first])
+            else:
+                np.matmul(w[start:stop].reshape(count, n, -1), a, out=out[start:stop].reshape(count, n, -1))
+            start = stop
+        yield first, np.minimum(out, 0.0, out=out)
 
 
-# Entries per row block of `_row_logsumexp`: 512 KiB of float64, so its
-# temporaries stay in cache instead of doubling a large block's footprint.
+# Entries per chunk of `_log_kernel_matrix`: 512 KiB of float64, so a large block's
+# GEMM output and log-sum-exp temporaries stay in cache and no m x n matrix is held.
 _LSE_BLOCK = 2**16
 # Window of `tiles`: 64 KiB of float64, under glibc's 128 KiB mmap threshold; tiling
 # 100 x 100 blocks to 600 x 100 (512 KiB) raised peak RSS and time on a 2-core x86 host.
 _STACK_BLOCK = 2**13
 
 
-def _block_logsumexp(a: np.ndarray) -> np.ndarray:
-    """The row log-sum-exp of one row block; see :func:`_row_logsumexp`. Rows under 48 entries, in
-    a block of up to half `_LSE_BLOCK`, find their exact maxima and counts across rows, on a
-    transposed copy that stays in cache: numpy reduces short rows slowly."""
+def _row_logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a), axis=1)) for rows of finite or -inf entries, by the algorithm of
+    `scipy.special.logsumexp` and bit-equal to it row by row: shift by the row maximum, count the
+    maxima apart, add log1p of the rest over that count. A row whose maximum is -inf gives -inf (it
+    is shifted by 0, so no -inf - -inf is formed); a NaN (a log kernel's inf - inf) is an error. Rows
+    under 48 entries, in a chunk of up to half `_LSE_BLOCK`, find their exact maxima and counts
+    across rows, on a transposed copy that stays in cache: numpy reduces short rows slowly."""
     short = a.shape[1] < 48 and a.size <= _LSE_BLOCK // 2
     t = a.T.copy() if short else a.T
     a_max = t.max(axis=0)
@@ -209,50 +219,45 @@ def _block_logsumexp(a: np.ndarray) -> np.ndarray:
     return np.log1p(s) + np.log(count) + a_max
 
 
-def _row_logsumexp(a: np.ndarray) -> np.ndarray:
-    """log(sum(exp(a), axis=1)) for rows of finite or -inf entries, by the
-    algorithm of `scipy.special.logsumexp` and bit-equal to it row by row:
-    shift by the row maximum, count the maxima apart, add log1p of the rest
-    over that count. A row whose maximum is -inf gives -inf; it is shifted
-    by 0, so no -inf - -inf is formed. A NaN (a log kernel's inf - inf) is
-    an error. The rows are reduced in blocks of at most `_LSE_BLOCK`
-    entries (one row if a row is longer), so the largest temporary is one
-    block's float copy, not an m x n one; each row sees the same numpy
-    operations either way."""
-    m, n = a.shape
-    if m * n <= _LSE_BLOCK:
-        return _block_logsumexp(a)
-    step = max(_LSE_BLOCK // n, 1)
-    out = np.empty(m)
-    for start in range(0, m, step):
-        out[start:start + step] = _block_logsumexp(a[start:start + step])
-    return out
+def _log_mixture(log_norm, *args) -> tuple[np.ndarray, object, np.ndarray]:
+    """KDE log density from the chunks of its log-kernel matrix, :func:`_log_kernel_matrix` of
+    `args`: each chunk's row log-sum-exp (:func:`_row_logsumexp`) plus each row's log normalizer;
+    then the matrix if it was one chunk (else a function of no arguments that forms the chunks
+    again) and that log-sum-exp, from which a caller forms the component weights exp(L - lse)
+    without a second reduction."""
+    parts = [(kernels, _row_logsumexp(kernels)) for _, kernels in _log_kernel_matrix(*args)]
+    kernels, lse = parts[0] if len(parts) == 1 else (
+        partial(_log_kernel_matrix, *args), np.concatenate([part for _, part in parts]))
+    return lse + log_norm, kernels, lse
 
 
-def _log_mixture(log_kernels: np.ndarray, log_norm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """KDE log density from its log-kernel matrix (a row per point, a column per
-    component): the row log-sum-exp (:func:`_row_logsumexp`) plus each row's log
-    normalizer; then the matrix and that log-sum-exp, from which a caller forms
-    the component weights exp(L - lse) without a second reduction."""
-    lse = _row_logsumexp(log_kernels)
-    return lse + log_norm, log_kernels, lse
+def _packed(blocks, width: int):
+    """`blocks` (n, b, s) of a KDE of `width` samples in tiles: a block that would carry
+    a tile past `_STACK_BLOCK` entries starts the next, so a larger tile is one block."""
+    tile, entries = [], 0
+    for block in blocks:
+        if tile and entries + block[0] * width > _STACK_BLOCK:
+            yield tile
+            tile, entries = [], 0
+        tile.append(block)
+        entries += block[0] * width
+    yield tile
 
 
 def tiles(kdes, pairs):
     """Yields (runs, points, *:func:`_log_mixture`) per tile of the blocks (KDE b, set s) that
     `pairs` of `kdes` need, b at b and at each distinct partner; `kdes` holds (model, k) per set,
     KDE k on the model's leading axis (0 for a model without one). A tile is blocks of one model's
-    KDEs, by set size, cut where one starts past `_STACK_BLOCK` entries; its points are the
-    sets' samples in `runs`, (n, [(b, s), ...]) per run of sets of n rows. All but the GEMM is
-    row by row and each block gets its own, so each is bit-equal to :meth:`DensityModel.block`."""
+    KDEs, by set size, cut by :func:`_packed`; its points are the sets' samples in `runs`,
+    (n, [(b, s), ...]) per run of sets of n rows. All but the GEMM is row by row and each block
+    gets its own, so each is bit-equal to :meth:`DensityModel.block`."""
     samples, groups = [m.anchors[1][k] for m, k in kdes], {}  # id of a model: its blocks (n_s, b, s)
     for i, j in pairs:
         for b, s in ((i, i), (i, j), (j, j), (j, i)):
             groups.setdefault(id(kdes[b][0]), {})[len(samples[s]), b, s] = None
     for blocks in map(sorted, groups.values()):
         log_norm, _, centre, scale, a = kdes[blocks[0][1]][0].anchors
-        starts = accumulate((n * a.shape[1] for n, _, _ in blocks), initial=0)
-        for _, tile in groupby(blocks, key=lambda _: next(starts) // _STACK_BLOCK):
+        for tile in _packed(blocks, a.shape[1]):
             runs = [(n, [(b, s) for _, b, s in run]) for n, run in groupby(tile, key=itemgetter(0))]
             ks = [[kdes[b][1] for b, _ in run] for _, run in runs]
             if min(map(min, ks)) == max(map(max, ks)):  # one KDE: broadcast it
@@ -264,7 +269,7 @@ def tiles(kdes, pairs):
             gathered = [(len(run), n, a[k].transpose(0, 2, 1)) for (n, run), k in zip(runs, ks)]
             points = [samples[s] for _, run in runs for _, s in run]
             points = points[0] if len(points) == 1 else np.concatenate(points)
-            yield runs, points, *_log_mixture(_log_kernel_matrix(points, *per_row[1:], gathered), per_row[0])
+            yield runs, points, *_log_mixture(per_row[0], points, *per_row[1:], gathered)
 
 
 def log_ratios(tiled):

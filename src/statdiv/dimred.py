@@ -186,15 +186,20 @@ def _dr_pass(w: np.ndarray, sets, affinity: AffinityMatrix, kind: DivergenceKind
             omega[s, s] = weights.sum(axis=0)
             omega.update(((r, s), -row) for r, row in zip(partners, weights))
         total = np.zeros(np.shape(w))
-        for runs, points_proj, _, *block in tiled:
+        for runs, points_proj, _, kernels, lse in tiled:
             blocks = [bs for _, run in runs for bs in run]
             model, one = kdes[blocks[0][0]][0], len({b for b, _ in blocks}) == 1  # one KDE: its blocks are one run
             own = [kdes[b][1] for b, _ in blocks[:1 if one else None]]
-            total += _mixture_gradient(
-                np.concatenate([omega[bs] for bs in blocks]), np.concatenate([mats[s] for _, s in blocks]),
-                points_proj, np.concatenate([mats[b] for b, _ in blocks[:len(own)]]), model.anchors[1][own],
-                1.0 / model.bandwidth.diag.reshape(-1, model.dim)[own],
-                [(1, len(points_proj))] if one else [(len(run), n) for n, run in runs], *block)
+            weights = np.concatenate([omega[bs] for bs in blocks])
+            points = np.concatenate([mats[s] for _, s in blocks])
+            anchors = (np.concatenate([mats[b] for b, _ in blocks[:len(own)]]), model.anchors[1][own],
+                       1.0 / model.bandwidth.diag.reshape(-1, model.dim)[own])
+            # a tile of several chunks is one block: its gradient is the sum of its chunks' gradients
+            for first, chunk in kernels() if callable(kernels) else [(0, kernels)]:
+                rows = slice(first, first + len(chunk))
+                total += _mixture_gradient(weights[rows], points[rows], points_proj[rows], *anchors,
+                                           [(1, len(chunk))] if one else [(len(run), n) for n, run in runs],
+                                           chunk, lse[rows])
         return total
 
     return cost, gradient

@@ -337,7 +337,7 @@ def emit_report(report: Report, out_dir) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "report.json", report.to_dict())
-    with (out_dir / "accuracy.csv").open("w") as fh:
+    with (out_dir / "accuracy.csv").open("w", encoding="utf-8") as fh:
         fh.write("repetition,accuracy\n")
         for record in report.repetitions:
             fh.write(f"{record['index']},{record['accuracy']:.17g}\n")

@@ -215,7 +215,7 @@ def save_trace(result_or_trace, csv_path) -> None:
     else:
         trace = result_or_trace
     csv_path = Path(csv_path)
-    with csv_path.open("w") as fh:
+    with csv_path.open("w", encoding="utf-8") as fh:
         fh.write("iteration,cost,grad_norm,step\n")
         for row in np.asarray(trace):
             fh.write(f"{int(row[0])},{row[1]:.17g},{row[2]:.17g},{row[3]:.17g}\n")

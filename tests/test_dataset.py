@@ -1,3 +1,4 @@
+import codecs
 import json
 import re
 
@@ -165,6 +166,27 @@ class TestLoadDataset:
         message = f"set 's': non-numeric cell '\ufffd4.0' in {tmp_path / 'x.csv'} at row 2, column 2"
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_byte_order_mark_is_dropped_from_a_feature_file(self, tmp_path):
+        # spreadsheet programs save "CSV UTF-8" with a leading byte order mark
+        rows = np.random.default_rng(9).standard_normal((6, 3))
+        text = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows).encode()
+        (tmp_path / "plain.csv").write_bytes(text)
+        (tmp_path / "bom.csv").write_bytes(codecs.BOM_UTF8 + text)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"sets": [{"id": name, "label": "a", "path": f"{name}.csv"}
+                                                 for name in ("plain", "bom")]}))
+        plain, bom = load_dataset(manifest).sets
+        assert bom.features.tobytes() == plain.features.tobytes()
+
+    def test_manifest_with_a_byte_order_mark_loads(self, tmp_path):
+        (tmp_path / "a.csv").write_text("1.0,2.0\n3.0,4.0\n")
+        manifest = tmp_path / "manifest.json"
+        entries = [{"id": "Zo\u00eb", "label": "a", "path": "a.csv"}]
+        manifest.write_bytes(codecs.BOM_UTF8 + json.dumps({"sets": entries}, ensure_ascii=False).encode())
+        [fs] = load_dataset(manifest).sets
+        assert fs.id == "Zo\u00eb"
+        np.testing.assert_array_equal(fs.features, [[1.0, 2.0], [3.0, 4.0]])
+
     def test_blank_lines_skipped_and_padded_cells_read(self, tmp_path):
         (tmp_path / "w.csv").write_text("1.0, 2 \n  \t\n\n3.0,\t4.0\n \n")
         manifest = tmp_path / "manifest.json"
@@ -184,7 +206,7 @@ class TestLoadDataset:
         # digits; float() does the opposite, and the reader follows float()
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps({"sets": [{"id": "s", "label": "a", "path": "u.csv"}]}))
-        (tmp_path / "u.csv").write_text("1.0,\u0663\n3.0,4.0\n")
+        (tmp_path / "u.csv").write_text("1.0,\u0663\n3.0,4.0\n", encoding="utf-8")
         np.testing.assert_array_equal(load_dataset(manifest).sets[0].features, [[1.0, 3.0], [3.0, 4.0]])
         (tmp_path / "u.csv").write_text("1.0,\x1c2.0\n3.0,4.0\n")
         with pytest.raises(ValueError, match=re.escape(r"non-numeric cell '\x1c2.0'") + ".* at row 1, column 2"):

@@ -202,6 +202,59 @@ class TestRowLogSumExp:
         assert peak <= 1.1 * 2000 * 2000 * 8
 
 
+class TestChunkedBlocks:
+    """A block over `_LSE_BLOCK` entries is formed and reduced in chunks of
+    rows; every row still matches a direct-difference reference."""
+
+    @staticmethod
+    def reference(model, points):
+        log_k = -0.5 * np.sum((points[:, None, :] - model.samples[None, :, :]) ** 2 / model.bandwidth.diag, axis=2)
+        return logsumexp(log_k, axis=1) + model.log_norm
+
+    @pytest.mark.parametrize("m, n", [(2000, 2000), (1000, 777), (3, 70000)], ids=["2000x2000", "1000x777", "3x70000"])
+    def test_matches_direct_differences(self, m, n):
+        """Whole chunks, a KDE size that does not divide `_LSE_BLOCK` (so the
+        last chunk is partial), and a KDE so large that a chunk is one row."""
+        from statdiv.density import _LSE_BLOCK
+
+        assert m * n > _LSE_BLOCK and (n > _LSE_BLOCK or m % (_LSE_BLOCK // n))
+        rng = np.random.default_rng(m + n)
+        samples, points = rng.normal(size=(n, 1)), rng.normal(0.5, 1.5, size=(m, 1))
+        model = DensityModel(samples, silverman_bandwidth(samples))
+        got, reference = log_density_batch(model, points), self.reference(model, points)
+        r_squared = np.max(np.vstack([samples, points]) ** 2 / model.bandwidth.diag)
+        assert np.max(np.abs(got - reference)) <= 8 * np.finfo(float).eps * r_squared
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_in_a_later_chunk_is_an_error(self):
+        from statdiv.density import _LSE_BLOCK
+
+        samples = np.vstack([np.zeros((1999, 1)), [[1e155]]])
+        points = np.vstack([np.zeros((1000, 1)), [[1e155]]])  # its row overflows to inf - inf
+        assert 1000 >= _LSE_BLOCK // len(samples)  # its row is past the first chunk
+        model = DensityModel(samples, Bandwidth(np.array([1.0])))
+        with pytest.raises(ValueError, match="log kernel is NaN"):
+            log_density_batch(model, points)
+
+    def test_peak_memory_is_a_few_chunks(self):
+        """One 2000 x 2000 evaluation holds a few chunks, not its 32 MB block."""
+        import tracemalloc
+
+        from statdiv.density import _LSE_BLOCK
+
+        rng = np.random.default_rng(3)
+        samples, points = rng.normal(size=(2000, 1)), rng.normal(size=(2000, 1))
+        model = DensityModel(samples, silverman_bandwidth(samples))
+        log_density_batch(model, points)  # warm-up
+        tracemalloc.start()
+        try:
+            log_density_batch(model, points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * _LSE_BLOCK * 8
+
+
 class TestBandwidthValidation:
     @pytest.mark.parametrize("diag", [[0.0], [-1.0], [np.nan], [np.inf]])
     def test_rejects_bad_diagonals(self, diag):

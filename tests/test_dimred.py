@@ -373,6 +373,39 @@ class TestGradientBlockCount:
         assert sorted(calls) == sorted(expected)
 
 
+class TestGradientOfChunkedBlocks:
+    """Projected blocks of 300 x 300, over `_LSE_BLOCK` entries, are formed in
+    chunks of rows, and the gradient is summed over the chunks."""
+
+    @staticmethod
+    def problem(seed):
+        rng = np.random.default_rng(seed)
+        mats = [rng.normal(0.0, 1.0, size=(300, 6)), rng.normal(0.5, 1.0, size=(300, 6))]
+        affinity = AffinityMatrix(values=np.array([[0, -1], [-1, 0]]), nu_w=0, nu_b=1)
+        w = random_orthonormal(6, 2, rng)
+        return w, mats, affinity, resolve_bandwidths(project_sets(mats, w), "isotropic")
+
+    @pytest.mark.parametrize("kind", list(DivergenceKind))
+    def test_matches_central_differences(self, kind):
+        from statdiv.density import _LSE_BLOCK
+
+        w, mats, affinity, bandwidths = self.problem(60)
+        assert 300 * 300 > _LSE_BLOCK
+        analytic = dr_euclidean_gradient(w, mats, affinity, kind, bandwidths)
+        numeric = finite_difference(lambda frame: dr_cost(frame, mats, affinity, kind, bandwidths), w)
+        assert np.max(np.abs(analytic - numeric)) / np.max(np.abs(numeric)) <= 1e-4
+
+    @pytest.mark.parametrize("kind", list(DivergenceKind))
+    def test_equals_the_one_chunk_gradient(self, kind, monkeypatch):
+        from statdiv import density
+
+        w, mats, affinity, bandwidths = self.problem(61)
+        chunked = dr_euclidean_gradient(w, mats, affinity, kind, bandwidths)
+        monkeypatch.setattr(density, "_LSE_BLOCK", 2**40)  # every block one chunk
+        whole = dr_euclidean_gradient(w, mats, affinity, kind, bandwidths)
+        assert np.max(np.abs(chunked - whole)) <= 1e-13 * np.max(np.abs(whole))
+
+
 class TestGradientOfStackedBlocks:
     @pytest.mark.parametrize("kind", list(DivergenceKind))
     @pytest.mark.parametrize("trial", range(8))

@@ -405,13 +405,12 @@ class TestDivergenceMatrix:
 
 
 @st.composite
-def adversarial_sets(draw, pool=None, offsets=(0.0, 1e6), min_dim=1, degenerate=True):
-    """2-6 sets of 2-40 rows in D = 1-12, D >= n in some; each set may have a
-    duplicate row and a constant column (if `degenerate`) and an offset of
-    1e6. With `pool`, the sizes are drawn from that many sizes, so sets
+def adversarial_sets(draw, pool=None, offsets=(0.0, 1e6), min_dim=1, degenerate=True, sizes=st.integers(2, 40)):
+    """2-6 sets of `sizes` rows (2-40) in D = 1-12, D >= n in some; each set may
+    have a duplicate row and a constant column (if `degenerate`) and an offset
+    of 1e6. With `pool`, the sizes are drawn from that many sizes, so sets
     share sizes and a tile's runs hold several blocks."""
     dim = draw(st.integers(min_dim, 12))
-    sizes = st.integers(2, 40)
     if pool:
         sizes = st.sampled_from(draw(st.lists(sizes, min_size=pool, max_size=pool)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -506,6 +505,24 @@ class TestTileProperties:
             single[i, j] = single[j, i] = values[i, j]
             parts += dr_euclidean_gradient(w, sets, AffinityMatrix(single, 1, 1), kind, bandwidths)
         assert np.max(np.abs(total - parts)) <= 1e-13 * np.max(np.abs(total))
+
+
+class TestRowOrder:
+    """Permuting the rows of each set permutes its KDE's components and its
+    points, so the estimates move by rounding only. Sets of 300-400 rows have
+    blocks of several chunks, so the permutation moves samples across chunks."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(PROPERTY_SETTINGS, max_examples=25)
+    @given(sets=adversarial_sets(offsets=(0.0,), sizes=st.integers(300, 400) | st.integers(2, 40)), data=st.data())
+    def test_permuting_rows_moves_estimates_by_rounding_only(self, kind, sets, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        shuffled = [s[rng.permutation(len(s))] for s in sets]
+        np.testing.assert_allclose(divergence_matrix(shuffled, kind).values, divergence_matrix(sets, kind).values,
+                                   rtol=1e-13, atol=0.0)
+        bandwidths = resolve_bandwidths(sets[:2], "silverman")
+        assert pair_divergence(*shuffled[:2], kind, *bandwidths) == pytest.approx(
+            pair_divergence(*sets[:2], kind, *bandwidths), rel=1e-13, abs=0.0)
 
 
 class TestCentring:
@@ -613,6 +630,58 @@ class TestKernelBlockMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * 2000 * 2000 * 8
+
+    def test_large_pair_holds_a_few_chunks(self):
+        """Blocks over `_LSE_BLOCK` entries are reduced chunk by chunk, so
+        no 2000 x 2000 log-kernel matrix is held."""
+        import tracemalloc
+
+        from statdiv.density import _LSE_BLOCK
+
+        p, q = gaussian_pair(7, 2000)
+        hellinger_empirical(p, q)  # warm-up
+        tracemalloc.start()
+        try:
+            hellinger_empirical(p, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * _LSE_BLOCK * 8
+
+    def test_a_block_that_would_carry_a_tile_past_the_window_starts_the_next(self, monkeypatch):
+        # KDE 1 (2000 samples) at 3 points, then at 2000: a tile over `_LSE_BLOCK` entries is one block
+        from statdiv import density
+
+        calls = []
+        kernel = density._log_kernel_matrix
+
+        def spying(points, centre, scale, runs):
+            calls.append((points.shape[0], runs[0][2].shape[2], [(count, n) for count, n, _ in runs]))
+            return kernel(points, centre, scale, runs)
+
+        monkeypatch.setattr(density, "_log_kernel_matrix", spying)
+        hellinger_empirical(gaussian_pair(9, 3)[0], gaussian_pair(9, 2000)[1])
+        assert sorted(calls) == [(3, 2000, [(1, 3)]), (2000, 2000, [(1, 2000)]), (2003, 3, [(1, 3), (1, 2000)])]
+        assert all(runs == [(1, rows)] for rows, n_b, runs in calls if rows * n_b > density._LSE_BLOCK)
+
+    @pytest.mark.parametrize("kind", list(DivergenceKind))
+    def test_chunked_blocks_equal_each_block_alone(self, kind):
+        """Blocks of several chunks agree bit for bit on every path: each log
+        ratio row is its two blocks alone, a copied set is at exactly 0, and
+        the cross matrix of the sets with themselves is the square one."""
+        rng = np.random.default_rng(10)
+        sets = [random_set(rng, n=n, dim=2) for n in (3, 300, 2000)]
+        sets.append(sets[2].copy())
+        bandwidths = resolve_bandwidths(sets, "silverman")
+        models = [DensityModel(s, bw) for s, bw in zip(sets, bandwidths)]
+        pairs = [(i, j) for i in range(len(sets)) for j in range(i + 1, len(sets))]
+        for s, partners, z in log_ratios(tiles(_kde_collection(sets, bandwidths), pairs)):
+            own = models[s].block(sets[s])[0]
+            for r, row in zip(partners, z):
+                np.testing.assert_array_equal(row, own - models[r].block(sets[s])[0])
+        square = divergence_matrix(sets, kind).values
+        assert square[2, 3] == 0.0
+        assert cross_divergence_matrix(sets, sets, kind).tobytes() == square.tobytes()
 
     def test_tiles_stay_within_the_lse_block(self, shapes):
         from statdiv.density import _LSE_BLOCK

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -583,6 +584,23 @@ class TestCli:
         b = json.loads((tmp_path / "b" / "report.json").read_text())
         assert a["config"]["seed"] == 11 and b["config"]["seed"] == 99
         assert a["repetitions"][0]["gallery_ids"] != b["repetitions"][0]["gallery_ids"]
+
+    def test_dist_under_an_ascii_locale_reads_and_writes_utf8(self, tmp_path):
+        # without UTF-8 mode or locale coercion, the C locale's text encoding is ASCII
+        (tmp_path / "a.csv").write_text("1.0,2.0\n3.0,4.5\n2.0,1.0\n")
+        (tmp_path / "b.csv").write_text("1.5,2.0\n3.0,4.0\n0.5,0.5\n")
+        entries = [{"id": "Zo\u00eb", "label": 0, "path": "a.csv"}, {"id": "s", "label": 1, "path": "b.csv"}]
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"sets": entries}, ensure_ascii=False), encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, "-m", "statdiv.cli", "dist", "--manifest", str(manifest),
+             "--divergence", "hellinger", "--out", str(tmp_path / "out")],
+            capture_output=True, text=True,
+            env={**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"},
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        sidecar = json.loads((tmp_path / "out" / "divergences.json").read_text(encoding="utf-8"))
+        assert sidecar["set_ids"] == ["Zo\u00eb", "s"]
 
     def test_cli_entry_point_in_subprocess(self, tmp_path):
         result = subprocess.run(
