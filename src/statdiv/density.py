@@ -140,11 +140,6 @@ class DensityModel:
     def dim(self) -> int:
         return self.samples.shape[-1]
 
-    def block(self, points: np.ndarray) -> tuple[np.ndarray, object, np.ndarray]:
-        """This KDE (one, with no leading axis) at each row of `points`; see :func:`_log_mixture`."""
-        _, _, centre, scale, a = self.anchors
-        return _log_mixture(self.log_norm, points, centre, scale, [(1, len(points), a.transpose(0, 2, 1))])
-
 
 def _whitened(rows: np.ndarray, centre: np.ndarray, scale: np.ndarray, norm_last: bool) -> np.ndarray:
     """[w, -|w|^2/2, 1], or [w, 1, -|w|^2/2] if `norm_last`, w = (rows - centre) * scale."""
@@ -250,7 +245,7 @@ def tiles(kdes, pairs):
     KDE k on the model's leading axis (0 for a model without one). A tile is blocks of one model's
     KDEs, by set size, cut by :func:`_packed`; its points are the sets' samples in `runs`,
     (n, [(b, s), ...]) per run of sets of n rows. All but the GEMM is row by row and each block
-    gets its own, so each is bit-equal to :meth:`DensityModel.block`."""
+    gets its own, so each is bit-equal to :func:`log_density_batch`."""
     samples, groups = [m.anchors[1][k] for m, k in kdes], {}  # id of a model: its blocks (n_s, b, s)
     for i, j in pairs:
         for b, s in ((i, i), (i, j), (j, j), (j, i)):
@@ -292,10 +287,14 @@ def log_ratios(tiled):
 
 
 def log_density_batch(model: DensityModel, points) -> np.ndarray:
-    """Log density at each row of `points` (m x D); a ValueError if a log kernel is NaN."""
+    """Log density of `model` (one KDE, with no leading axis) at each row of `points` (m x D),
+    by :func:`_log_mixture`; a ValueError if a log kernel is NaN."""
+    if model.samples.ndim != 2:
+        raise ValueError(f"log_density_batch needs one KDE, got a stack of {model.samples.shape[0]}")
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != model.dim:
         raise ValueError(f"expected points of shape (m, {model.dim}), got {pts.shape}")
     if not np.all(np.isfinite(pts)):
         raise ValueError("evaluation points contain non-finite entries")
-    return model.block(pts)[0]
+    _, _, centre, scale, a = model.anchors
+    return _log_mixture(model.log_norm, pts, centre, scale, [(1, len(pts), a.transpose(0, 2, 1))])[0]

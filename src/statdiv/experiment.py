@@ -3,9 +3,10 @@
 A run is a pure function of its config: all randomness flows from one seed
 through per-repetition child seeds, pairs are evaluated serially in a
 fixed order, and reports serialize to byte-identical JSON across runs.
-Wall-clock timings are kept out of the report. A kFDA repetition on a
-divergence kernel takes its gallery matrix (sigma search, training Gram)
-and its gallery x probe matrix from one pass over the two sides' KDEs.
+Wall-clock timings are kept out of the report. A kFDA repetition takes
+its gallery matrix (sigma search, training Gram) and its gallery x probe
+matrix from one pass of `kernels._square_and_cross` for every kernel
+family: over the two sides' KDEs, or over one summary per set.
 """
 
 from __future__ import annotations
@@ -21,10 +22,9 @@ from .classify import KfdaModel, accuracy, kfda_fit, latent_nn_classify, nn_clas
 from .dataset import (ConfigError, Dataset, SyntheticSpec, _checked, _field, _no_unread_keys, _write_json,
                       generate_synthetic, load_dataset, split_gallery_probe, standardize_dataset)
 from .dimred import DrConfig, learn_projection, project_sets
-from .divergence import (DivergenceKind, DivergenceMatrix, _divergence_kind, _is_positive_number, _square_and_cross,
-                         cross_divergence_matrix)
-from .kernels import (_DIVERGENCE_FAMILIES, SIGMA_GRID, KernelSpec, _gram_from_divergences, _kernel_family,
-                      _spec_record, cross_gram, gram, kernel_from_divergence)
+from .divergence import DivergenceKind, _divergence_kind, _is_positive_number, cross_divergence_matrix
+from .kernels import (_DIVERGENCE_FAMILIES, SIGMA_GRID, GramMatrix, KernelSpec, _kernel_family, _kernel_map,
+                      _spec_record, _square_and_cross)
 from .manifold import CgOptions, save_trace
 
 __all__ = [
@@ -110,6 +110,8 @@ class ExperimentConfig:
             _require(pipeline == "kfda", "kernel", "only valid with the kfda pipeline")
             family = _kernel_family(_field(kernel, "family", "kernel", str), "kernel.family")
             sigma_grid_search = kernel.get("sigma") == "grid"
+            _require(not sigma_grid_search or family in _DIVERGENCE_FAMILIES, "kernel.sigma",
+                     f"'grid' needs a divergence kernel ('hg', 'hl' or 'j'), got family {family.value!r}")
             if sigma_grid_search:
                 kernel["sigma"] = SIGMA_GRID[0]
             sigma = _field(kernel, "sigma", "kernel", float, 0.1)
@@ -234,13 +236,14 @@ def _gallery_loo_accuracy(model: KfdaModel) -> float:
     return accuracy(model.labels[nearest], model.labels)
 
 
-def _choose_sigma(gallery_div: DivergenceMatrix, labels, config: ExperimentConfig) -> float:
+def _choose_sigma(square: np.ndarray, labels, config: ExperimentConfig) -> float:
     """Grid search over the kernel scale, scored by gallery-only LOO-NN on
     Grams of the given gallery divergence matrix; ties prefer the smallest
     scale."""
     best_sigma, best_score = None, -1.0
     for sigma in SIGMA_GRID:
-        values = _gram_from_divergences(gallery_div, replace(config.kernel, sigma=sigma)).values
+        spec = replace(config.kernel, sigma=sigma)
+        values = GramMatrix(_kernel_map(square, spec), spec).values
         model = kfda_fit(values, labels, config.kfda_latent_dim, config.kfda_regularization)
         score = _gallery_loo_accuracy(model)
         if score > best_score:
@@ -264,20 +267,13 @@ def _run_repetition(dataset: Dataset, config: ExperimentConfig,
         predicted = nn_classify(cross, gallery.labels)
     elif config.pipeline == "kfda":
         spec = config.kernel
-        if spec.family in _DIVERGENCE_FAMILIES:
-            # One pass gives the gallery matrix (sigma search and training Gram) and the cross one.
-            gallery_div, cross = _square_and_cross(gallery.sets, probe.sets, _DIVERGENCE_FAMILIES[spec.family],
-                                                   config.bandwidth_policy)
-            if config.sigma_grid_search:
-                spec = replace(spec, sigma=_choose_sigma(gallery_div, gallery.labels, config))
-            gram_train = _gram_from_divergences(gallery_div, spec)
-            gram_cross = kernel_from_divergence(cross, spec)
-        else:
-            gram_train = gram(gallery.sets, spec, config.bandwidth_policy)
-            gram_cross = cross_gram(gallery.sets, probe.sets, spec, config.bandwidth_policy)
-        model = kfda_fit(gram_train.values, gallery.labels,
+        # One pass gives the gallery matrix (sigma search and training Gram) and the cross one.
+        square, cross = _square_and_cross(gallery.sets, probe.sets, spec, config.bandwidth_policy)
+        if config.sigma_grid_search:
+            spec = replace(spec, sigma=_choose_sigma(square, gallery.labels, config))
+        model = kfda_fit(GramMatrix(_kernel_map(square, spec), spec).values, gallery.labels,
                          config.kfda_latent_dim, config.kfda_regularization)
-        predicted = latent_nn_classify(model, gram_cross)
+        predicted = latent_nn_classify(model, _kernel_map(cross, spec))
         record["sigma"] = spec.sigma
     else:  # nn_dr
         learned = learn_projection(gallery.sets, gallery.labels, replace(config.dr, seed=dr_seed))

@@ -4,7 +4,11 @@ Three kernels act on pairwise divergences (Gaussian and Laplace maps of
 the squared Hellinger distance, and an exponential map of the Jeffrey
 divergence); two baselines act on per-set geometric summaries (projection
 kernel between subspaces, log-Euclidean inner product between regularized
-covariances).
+covariances). One builder gives, for any family in one pass, a gallery's
+square matrix and its gallery x probe block (divergences for a divergence
+family, from one fit of each KDE; kernel values for a baseline, from one
+summary per set), and one map turns either into kernel values: the Gram,
+the cross Gram and the kFDA runner are calls of this pair.
 """
 
 from __future__ import annotations
@@ -19,14 +23,8 @@ import numpy as np
 from .classify import _fix_column_signs
 from .dataset import ConfigError, _checked, _json_fields, _read_csv, _save_with_sidecar
 from .density import _features_of, _read_only
-from .divergence import (
-    DivergenceKind,
-    DivergenceMatrix,
-    _ids_of,
-    _is_positive_number,
-    cross_divergence_matrix,
-    divergence_matrix,
-)
+from .divergence import (DivergenceKind, _ids_of, _is_positive_number, _square_and_cross as _divergences,
+                         describe_bandwidth_policy)
 
 __all__ = [
     "KernelFamily",
@@ -189,19 +187,33 @@ def _spd_log(mat: np.ndarray) -> np.ndarray:
     return (v * np.log(w)) @ v.T
 
 
-def _gram_from_divergences(div: DivergenceMatrix, spec: KernelSpec) -> GramMatrix:
-    """Gram of a divergence family: `div` mapped entrywise, unit diagonal."""
-    values = kernel_from_divergence(div.values, spec)
-    np.fill_diagonal(values, 1.0)
-    return GramMatrix(values=values, spec=spec, set_ids=div.set_ids, bw_policy=div.bw_policy)
-
-
-def _summaries(sets, spec: KernelSpec) -> list[np.ndarray]:
-    """Per-set summary of a baseline kernel: the subspace basis for the
-    projection kernel, the covariance log for the log-Euclidean one."""
+def _square_and_cross(gallery, probe, spec: KernelSpec, bw_policy,
+                      square: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """The square matrix of `gallery` (zero unless `square`) and its rows x `probe` block, in one pass:
+    a divergence family's divergences (`divergence._square_and_cross`), or a baseline's kernel values
+    from one summary per set, the subspace basis (projection) or covariance log (log-Euclidean), the
+    square's upper triangle mirrored. :func:`_kernel_map` turns either into kernel values."""
+    if spec.family in _DIVERGENCE_FAMILIES:
+        div, cross = _divergences(gallery, probe, _DIVERGENCE_FAMILIES[spec.family], bw_policy, square)
+        return div.values, cross
+    sets, g = [*gallery, *probe], len(gallery)
     if spec.family is KernelFamily.GRASSMANN_PROJECTION:
-        return [set_to_subspace(s, spec.subspace_dim) for s in sets]
-    return [_spd_log(set_to_covariance(s)) for s in sets]
+        summaries = [set_to_subspace(s, spec.subspace_dim) for s in sets]
+    else:
+        summaries = [_spd_log(set_to_covariance(s)) for s in sets]
+    values = np.zeros((g, len(sets)))
+    for i in range(g):
+        for j in range(i if square else g, len(sets)):
+            values[i, j] = _summary_inner(summaries[i], summaries[j], spec)
+    own, lower = values[:, :g], np.tril_indices(g, -1)
+    own[lower] = own.T[lower]
+    return own, values[:, g:].copy()
+
+
+def _kernel_map(values: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    """Kernel values of a :func:`_square_and_cross` matrix: a divergence family's divergences mapped
+    entrywise (:func:`kernel_from_divergence`; a zero diagonal maps to exactly 1), a baseline's as they are."""
+    return np.asarray(kernel_from_divergence(values, spec)) if spec.family in _DIVERGENCE_FAMILIES else values
 
 
 def _summary_inner(a: np.ndarray, b: np.ndarray, spec: KernelSpec) -> float:
@@ -213,7 +225,7 @@ def _summary_inner(a: np.ndarray, b: np.ndarray, spec: KernelSpec) -> float:
 
 
 def gram(sets, spec: KernelSpec, bw_policy="silverman") -> GramMatrix:
-    """Pairwise kernel matrix over `sets`.
+    """Pairwise kernel matrix over `sets` (:func:`_square_and_cross`, :func:`_kernel_map`).
 
     Divergence families compute the divergence matrix once and map it
     entrywise; the projection kernel uses ||A' B||_F^2 on per-set subspace
@@ -223,28 +235,18 @@ def gram(sets, spec: KernelSpec, bw_policy="silverman") -> GramMatrix:
     sets = list(sets)
     if not sets:
         raise ValueError("gram needs at least one set")
-    if spec.family in _DIVERGENCE_FAMILIES:
-        div = divergence_matrix(sets, _DIVERGENCE_FAMILIES[spec.family], bw_policy)
-        return _gram_from_divergences(div, spec)
-    summaries = _summaries(sets, spec)
-    m = len(summaries)
-    values = np.empty((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            values[i, j] = values[j, i] = _summary_inner(summaries[i], summaries[j], spec)
-    return GramMatrix(values=values, spec=spec, set_ids=_ids_of(sets), bw_policy="n/a")
+    policy = describe_bandwidth_policy(bw_policy) if spec.family in _DIVERGENCE_FAMILIES else "n/a"
+    values = _kernel_map(_square_and_cross(sets, [], spec, bw_policy)[0], spec)
+    return GramMatrix(values=values, spec=spec, set_ids=_ids_of(sets), bw_policy=policy)
 
 
 def cross_gram(sets_a, sets_b, spec: KernelSpec, bw_policy="silverman") -> np.ndarray:
     """len(sets_a) x len(sets_b) kernel matrix between two collections."""
     sets_a = list(sets_a)
     sets_b = list(sets_b)
-    if spec.family in _DIVERGENCE_FAMILIES:
-        cross = cross_divergence_matrix(sets_a, sets_b, _DIVERGENCE_FAMILIES[spec.family], bw_policy)
-        return np.asarray(kernel_from_divergence(cross, spec))
-    summaries_a = _summaries(sets_a, spec)
-    summaries_b = _summaries(sets_b, spec)
-    return np.array([[_summary_inner(a, b, spec) for b in summaries_b] for a in summaries_a])
+    if not sets_a or not sets_b:
+        raise ValueError("cross_gram needs non-empty collections")
+    return _kernel_map(_square_and_cross(sets_a, sets_b, spec, bw_policy, square=False)[1], spec)
 
 
 def min_eigenvalue(gram_values) -> float:

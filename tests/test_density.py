@@ -132,6 +132,14 @@ class TestLogDensity:
         values = log_density_batch(model, probes)
         assert np.all(np.isfinite(values))
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_refuses_a_stack_of_kdes(self, m):
+        # at m == K points a stack of K KDEs would broadcast, one KDE per row, without an error
+        rng = np.random.default_rng(32)
+        model = DensityModel(rng.standard_normal((3, 20, 2)), Bandwidth(np.full((3, 2), 0.5)))
+        with pytest.raises(ValueError, match="needs one KDE, got a stack of 3"):
+            log_density_batch(model, rng.standard_normal((m, 2)))
+
 
 class TestRowLogSumExp:
     """The KDE's row log-sum-exp is a numpy port of scipy's algorithm;
@@ -366,12 +374,12 @@ class TestStackedCollection:
             seen.append(s)
             assert sorted(partners) == sorted({j for i, j in pairs if i == s} | {i for i, j in pairs if j == s})
             assert z.shape == (len(partners), sets[s].shape[0])
-            own = models[s].block(sets[s])[0]
+            own = log_density_batch(models[s], sets[s])
             for r, row in zip(partners, z):
                 two = [(density.DensityModel(sets[t], bandwidths[t]), 0) for t in (s, r)]
                 [two_row] = {t: zz for t, _, zz in density.log_ratios(density.tiles(two, [(0, 1)]))}[0]
                 np.testing.assert_array_equal(row, two_row)
-                np.testing.assert_array_equal(row, own - models[r].block(sets[s])[0])
+                np.testing.assert_array_equal(row, own - log_density_batch(models[r], sets[s]))
                 if {s, r} == {1, dup}:
                     np.testing.assert_array_equal(row, 0.0)
         assert sorted(seen) == sorted({k for pair in pairs for k in pair})

@@ -468,9 +468,9 @@ class TestTileProperties:
         models = [DensityModel(s, bw) for s, bw in zip(sets, bandwidths)]
         pairs = [(i, j) for i in range(len(sets)) for j in range(i + 1, len(sets))]
         for s, partners, z in log_ratios(tiles(_kde_collection(sets, bandwidths), pairs)):
-            own = models[s].block(sets[s])[0]
+            own = log_density_batch(models[s], sets[s])
             for r, row in zip(partners, z):
-                np.testing.assert_array_equal(row, own - models[r].block(sets[s])[0])
+                np.testing.assert_array_equal(row, own - log_density_batch(models[r], sets[s]))
 
     @PROPERTY_SETTINGS
     @given(sets=adversarial_sets(pool=2), data=st.data())
@@ -676,9 +676,9 @@ class TestKernelBlockMemory:
         models = [DensityModel(s, bw) for s, bw in zip(sets, bandwidths)]
         pairs = [(i, j) for i in range(len(sets)) for j in range(i + 1, len(sets))]
         for s, partners, z in log_ratios(tiles(_kde_collection(sets, bandwidths), pairs)):
-            own = models[s].block(sets[s])[0]
+            own = log_density_batch(models[s], sets[s])
             for r, row in zip(partners, z):
-                np.testing.assert_array_equal(row, own - models[r].block(sets[s])[0])
+                np.testing.assert_array_equal(row, own - log_density_batch(models[r], sets[s]))
         square = divergence_matrix(sets, kind).values
         assert square[2, 3] == 0.0
         assert cross_divergence_matrix(sets, sets, kind).tobytes() == square.tobytes()

@@ -50,6 +50,8 @@ REJECTED = [
     ("kfda", "kfda.latent_dim", 0, "kfda.latent_dim: must be >= 1"),
     ("kfda", "kfda.regularization", -1.0, "kfda.regularization: must be > 0"),
     ("kfda", "kfda.regularization", 0, "kfda.regularization: must be > 0"),
+    ("kfda", "kernel", {"family": "gda", "sigma": "grid", "subspace_dim": 2},
+     "kernel.sigma: 'grid' needs a divergence kernel ('hg', 'hl' or 'j'), got family 'gda'"),
 ]
 
 
@@ -213,6 +215,24 @@ class TestRunExperiment:
         a = run_experiment(config)
         b = run_experiment(config)
         assert a.to_dict() == b.to_dict()
+
+    @pytest.mark.parametrize("kernel, summary", [({"family": "gda", "subspace_dim": 2}, "set_to_subspace"),
+                                                 ({"family": "cdl"}, "set_to_covariance")])
+    def test_kfda_repetition_forms_each_baseline_summary_once(self, monkeypatch, kernel, summary):
+        # one pass over gallery and probe serves the training Gram and the cross Gram
+        from statdiv import kernels
+
+        calls = []
+        real = getattr(kernels, summary)
+
+        def counting(samples, *args):
+            calls.append(samples.id)
+            return real(samples, *args)
+
+        monkeypatch.setattr(kernels, summary, counting)
+        report = run_experiment(ExperimentConfig.from_dict(synthetic_config("kfda", kernel=kernel, repetitions=1)))
+        [record] = report.repetitions
+        assert calls == record["gallery_ids"] + record["probe_ids"]
 
     def test_grid_search_reports_chosen_sigma(self):
         raw = synthetic_config("kfda")

@@ -105,13 +105,27 @@ class TestGram:
         if smallest < -1e-10:
             warnings.warn(f"Jeffrey gram has negative eigenvalue {smallest:.3e}")
 
-    def test_cross_gram_matches_square_blocks(self):
+    @pytest.mark.parametrize("family", list(KernelFamily))
+    def test_cross_gram_matches_square_blocks(self, family):
         rng = np.random.default_rng(4)
         sets = random_sets(rng, count=5)
-        spec = KernelSpec(family=KernelFamily.HELLINGER_GAUSSIAN, sigma=0.3)
+        spec = KernelSpec(family=family, sigma=0.3, subspace_dim=1)
         square = gram(sets, spec).values
         cross = cross_gram(sets[:3], sets[3:], spec)
-        np.testing.assert_allclose(cross, square[:3, 3:], atol=1e-12)
+        np.testing.assert_array_equal(cross, square[:3, 3:])
+
+    @pytest.mark.parametrize("family", list(KernelFamily))
+    @pytest.mark.parametrize("side", ["gallery", "probe"])
+    def test_cross_gram_refuses_an_empty_side(self, family, side):
+        sets = random_sets(np.random.default_rng(12), count=2)
+        spec = KernelSpec(family=family, subspace_dim=1)
+        with pytest.raises(ValueError, match="^cross_gram needs non-empty collections"):
+            cross_gram([] if side == "gallery" else sets, sets if side == "gallery" else [], spec)
+
+    @pytest.mark.parametrize("family", list(KernelFamily))
+    def test_gram_refuses_an_empty_list(self, family):
+        with pytest.raises(ValueError, match="^gram needs at least one set"):
+            gram([], KernelSpec(family=family, subspace_dim=1))
 
     def test_round_trip_serialization(self, tmp_path):
         rng = np.random.default_rng(5)
