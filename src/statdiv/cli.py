@@ -143,11 +143,13 @@ def _cmd_classify(args) -> int:
         predicted = nn_classify(cross, gallery.labels)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    score = accuracy(predicted, probe.labels)
+    # the two manifests number their labels apart, so the sides meet by label name
+    predicted = [gallery.label_names[label] for label in predicted]
+    score = accuracy(predicted, probe.named_labels)
     with (out / "predictions.csv").open("w", encoding="utf-8") as fh:
         fh.write("probe_id,predicted_label,true_label\n")
-        for fs, label in zip(probe.sets, predicted):
-            fh.write(f"{fs.id},{int(label)},{fs.label}\n")
+        for fs, label, truth in zip(probe.sets, predicted, probe.named_labels):
+            fh.write(f"{fs.id},{label},{truth}\n")
     _write_json(out / "score.json", {"accuracy": score})
     print(f"classified {probe.size} probes, accuracy {score:.4f}")
     return 0

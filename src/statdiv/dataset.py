@@ -10,7 +10,7 @@ every headerless CSV file statdiv reads or writes.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass
+from dataclasses import MISSING, dataclass, replace
 from pathlib import Path
 from types import GenericAlias
 
@@ -145,9 +145,11 @@ class FeatureSet:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Ordered collection of feature sets sharing one feature dimension."""
+    """Ordered collection of feature sets sharing one feature dimension, with the
+    name of each integer label: its manifest string, by default its number."""
 
     sets: tuple[FeatureSet, ...]
+    label_names: tuple[str, ...] = ()
 
     def __post_init__(self):
         sets = tuple(self.sets)
@@ -160,7 +162,12 @@ class Dataset:
                     f"dimension mismatch: set {sets[0].id!r} has D={dim} "
                     f"but set {fs.id!r} has D={fs.dim}"
                 )
+        top = max(fs.label for fs in sets)
+        names = tuple(map(str, self.label_names or range(top + 1)))
+        if len(names) <= top:
+            raise ValueError(f"label {top} has no name: {len(names)} label names given")
         object.__setattr__(self, "sets", sets)
+        object.__setattr__(self, "label_names", names)
 
     @property
     def dim(self) -> int:
@@ -177,6 +184,11 @@ class Dataset:
     @property
     def num_classes(self) -> int:
         return int(self.labels.max()) + 1
+
+    @property
+    def named_labels(self) -> list[str]:
+        """Each set's label name."""
+        return [self.label_names[fs.label] for fs in self.sets]
 
     def class_indices(self, label: int) -> list[int]:
         return [i for i, fs in enumerate(self.sets) if fs.label == label]
@@ -271,22 +283,21 @@ def load_dataset(manifest_path) -> Dataset:
             raise ValueError(f"set {set_id!r}: feature file {path} does not exist")
         features = _read_csv(path, f"set {set_id!r}")
         sets.append(FeatureSet(id=set_id, label=label_map[raw_label], features=features))
-    return Dataset(sets=tuple(sets))
+    return Dataset(sets=tuple(sets), label_names=tuple(label_map))
 
 
-def save_dataset(dataset: Dataset, manifest_path, label_names: dict[int, str] | None = None) -> None:
+def save_dataset(dataset: Dataset, manifest_path) -> None:
     """Write a dataset as a manifest plus one CSV per set.
 
     Values are written with 17 significant digits, so reload reproduces
-    every float exactly.
+    every float exactly; each set's label is written as its label name.
     """
     manifest_path = Path(manifest_path)
     manifest_path.parent.mkdir(parents=True, exist_ok=True)
     entries = []
-    for i, fs in enumerate(dataset.sets):
+    for i, (fs, label) in enumerate(zip(dataset.sets, dataset.named_labels)):
         rel = f"{manifest_path.stem}_set{i:04d}.csv"
         _write_csv(manifest_path.parent / rel, fs.features)
-        label = label_names[fs.label] if label_names else str(fs.label)
         entries.append({"id": fs.id, "label": label, "path": rel})
     _write_json(manifest_path, {"sets": entries})
 
@@ -373,7 +384,7 @@ def split_gallery_probe(dataset: Dataset, per_class_gallery: int, seed: int) -> 
         gallery_idx.update(members[i] for i in chosen)
     gallery = tuple(fs for i, fs in enumerate(dataset.sets) if i in gallery_idx)
     probe = tuple(fs for i, fs in enumerate(dataset.sets) if i not in gallery_idx)
-    return Dataset(sets=gallery), Dataset(sets=probe)
+    return replace(dataset, sets=gallery), replace(dataset, sets=probe)
 
 
 def standardize_dataset(dataset: Dataset) -> Dataset:
@@ -390,4 +401,4 @@ def standardize_dataset(dataset: Dataset) -> Dataset:
         FeatureSet(id=fs.id, label=fs.label, features=(fs.features - mean) / sd)
         for fs in dataset.sets
     )
-    return Dataset(sets=sets)
+    return replace(dataset, sets=sets)

@@ -8,11 +8,13 @@ row per point and a column per sample, is a centred GEMM on those anchors
 (`_log_kernel_matrix`), its rows reduced by a log-sum-exp bit-equal to
 `scipy.special.logsumexp` (`_log_mixture`), so densities never underflow
 to 0, chunk by chunk of rows in one buffer, so no large block is held whole.
-:func:`tiles` evaluates every block a list of pairs needs in tiles of one
-size of KDE, and :func:`log_ratios` forms each set's log ratios as one array."""
+:func:`plan` lays out once every block a list of pairs needs, in tiles of one
+size of KDE, which :func:`tiles` evaluates on any fit of those sets and
+:func:`log_ratios` turns into each set's log ratios as one array."""
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import groupby
@@ -239,51 +241,55 @@ def _packed(blocks, width: int):
     yield tile
 
 
-def tiles(kdes, pairs):
-    """Yields (runs, points, *:func:`_log_mixture`) per tile of the blocks (KDE b, set s) that
-    `pairs` of `kdes` need, b at b and at each distinct partner; `kdes` holds (model, k) per set,
-    KDE k on the model's leading axis (0 for a model without one). A tile is blocks of one model's
-    KDEs, by set size, cut by :func:`_packed`; its points are the sets' samples in `runs`,
-    (n, [(b, s), ...]) per run of sets of n rows. All but the GEMM is row by row and each block
-    gets its own, so each is bit-equal to :func:`log_density_batch`."""
-    samples, groups = [m.anchors[1][k] for m, k in kdes], {}  # id of a model: its blocks (n_s, b, s)
+Tile = namedtuple("Tile", "blocks runs at rows")
+Plan = namedtuple("Plan", "tiles sets rows")
+
+
+def plan(kdes, pairs) -> Plan:
+    """The tiles of the blocks (KDE b, set s) that `pairs` of `kdes` ((model, k) per set) need, b at b and at each
+    distinct partner: a model's blocks by set size, cut by :func:`_packed`. A tile holds its `blocks` (b, s) in row
+    order, (count, n, k) per run of count blocks of n rows (k: their KDEs on the model's axis), each row's KDE
+    (`at`, a slice if it has one, broadcast) and its `rows` among the plan's; a plan, its tiles, (s, its own block's
+    rows, its partners r, theirs) per set s and its row count. It reads only which sets share a model, and sizes."""
+    groups, tiled, rows, stop = {}, [], {}, 0  # id of a model: its blocks (n_s, b, s); s: {b: rows of (b, s)}
     for i, j in pairs:
         for b, s in ((i, i), (i, j), (j, j), (j, i)):
-            groups.setdefault(id(kdes[b][0]), {})[len(samples[s]), b, s] = None
+            groups.setdefault(id(kdes[b][0]), {})[kdes[s][0].n, b, s] = None
     for blocks in map(sorted, groups.values()):
-        log_norm, _, centre, scale, a = kdes[blocks[0][1]][0].anchors
-        for tile in _packed(blocks, a.shape[1]):
-            runs = [(n, [(b, s) for _, b, s in run]) for n, run in groupby(tile, key=itemgetter(0))]
-            ks = [[kdes[b][1] for b, _ in run] for _, run in runs]
-            if min(map(min, ks)) == max(map(max, ks)):  # one KDE: broadcast it
-                ks = [slice(ks[0][0], ks[0][0] + 1)] * len(runs)
-                per_row = [x[ks[0]] for x in (log_norm, centre, scale)]
-            else:
-                per_row = [np.repeat(x[sum(ks, [])], [n for n, run in runs for _ in run], axis=0)
-                           for x in (log_norm, centre, scale)]
-            gathered = [(len(run), n, a[k].transpose(0, 2, 1)) for (n, run), k in zip(runs, ks)]
-            points = [samples[s] for _, run in runs for _, s in run]
-            points = points[0] if len(points) == 1 else np.concatenate(points)
-            yield runs, points, *_log_mixture(per_row[0], points, *per_row[1:], gathered)
-
-
-def log_ratios(tiled):
-    """Yields (s, its distinct partners r, z) for each set s of the `tiled` blocks
-    (:func:`tiles`), one row z[r] = log p_s - log p_r at the samples of s per partner.
-    Each set's log densities are dropped as its z is formed, so one z exists at a time."""
-    at = {}  # s: {b: log p_b at the samples of s}
-    for runs, _, log_density, *kernels in tiled:
-        del kernels  # before the next tile is formed, so two never coexist
-        stop = 0
-        for n, run in runs:
-            for b, s in run:
-                at.setdefault(s, {})[b] = log_density[stop:stop + n]
+        for tile in _packed(blocks, kdes[blocks[0][1]][0].n):
+            runs = [(n, [kdes[b][1] for _, b, _ in run]) for n, run in groupby(tile, key=itemgetter(0))]
+            ks = [k for _, run in runs for k in run]
+            at = slice(ks[0], ks[0] + 1) if min(ks) == max(ks) else np.repeat(ks, [n for n, _, _ in tile])
+            start = stop
+            for n, b, s in tile:
+                rows.setdefault(s, {})[b] = slice(stop, stop + n)
                 stop += n
-    while at:
-        s, logs = at.popitem()
-        own = logs.pop(s)
-        z = np.array(list(logs.values()))
-        yield s, list(logs), np.subtract(own, z, out=z)
+            runs = [(len(run), n, at if isinstance(at, slice) else run) for n, run in runs]
+            tiled.append(Tile([(b, s) for _, b, s in tile], runs, at, slice(start, stop)))
+    sets = [(s, by_kde.pop(s), list(by_kde), list(by_kde.values())) for s, by_kde in rows.items()]
+    return Plan(tiled, sets, stop)
+
+
+def tiles(kdes, plan: Plan):
+    """Yields (points, *:func:`_log_mixture`) per tile of `plan` on the fits `kdes`. All but the GEMM
+    is row by row and each block gets its own, so each is bit-equal to :func:`log_density_batch`."""
+    for tile in plan.tiles:
+        log_norm, _, centre, scale, a = kdes[tile.blocks[0][0]][0].anchors
+        points = [kdes[s][0].anchors[1][kdes[s][1]] for _, s in tile.blocks]  # the samples of each block's set
+        points = points[0] if len(points) == 1 else np.concatenate(points)
+        yield points, *_log_mixture(log_norm[tile.at], points, centre[tile.at], scale[tile.at],
+                                    [(count, n, a[k].transpose(0, 2, 1)) for count, n, k in tile.runs])
+
+
+def log_ratios(plan: Plan, tiled):
+    """Yields (s, its distinct partners r, z) per set s of `plan`, a row z[r] = log p_s - log p_r at the
+    samples of s per partner, from its `tiled` blocks (:func:`tiles`), whose log kernels it drops."""
+    logs = np.empty(plan.rows)
+    for tile, (_, log_density, *kernels) in zip(plan.tiles, tiled):
+        del kernels  # before the next tile is formed, so two never coexist
+        logs[tile.rows] = log_density
+    for s, own, partners, rows in plan.sets:
+        yield s, partners, logs[own] - np.array([logs[r] for r in rows])
 
 
 def log_density_batch(model: DensityModel, points) -> np.ndarray:

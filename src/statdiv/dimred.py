@@ -8,12 +8,12 @@ bandwidths are data: both are computed once and stay fixed during the
 optimization, which runs a projection-based conjugate gradient over
 orthonormal frames.
 
-One pass per frame fits the projected sets' KDEs by size, reads them
-through `density.tiles` and sums the signed estimates into the cost. The
-optimizer asks for the gradient only at accepted frames, and it comes from
-that same pass's tiles and log ratios: each sample is weighed by its
-term's slope in its set's log ratios z (`divergence._TERMS`), and each
-tile's blocks are summed by batched contractions and one GEMM per side.
+One pass per frame fits the projected sets' KDEs by size, evaluates the
+tiles of one plan (`density.plan`, made at the first frame) and sums the
+signed estimates into the cost. The optimizer asks for the gradient only at
+accepted frames, and it comes from that same pass's tiles and log ratios:
+each row is weighed by its term's slope in its log ratio z (`_TERMS`), and
+each tile's blocks are summed by batched contractions and one GEMM per side.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classify import _fix_column_signs
-from .density import Bandwidth, _features_of, _read_only, log_ratios, tiles
+from .density import Bandwidth, _features_of, _read_only, log_ratios, plan, tiles
 from .divergence import _TERMS, DivergenceKind, _estimates, _kde_collection, divergence_matrix, resolve_bandwidths
 from .manifold import CgOptions, CgResult, cg_minimize, random_orthonormal
 
@@ -136,73 +136,68 @@ def project_sets(sets, w: np.ndarray) -> list[np.ndarray]:
     return [_features_of(s) @ w for s in sets]
 
 
-def _mixture_gradient(omega: np.ndarray, points: np.ndarray, points_proj: np.ndarray, anchors: np.ndarray,
-                      anchors_proj: np.ndarray, inv: np.ndarray, runs, kernels, lse) -> np.ndarray:
-    """sum_x omega[x] * d(log p(x))/dW over the rows x of a tile, from its log `kernels` at the
-    projected `points_proj` of the full-dimensional `points`; `runs` holds (P, n) per run of P
-    blocks of n rows. Block k's KDE p is the projection of its full-dimensional samples
-    `anchors[k]` (laid end to end), with samples `anchors_proj[k]` and inverse bandwidths `inv[k]`.
-    The softmax weights of the mixture components at each point come from its log kernels; the
-    gradient of each log kernel is the outer product of the full-dimensional offset with the
-    scaled projected offset."""
-    b = np.exp(kernels - lse[:, None])
-    b *= omega[:, None]
-    left = b.sum(axis=1)[:, None] * points_proj
-    right = np.empty_like(anchors_proj)
-    stop = last = 0
-    for count, n in runs:
-        rows, blocks = slice(stop, stop + count * n), slice(last, last + count)
-        b3, left3, inv3 = b[rows].reshape(count, n, -1), left[rows].reshape(count, n, -1), inv[blocks, None]
-        left3 -= b3 @ anchors_proj[blocks]
-        left3 *= inv3
-        right[blocks] = (b3.transpose(0, 2, 1) @ points_proj[rows].reshape(count, n, -1)
-                         - b3.sum(axis=1)[..., None] * anchors_proj[blocks]) * inv3
-        stop, last = rows.stop, blocks.stop
-    return anchors.T @ right.reshape(-1, right.shape[-1]) - points.T @ left
+def _tile_gradient(total: np.ndarray, tile, kdes, mats, omega: np.ndarray, points_proj: np.ndarray, kernels, lse):
+    """Adds sum_x omega[x] * d(log p(x))/dW over the rows x of a plan's `tile` to `total`, from its log `kernels`
+    on the fits `kdes` at the projected `points_proj` of the sets `mats`: each log kernel's gradient is the outer
+    product of the full-dimensional offset with the scaled projected offset, weighed by its softmax weight.
+    A tile of one KDE is one run against it; a tile of several chunks is one block, its gradient their sum."""
+    model, one = kdes[tile.blocks[0][0]][0], isinstance(tile.at, slice)
+    points = np.concatenate([mats[s] for _, s in tile.blocks])
+    anchors = np.concatenate([mats[b] for b, _ in tile.blocks[:1 if one else None]])  # each block's KDE's
+    samples, inv = model.anchors[1], 1.0 / model.bandwidth.diag.reshape(-1, model.dim)
+    for first, chunk in kernels() if callable(kernels) else [(0, kernels)]:
+        rows, proj = slice(first, first + len(chunk)), points_proj[first:first + len(chunk)]
+        b = np.exp(chunk - lse[rows, None])
+        b *= omega[rows, None]
+        left, right, stop = b.sum(axis=1)[:, None] * proj, [], 0
+        for count, n, k in [(1, len(chunk), tile.at)] if one else tile.runs:
+            block, a, inv3 = slice(stop, stop + count * n), samples[k], inv[k, None]
+            b3, left3 = b[block].reshape(count, n, -1), left[block].reshape(count, n, -1)
+            left3 -= b3 @ a
+            left3 *= inv3
+            right.append((b3.transpose(0, 2, 1) @ proj[block].reshape(count, n, -1)
+                          - b3.sum(axis=1)[..., None] * a) * inv3)
+            stop = block.stop
+        total += anchors.T @ np.concatenate(right).reshape(-1, proj.shape[1]) - points[rows].T @ left
 
 
-def _dr_pass(w: np.ndarray, sets, affinity: AffinityMatrix, kind: DivergenceKind, bandwidths):
-    """:func:`dr_cost` at `w`, and a function of no arguments that returns
-    :func:`dr_euclidean_gradient` there from the same tiles and log ratios."""
+def _objective(sets, affinity: AffinityMatrix, kind: DivergenceKind, bandwidths):
+    """The DR objective: a function of W that returns :func:`dr_cost` there, and a function of no
+    arguments that returns :func:`dr_euclidean_gradient` there from the same tiles and log ratios."""
     # Frozen bandwidths: a policy would recompute them from each W, and the gradient,
     # which holds them fixed, would no longer be the derivative of the cost.
     if isinstance(bandwidths, str):
         raise ValueError(
             f"bandwidths must be one Bandwidth per set in the projected dimension, got {bandwidths!r}")
     mats = [_features_of(s) for s in sets]
-    kdes = _kde_collection(project_sets(mats, w), bandwidths)
     i, j = np.nonzero(np.triu(affinity.values, 1))
-    pairs = list(zip(i.tolist(), j.tolist()))
-    tiled = list(tiles(kdes, pairs))
-    ratios = list(log_ratios(tiled))
-    cost = 0.0
-    for sign, estimate in zip(affinity.values[i, j].astype(float).tolist(), _estimates(kind, ratios, pairs)):
-        cost += sign * estimate
+    pairs, signs, layout = list(zip(i.tolist(), j.tolist())), affinity.values[i, j].astype(float).tolist(), None
 
-    def gradient() -> np.ndarray:
-        omega = {}  # (b, s): the weight of each sample of set s in d(log p_b)/dW
-        for s, partners, z in ratios:
-            weights = affinity.values[s, partners, None] * _TERMS[kind][1](z) / mats[s].shape[0]
-            omega[s, s] = weights.sum(axis=0)
-            omega.update(((r, s), -row) for r, row in zip(partners, weights))
-        total = np.zeros(np.shape(w))
-        for runs, points_proj, _, kernels, lse in tiled:
-            blocks = [bs for _, run in runs for bs in run]
-            model, one = kdes[blocks[0][0]][0], len({b for b, _ in blocks}) == 1  # one KDE: its blocks are one run
-            own = [kdes[b][1] for b, _ in blocks[:1 if one else None]]
-            weights = np.concatenate([omega[bs] for bs in blocks])
-            points = np.concatenate([mats[s] for _, s in blocks])
-            anchors = (np.concatenate([mats[b] for b, _ in blocks[:len(own)]]), model.anchors[1][own],
-                       1.0 / model.bandwidth.diag.reshape(-1, model.dim)[own])
-            # a tile of several chunks is one block: its gradient is the sum of its chunks' gradients
-            for first, chunk in kernels() if callable(kernels) else [(0, kernels)]:
-                rows = slice(first, first + len(chunk))
-                total += _mixture_gradient(weights[rows], points[rows], points_proj[rows], *anchors,
-                                           [(1, len(chunk))] if one else [(len(run), n) for n, run in runs],
-                                           chunk, lse[rows])
-        return total
+    def evaluate(w: np.ndarray):
+        nonlocal layout
+        kdes = _kde_collection(project_sets(mats, w), bandwidths)
+        layout = layout or plan(kdes, pairs)  # the first frame's plan serves every frame
+        tiled = list(tiles(kdes, layout))
+        ratios = list(log_ratios(layout, tiled))
+        cost = 0.0
+        for sign, estimate in zip(signs, _estimates(kind, ratios, pairs)):
+            cost += sign * estimate
 
-    return cost, gradient
+        def gradient() -> np.ndarray:
+            omega = np.empty(layout.rows)  # each row's weight in d(log p_b)/dW, b the KDE of its block
+            for (s, own, partners, rows), (_, _, z) in zip(layout.sets, ratios):
+                weights = affinity.values[s, partners, None] * _TERMS[kind][1](z) / mats[s].shape[0]
+                omega[own] = weights.sum(axis=0)
+                for r, row in zip(rows, weights):
+                    omega[r] = -row
+            total = np.zeros(np.shape(w))
+            for tile, (points_proj, _, kernels, lse) in zip(layout.tiles, tiled):
+                _tile_gradient(total, tile, kdes, mats, omega[tile.rows], points_proj, kernels, lse)
+            return total
+
+        return cost, gradient
+
+    return evaluate
 
 
 def dr_cost(w: np.ndarray, sets, affinity: AffinityMatrix,
@@ -215,7 +210,7 @@ def dr_cost(w: np.ndarray, sets, affinity: AffinityMatrix,
     `bandwidths` holds one :class:`Bandwidth` per set, already in the
     projected dimension, so the objective is a pure function of `w`.
     """
-    return _dr_pass(w, sets, affinity, kind, bandwidths)[0]
+    return _objective(sets, affinity, kind, bandwidths)(w)[0]
 
 
 def dr_euclidean_gradient(w: np.ndarray, sets, affinity: AffinityMatrix,
@@ -225,9 +220,9 @@ def dr_euclidean_gradient(w: np.ndarray, sets, affinity: AffinityMatrix,
     A sample of set s depends on W only through its log ratios z = log p_s - log p_r,
     each weighed by the pair's sign times the term's slope in z over the set's size:
     minus that under each partner's KDE r, the sum under its own KDE s, so each tile
-    of the cost's blocks gives one :func:`_mixture_gradient`.
+    of the cost's blocks gives one :func:`_tile_gradient`.
     """
-    return _dr_pass(w, sets, affinity, kind, bandwidths)[1]()
+    return _objective(sets, affinity, kind, bandwidths)(w)[1]()
 
 
 @dataclass(frozen=True)
@@ -299,6 +294,6 @@ def learn_projection(sets, labels, config: DrConfig) -> DrResult:
     # invariant to the choice of basis of W.
     bandwidths = tuple(resolve_bandwidths(project_sets(mats, w0), "isotropic"))
 
-    result = cg_minimize(lambda w: _dr_pass(w, mats, affinity, config.kind, bandwidths), w0, config.cg)
+    result = cg_minimize(_objective(mats, affinity, config.kind, bandwidths), w0, config.cg)
     return DrResult(point=result.point, initial_point=w0, cg=result,
                     affinity=affinity, bandwidths=bandwidths)

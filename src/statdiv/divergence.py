@@ -5,12 +5,12 @@ both sets. Each term, and its slope for the DR gradient (`_TERMS`), is a
 closed form in the log ratio z = log p - log q = logit T, T = p / (p + q),
 that `density.log_ratios` gives from the sets' KDEs (fitted by size), so
 neither density is ever exponentiated on its own and T is never formed.
-Each KDE is evaluated once per list of pairs (`density.tiles`) and each
-set's log ratios against all its partners come as one array, so a term
-runs once per set and a pair's estimate is the sum of two row means.
+Each KDE is evaluated once per list of pairs, by one plan (`density.plan`),
+and each set's log ratios against all its partners come as one array, so
+a term runs once per set and a pair's estimate is the sum of two row means.
 The square and cross matrices are two layouts of one builder, which fits
 a gallery's and a probe's KDEs once and estimates the gallery's pairs,
-its gallery x probe pairs, or both in one pass."""
+its gallery x probe pairs, or both in one pass (a pair alone: 1 x 1 cross)."""
 
 from __future__ import annotations
 
@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import ConfigError, _json_fields, _read_csv, _save_with_sidecar
-from .density import (Bandwidth, DensityModel, _features_of, _read_only, isotropic_silverman_bandwidth, log_ratios,
-                      silverman_bandwidth, tiles)
+from .density import (Bandwidth, DensityModel, _as_sample_matrix, _features_of, _read_only,
+                      isotropic_silverman_bandwidth, log_ratios, plan, silverman_bandwidth, tiles)
 
 __all__ = [
     "T_CLAMP",
@@ -120,12 +120,17 @@ def describe_bandwidth_policy(bw_policy) -> str:
 
 def _kde_collection(sets, bw_policy, kind: DivergenceKind | None = None) -> list[tuple[DensityModel, int]]:
     """The KDEs of `sets` (one dimension), bandwidths by :func:`resolve_bandwidths`, as (model,
-    k) per set: the sets of one size are fitted at once, the KDEs on one model's leading axis."""
-    mats = [_features_of(s) for s in sets]
-    for m in mats[1:]:
-        if m.shape[1] != mats[0].shape[1]:
-            raise ValueError(
-                f"dimension mismatch: first set has D={mats[0].shape[1]}, second has D={m.shape[1]}")
+    k) per set: the sets of one size are fitted at once, the KDEs on one model's leading axis.
+    A set that is not n >= 2 finite rows in the first set's D is a ValueError naming it by id or index."""
+    mats = []
+    for i, s in enumerate(sets):
+        try:
+            mats.append(_as_sample_matrix(s))
+            if mats[i].shape[1] != mats[0].shape[1]:
+                raise ValueError(
+                    f"dimension mismatch: D={mats[i].shape[1]}, but the first set has D={mats[0].shape[1]}")
+        except ValueError as error:
+            raise ValueError(f"set {getattr(s, 'id', i)!r}: {error}") from None
     bandwidths, by_size, kdes = resolve_bandwidths(mats, bw_policy, kind), {}, [None] * len(mats)
     for s, m in enumerate(mats):
         by_size.setdefault(len(m), []).append(s)
@@ -187,8 +192,8 @@ def pair_divergence(p_samples, q_samples, kind: DivergenceKind,
                     bandwidth_p: Bandwidth, bandwidth_q: Bandwidth) -> float:
     """Symmetric empirical divergence between two sample matrices with
     explicitly fixed bandwidths. Identical inputs give exactly 0."""
-    kdes = _kde_collection([p_samples, q_samples], [bandwidth_p, bandwidth_q])
-    return _estimates(kind, log_ratios(tiles(kdes, [(0, 1)])), [(0, 1)])[0]
+    cross = _square_and_cross([p_samples], [q_samples], kind, [bandwidth_p, bandwidth_q], square=False)[1]
+    return float(cross[0, 0])
 
 
 def hellinger_empirical(p_samples, q_samples, bw_policy="silverman") -> float:
@@ -259,8 +264,9 @@ def _square_and_cross(gallery, probe, kind: DivergenceKind, bw_policy,
     pairs = [(i, j) for i in range(g) for j in range(i + 1, g) if square]
     pairs += [(i, j) for i in range(g) for j in range(g, len(sets))]
     values = np.zeros((g, len(sets)))
-    ratios = log_ratios(tiles(_kde_collection(sets, bw_policy, kind), pairs))
-    for (i, j), value in zip(pairs, _estimates(kind, ratios, pairs)):
+    kdes = _kde_collection(sets, bw_policy, kind)
+    layout = plan(kdes, pairs)
+    for (i, j), value in zip(pairs, _estimates(kind, log_ratios(layout, tiles(kdes, layout)), pairs)):
         values[i, j] = value
     own = values[:, :g] + values[:, :g].T
     return DivergenceMatrix(own, kind, _ids_of(gallery), describe_bandwidth_policy(bw_policy)), values[:, g:].copy()

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import oracles
-from .dimred import affinity_from_divergences, dr_cost, dr_euclidean_gradient, project_sets
+from .dimred import _objective, affinity_from_divergences, project_sets
 from .divergence import DivergenceKind, hellinger_empirical, jeffrey_empirical, resolve_bandwidths
 from .kernels import SIGMA_GRID, KernelFamily, KernelSpec, kernel_from_divergence, min_eigenvalue
 from .manifold import random_orthonormal, tangent_project
@@ -96,17 +96,15 @@ def check_gradients(trials: int = 10) -> tuple[bool, str]:
         frame = random_orthonormal(dim, rank, rng)
         bandwidths = resolve_bandwidths(project_sets(mats, frame), "isotropic")
         for kind in (DivergenceKind.HELLINGER_SQUARED, DivergenceKind.JEFFREY):
-            analytic = dr_euclidean_gradient(frame, mats, affinity, kind, bandwidths)
+            objective = _objective(mats, affinity, kind, bandwidths)  # one tile plan for every frame
+            analytic = objective(frame)[1]()
             numeric = np.zeros_like(frame)
             step = 1e-6
             for a in range(dim):
                 for b in range(rank):
                     plus = frame.copy(); plus[a, b] += step
                     minus = frame.copy(); minus[a, b] -= step
-                    numeric[a, b] = (
-                        dr_cost(plus, mats, affinity, kind, bandwidths)
-                        - dr_cost(minus, mats, affinity, kind, bandwidths)
-                    ) / (2 * step)
+                    numeric[a, b] = (objective(plus)[0] - objective(minus)[0]) / (2 * step)
             err = np.max(np.abs(analytic - numeric)) / max(np.max(np.abs(numeric)), 1e-12)
             worst = max(worst, err)
     return worst <= 1e-3, f"max relative gradient error = {worst:.3e} (tol 1e-3)"

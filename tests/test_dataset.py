@@ -222,6 +222,17 @@ class TestLoadDataset:
             np.testing.assert_array_equal(a.features, b.features)
             assert a.label == b.label
             assert a.id == b.id
+        assert loaded.label_names == ds.label_names == ("0", "1")
+
+    def test_round_trip_keeps_manifest_label_names(self, tmp_path):
+        entries = [{"id": f"s{i}", "label": label, "path": "u.csv"} for i, label in enumerate(["dog", "cat", "dog"])]
+        (tmp_path / "manifest.json").write_text(json.dumps({"sets": entries}))
+        (tmp_path / "u.csv").write_text("1.0,2.0\n3.0,4.0\n")
+        loaded = load_dataset(tmp_path / "manifest.json")
+        assert (list(loaded.labels), loaded.label_names) == ([0, 1, 0], ("dog", "cat"))
+        save_dataset(loaded, tmp_path / "out" / "manifest.json")
+        saved = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert [entry["label"] for entry in saved["sets"]] == ["dog", "cat", "dog"]
 
 
 class TestGenerateSynthetic:

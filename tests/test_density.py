@@ -346,6 +346,13 @@ class TestStackedCollection:
     alone, and as one block per (KDE, set)."""
 
     @staticmethod
+    def ratios_of(kdes, pairs):
+        from statdiv import density
+
+        layout = density.plan(kdes, pairs)
+        return density.log_ratios(layout, density.tiles(kdes, layout))
+
+    @staticmethod
     def problem(rng, dim):
         count = int(rng.integers(3, 8))
         sizes = [2] + [int(rng.integers(2, 60)) for _ in range(count - 1)]
@@ -370,14 +377,14 @@ class TestStackedCollection:
         sets, bandwidths, pairs, dup = self.problem(rng, dim)
         models = [density.DensityModel(s, bw) for s, bw in zip(sets, bandwidths)]
         seen = []
-        for s, partners, z in density.log_ratios(density.tiles([(m, 0) for m in models], pairs)):
+        for s, partners, z in self.ratios_of([(m, 0) for m in models], pairs):
             seen.append(s)
             assert sorted(partners) == sorted({j for i, j in pairs if i == s} | {i for i, j in pairs if j == s})
             assert z.shape == (len(partners), sets[s].shape[0])
             own = log_density_batch(models[s], sets[s])
             for r, row in zip(partners, z):
                 two = [(density.DensityModel(sets[t], bandwidths[t]), 0) for t in (s, r)]
-                [two_row] = {t: zz for t, _, zz in density.log_ratios(density.tiles(two, [(0, 1)]))}[0]
+                [two_row] = {t: zz for t, _, zz in self.ratios_of(two, [(0, 1)])}[0]
                 np.testing.assert_array_equal(row, two_row)
                 np.testing.assert_array_equal(row, own - log_density_batch(models[r], sets[s]))
                 if {s, r} == {1, dup}:

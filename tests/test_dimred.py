@@ -345,6 +345,29 @@ class TestOnePassPerFrame:
         np.testing.assert_array_equal(result.point, apart.point)
 
 
+    def test_one_plan_per_objective(self, monkeypatch):
+        from statdiv import density, dimred
+
+        ds = TestLearnProjection().benchmark(2)
+        calls, cg = [], dimred.cg_minimize
+        plan = density.plan
+
+        def counting_plan(*args):
+            calls.append("plan")
+            return plan(*args)
+
+        def marking_cg(*args):
+            calls.append("cg")
+            return cg(*args)
+
+        for module in (density, dimred):  # dimred reads the name it imported
+            monkeypatch.setattr(module, "plan", counting_plan)
+        monkeypatch.setattr(dimred, "cg_minimize", marking_cg)
+        result = learn_projection(ds.sets, ds.labels, DrConfig(target_dim=3, cg=CgOptions(max_iters=10)))
+        assert result.cg.iterations > 1
+        assert calls[calls.index("cg"):] == ["cg", "plan"]
+
+
 class TestGradientBlockCount:
     @pytest.mark.parametrize("fn", [dr_cost, dr_euclidean_gradient])
     @pytest.mark.parametrize("kind", list(DivergenceKind))

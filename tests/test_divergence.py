@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from statdiv import oracles
-from statdiv.density import Bandwidth, DensityModel, log_density_batch, log_ratios, silverman_bandwidth, tiles
+from statdiv.dataset import FeatureSet
+from statdiv.density import Bandwidth, DensityModel, log_density_batch, log_ratios, plan, silverman_bandwidth, tiles
 from statdiv.divergence import (
     _TERMS,
     T_CLAMP,
@@ -23,7 +24,7 @@ from statdiv.divergence import (
     _square_and_cross,
     save_divergence_matrix,
 )
-from statdiv.dimred import AffinityMatrix, dr_euclidean_gradient, project_sets
+from statdiv.dimred import AffinityMatrix, dr_cost, dr_euclidean_gradient, project_sets
 from statdiv.manifold import random_orthonormal
 from statdiv.oracles import GaussianParams
 
@@ -31,6 +32,12 @@ TRUE_HELLINGER = oracles.hellinger_gaussian_closed_form(
     GaussianParams([0.0], [[1.0]]), GaussianParams([1.0], [[1.0]])
 )
 TRUE_JEFFREY = 1.0
+
+
+def ratios_of(kdes, pairs):
+    """Each set's log ratios against its partners in `pairs`, from one plan of `kdes`."""
+    layout = plan(kdes, pairs)
+    return log_ratios(layout, tiles(kdes, layout))
 
 
 def gaussian_pair(seed, n, shift=1.0):
@@ -97,7 +104,7 @@ class TestClosedFormTerms:
         p = rng.standard_normal((40, 2))
         q = p + 1e-7 * rng.standard_normal((40, 2))
         bw = Bandwidth([0.4, 0.6])
-        z = {s: z for s, _, [z] in log_ratios(tiles(_kde_collection([p, q], [bw, bw]), [(0, 1)]))}
+        z = {s: z for s, _, [z] in ratios_of(_kde_collection([p, q], [bw, bw]), [(0, 1)])}
         z_p, z_q = z[0], z[1]
         assert 0.0 < np.max(np.abs(np.concatenate([z_p, z_q]))) < 1e-6
         series = sum(float(np.mean(z**2 / 8.0 - 5.0 * z**4 / 384.0)) for z in (z_p, z_q))
@@ -398,6 +405,24 @@ class TestDivergenceMatrix:
             hellinger_empirical(np.zeros((5, 2)) + np.arange(5)[:, None],
                                 np.zeros((5, 3)) + np.arange(5)[:, None])
 
+    def test_matrix_names_the_set_of_another_dimension(self):
+        rng = np.random.default_rng(14)
+        sets = [FeatureSet(f"s{d}", 0, random_set(rng, dim=d)) for d in (2, 2, 3)]
+        with pytest.raises(ValueError, match=r"^set 's3': dimension mismatch: D=3, but the first set has D=2$"):
+            divergence_matrix(sets, DivergenceKind.HELLINGER_SQUARED)
+
+    def test_matrix_names_a_set_of_one_row(self):
+        rng = np.random.default_rng(15)
+        with pytest.raises(ValueError, match=r"^set 2: n >= 2 violated: got 1 samples$"):
+            cross_divergence_matrix([random_set(rng)] * 2, [random_set(rng, n=1)], DivergenceKind.JEFFREY)
+
+    def test_matrix_names_a_set_with_a_nan(self):
+        rng = np.random.default_rng(16)
+        sets = [random_set(rng) for _ in range(3)]
+        sets[1][4, 0] = np.nan
+        with pytest.raises(ValueError, match=r"^set 1: sample matrix contains non-finite entries$"):
+            divergence_matrix(sets, DivergenceKind.HELLINGER_SQUARED)
+
     def test_matrix_invariant_rejects_asymmetry(self):
         bad = np.array([[0.0, 1.0], [0.5, 0.0]])
         with pytest.raises(ValueError, match="not symmetric"):
@@ -467,7 +492,7 @@ class TestTileProperties:
         bandwidths = resolve_bandwidths(sets, "silverman")
         models = [DensityModel(s, bw) for s, bw in zip(sets, bandwidths)]
         pairs = [(i, j) for i in range(len(sets)) for j in range(i + 1, len(sets))]
-        for s, partners, z in log_ratios(tiles(_kde_collection(sets, bandwidths), pairs)):
+        for s, partners, z in ratios_of(_kde_collection(sets, bandwidths), pairs):
             own = log_density_batch(models[s], sets[s])
             for r, row in zip(partners, z):
                 np.testing.assert_array_equal(row, own - log_density_batch(models[r], sets[s]))
@@ -481,7 +506,7 @@ class TestTileProperties:
         kdes = _kde_collection(sets, "silverman")
         pairs = [(i, j) for i in range(len(sets)) for j in range(i + 1, len(sets))]
         copies = {k + (k >= at), at}
-        for s, partners, z in log_ratios(tiles(kdes, pairs)):
+        for s, partners, z in ratios_of(kdes, pairs):
             if s in copies:
                 np.testing.assert_array_equal(z[partners.index((copies - {s}).pop())], 0.0)
 
@@ -505,6 +530,58 @@ class TestTileProperties:
             single[i, j] = single[j, i] = values[i, j]
             parts += dr_euclidean_gradient(w, sets, AffinityMatrix(single, 1, 1), kind, bandwidths)
         assert np.max(np.abs(total - parts)) <= 1e-13 * np.max(np.abs(total))
+
+
+class TestDrInvariance:
+    """The DR objective depends on the subspace of W, not on its basis: its isotropic
+    bandwidths leave each projected distance unchanged by a rotation Q of the basis."""
+
+    @staticmethod
+    def problem(sets, data):
+        count, dim = len(sets), sets[0].shape[1]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        values = np.triu(rng.integers(-1, 2, size=(count, count)), 1)
+        values[0, 1] = 1  # at least one active pair
+        w = random_orthonormal(dim, data.draw(st.integers(1, dim - 1)), rng)
+        rotation, _ = np.linalg.qr(rng.standard_normal((w.shape[1], w.shape[1])))
+        bandwidths = resolve_bandwidths(project_sets(sets, w), "isotropic")
+        return w, rotation, AffinityMatrix(values + values.T, 1, 1), bandwidths
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @PROPERTY_SETTINGS
+    @given(sets=adversarial_sets(offsets=(0.0,), min_dim=2), data=st.data())
+    def test_cost_is_invariant_to_a_rotation_of_the_basis(self, kind, sets, data):
+        w, rotation, affinity, bandwidths = self.problem(sets, data)
+        assert dr_cost(w @ rotation, sets, affinity, kind, bandwidths) == pytest.approx(
+            dr_cost(w, sets, affinity, kind, bandwidths), rel=0.0, abs=1e-8)
+
+    # the non-degenerate sets of the one-pair gradient property above
+    @pytest.mark.parametrize("kind", KINDS)
+    @PROPERTY_SETTINGS
+    @given(sets=adversarial_sets(pool=1, offsets=(0.0,), min_dim=2, degenerate=False), data=st.data())
+    def test_gradient_is_equivariant_to_a_rotation_of_the_basis(self, kind, sets, data):
+        w, rotation, affinity, bandwidths = self.problem(sets, data)
+        gradient = dr_euclidean_gradient(w, sets, affinity, kind, bandwidths)
+        rotated = dr_euclidean_gradient(w @ rotation, sets, affinity, kind, bandwidths)
+        assert np.max(np.abs(rotated - gradient @ rotation)) <= 1e-10 * np.max(np.abs(gradient))
+
+    @PROPERTY_SETTINGS
+    @given(sets=adversarial_sets(pool=2, offsets=(0.0,), min_dim=2), data=st.data())
+    def test_a_plan_serves_every_frame(self, sets, data):
+        """A plan built on the fits at one frame evaluates the fits at another bit for
+        bit as a plan of their own: it reads only which sets share a fit, and sizes."""
+        w, _, affinity, bandwidths = self.problem(sets, data)
+        other = random_orthonormal(w.shape[0], w.shape[1], np.random.default_rng(data.draw(st.integers(0, 99))))
+        pairs = list(zip(*np.nonzero(np.triu(affinity.values, 1))))
+        kept = plan(_kde_collection(project_sets(sets, w), bandwidths), pairs)
+        kdes = _kde_collection(project_sets(sets, other), bandwidths)
+        fresh = plan(kdes, pairs)
+        for a, b in zip(tiles(kdes, kept), tiles(kdes, fresh), strict=True):
+            for x, y in zip(a, b, strict=True):
+                assert x.tobytes() == y.tobytes()
+        for (s, partners, z), (t, others, y) in zip(log_ratios(kept, tiles(kdes, kept)),
+                                                    log_ratios(fresh, tiles(kdes, fresh)), strict=True):
+            assert (s, partners, z.tobytes()) == (t, others, y.tobytes())
 
 
 class TestRowOrder:
@@ -675,7 +752,7 @@ class TestKernelBlockMemory:
         bandwidths = resolve_bandwidths(sets, "silverman")
         models = [DensityModel(s, bw) for s, bw in zip(sets, bandwidths)]
         pairs = [(i, j) for i in range(len(sets)) for j in range(i + 1, len(sets))]
-        for s, partners, z in log_ratios(tiles(_kde_collection(sets, bandwidths), pairs)):
+        for s, partners, z in ratios_of(_kde_collection(sets, bandwidths), pairs):
             own = log_density_batch(models[s], sets[s])
             for r, row in zip(partners, z):
                 np.testing.assert_array_equal(row, own - log_density_batch(models[r], sets[s]))

@@ -327,6 +327,24 @@ class TestCli:
         score = json.loads((tmp_path / "cls_nn" / "score.json").read_text())
         assert score["accuracy"] == 1.0
 
+    def test_classify_matches_labels_by_name_across_manifests(self, tmp_path, capsys):
+        # each manifest numbers its labels in first-seen order: cat is 0 in the gallery, dog in the probe
+        rng = np.random.default_rng(3)
+        for side, labels in (("gallery", ["cat", "cat", "dog", "dog"]), ("probe", ["dog", "cat", "dog", "cat"])):
+            entries = []
+            for i, label in enumerate(labels):
+                path = tmp_path / f"{side}{i}.csv"
+                np.savetxt(path, rng.normal(10.0 * (label == "dog"), 1.0, size=(20, 2)), delimiter=",")
+                entries.append({"id": f"{side}{i}", "label": label, "path": path.name})
+            (tmp_path / f"{side}.json").write_text(json.dumps({"sets": entries}))
+        assert self.run("classify", "--gallery", str(tmp_path / "gallery.json"),
+                        "--probe", str(tmp_path / "probe.json"),
+                        "--divergence", "hellinger", "--out", str(tmp_path / "cls")) == 0
+        assert json.loads((tmp_path / "cls" / "score.json").read_text())["accuracy"] == 1.0
+        assert (tmp_path / "cls" / "predictions.csv").read_text().splitlines() == [
+            "probe_id,predicted_label,true_label", "probe0,dog,dog", "probe1,cat,cat", "probe2,dog,dog",
+            "probe3,cat,cat"]
+
     def test_eval_exit_codes(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(synthetic_config("nn")))
