@@ -17,6 +17,7 @@ import scipy.linalg
 
 from .dataset import _json_fields, _read_csv, _write_csv, _write_json
 from .density import _read_only
+from .manifold import _fix_column_signs
 
 __all__ = [
     "KfdaModel",
@@ -101,16 +102,6 @@ def _class_block_matrix(labels: np.ndarray) -> np.ndarray:
         members = np.flatnonzero(labels == label)
         block[np.ix_(members, members)] = 1.0 / members.size
     return block
-
-
-def _fix_column_signs(mat: np.ndarray) -> np.ndarray:
-    """Flip columns of `mat` in place so that each column's largest-magnitude
-    entry (the first one, on ties) is positive; returns `mat`."""
-    for j in range(mat.shape[1]):
-        k = int(np.argmax(np.abs(mat[:, j])))
-        if mat[k, j] < 0:
-            mat[:, j] = -mat[:, j]
-    return mat
 
 
 def kfda_fit(gram_train, labels, latent_dim: int | None = None,
@@ -204,7 +195,6 @@ def latent_nn_classify(model: KfdaModel, gram_cross) -> np.ndarray:
 def save_kfda_model(model: KfdaModel, directory) -> None:
     """Persist a model as a directory of CSVs plus a JSON description."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     for name in _MODEL_ARRAYS:
         _write_csv(directory / f"{name}.csv", getattr(model, name))
     _write_json(directory / "model.json", {

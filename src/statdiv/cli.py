@@ -17,8 +17,8 @@ import sys
 from pathlib import Path
 
 from .classify import accuracy, kfda_fit, latent_nn_classify, load_kfda_model, nn_classify, save_kfda_model
-from .dataset import (SyntheticSpec, _read_json, _save_with_sidecar, _write_json, generate_synthetic, load_dataset,
-                      save_dataset)
+from .dataset import (SyntheticSpec, _read_json, _save_with_sidecar, _write_csv, _write_json, generate_synthetic,
+                      load_dataset, save_dataset)
 from .dimred import DrConfig, learn_projection
 from .divergence import (
     DivergenceKind,
@@ -58,7 +58,6 @@ def _cmd_gen(args) -> int:
     )
     dataset = generate_synthetic(spec)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     save_dataset(dataset, out / "manifest.json")
     print(f"wrote {dataset.size} sets ({dataset.num_classes} classes, D={dataset.dim}) "
           f"to {out / 'manifest.json'}")
@@ -68,9 +67,8 @@ def _cmd_gen(args) -> int:
 def _cmd_dist(args) -> int:
     dataset = load_dataset(args.manifest)
     kind = _divergence_arg(args.divergence)
-    matrix = divergence_matrix(dataset.sets, kind, _parse_bw(args.bw))
+    matrix = divergence_matrix(dataset.sets, kind, _bandwidth_policy(args.bw, "--bw", _parse_bw))
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     save_divergence_matrix(matrix, out / "divergences.csv")
     print(f"wrote {matrix.size}x{matrix.size} {kind.value} matrix to {out / 'divergences.csv'}")
     return 0
@@ -80,9 +78,8 @@ def _cmd_gram(args) -> int:
     dataset = load_dataset(args.manifest)
     family = _kernel_family(args.kernel, "kernel")
     spec = KernelSpec(family=family, sigma=args.sigma, subspace_dim=args.dim)
-    matrix = gram(dataset.sets, spec, _parse_bw(args.bw))
+    matrix = gram(dataset.sets, spec, _bandwidth_policy(args.bw, "--bw", _parse_bw))
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     save_gram_matrix(matrix, out / "gram.csv")
     print(f"wrote {matrix.size}x{matrix.size} {family.value} gram to {out / 'gram.csv'}")
     return 0
@@ -100,8 +97,7 @@ def _cmd_train_dr(args) -> int:
     )
     result = learn_projection(dataset.sets, dataset.labels, config)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_trace(result.cg, out / "trace.csv")
+    save_trace(result.trace, out / "trace.csv")
     settings = {
         "target_dim": config.target_dim,
         "divergence": config.kind.value,
@@ -139,17 +135,15 @@ def _cmd_classify(args) -> int:
         predicted = latent_nn_classify(model, cross)
     else:
         kind = _divergence_arg(args.divergence)
-        cross = cross_divergence_matrix(gallery.sets, probe.sets, kind, _parse_bw(args.bw))
+        cross = cross_divergence_matrix(gallery.sets, probe.sets, kind, _bandwidth_policy(args.bw, "--bw", _parse_bw))
         predicted = nn_classify(cross, gallery.labels)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     # the two manifests number their labels apart, so the sides meet by label name
     predicted = [gallery.label_names[label] for label in predicted]
     score = accuracy(predicted, probe.named_labels)
-    with (out / "predictions.csv").open("w", encoding="utf-8") as fh:
-        fh.write("probe_id,predicted_label,true_label\n")
-        for fs, label, truth in zip(probe.sets, predicted, probe.named_labels):
-            fh.write(f"{fs.id},{label},{truth}\n")
+    _write_csv(out / "predictions.csv", [[fs.id, label, truth] for fs, label, truth in
+                                         zip(probe.sets, predicted, probe.named_labels)],
+               "probe_id,predicted_label,true_label", "%s")
     _write_json(out / "score.json", {"accuracy": score})
     print(f"classified {probe.size} probes, accuracy {score:.4f}")
     return 0
@@ -158,7 +152,7 @@ def _cmd_classify(args) -> int:
 def _cmd_train_kfda(args) -> int:
     dataset = load_dataset(args.manifest)
     spec = KernelSpec(family=_kernel_family(args.kernel, "kernel"), sigma=args.sigma, subspace_dim=args.dim)
-    gram_train = gram(dataset.sets, spec, _parse_bw(args.bw))
+    gram_train = gram(dataset.sets, spec, _bandwidth_policy(args.bw, "--bw", _parse_bw))
     model = kfda_fit(gram_train.values, dataset.labels,
                      latent_dim=args.latent_dim, regularization=args.regularization)
     out = Path(args.out)

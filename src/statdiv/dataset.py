@@ -4,7 +4,8 @@ A dataset is an ordered list of labeled feature sets, each an n x D matrix
 with one sample per row. On disk a dataset is a JSON manifest pointing at
 plain CSV files (no header, decimal floats), so any feature extractor can
 produce them. The readers and writers here serve every JSON file and
-every headerless CSV file statdiv reads or writes.
+every CSV file, with or without a header, that statdiv reads or writes;
+the writers make the file's directory.
 """
 
 from __future__ import annotations
@@ -93,6 +94,7 @@ def _read_json(path, where: str | None = None):
 
 def _write_json(path, value) -> None:
     """Save `value` in the file `path` as JSON, indented by 2, keys sorted."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text(json.dumps(value, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
@@ -237,10 +239,13 @@ def _scan_csv(lines: list[tuple[int, str]], path, owner: str) -> np.ndarray:
     return np.array(rows)
 
 
-def _write_csv(path, values) -> None:
-    """Save `values` as a headerless CSV file with 17 significant digits, so
-    :func:`_read_csv` reproduces every float exactly."""
-    np.savetxt(path, values, delimiter=",", fmt="%.17g")
+def _write_csv(path, values, header: str = "", fmt="%.17g") -> None:
+    """Save the rows of `values` as a UTF-8 CSV file, under a `header` line if
+    one is given, each cell by `fmt` (one format or one per column); the
+    default's 17 significant digits let :func:`_read_csv` reproduce every
+    float exactly."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    np.savetxt(path, values, delimiter=",", fmt=fmt, header=header, comments="", encoding="utf-8")
 
 
 def _save_with_sidecar(csv_path, values: np.ndarray, sidecar: dict) -> None:
@@ -293,7 +298,6 @@ def save_dataset(dataset: Dataset, manifest_path) -> None:
     every float exactly; each set's label is written as its label name.
     """
     manifest_path = Path(manifest_path)
-    manifest_path.parent.mkdir(parents=True, exist_ok=True)
     entries = []
     for i, (fs, label) in enumerate(zip(dataset.sets, dataset.named_labels)):
         rel = f"{manifest_path.stem}_set{i:04d}.csv"

@@ -22,10 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import _fix_column_signs
 from .density import Bandwidth, _features_of, _read_only, log_ratios, plan, tiles
 from .divergence import _TERMS, DivergenceKind, _estimates, _kde_collection, divergence_matrix, resolve_bandwidths
-from .manifold import CgOptions, CgResult, cg_minimize, random_orthonormal
+from .manifold import CgOptions, CgResult, _fix_column_signs, cg_minimize, random_orthonormal
 
 __all__ = [
     "AffinityMatrix",
@@ -65,18 +64,13 @@ class AffinityMatrix:
         return self.values.shape[0]
 
 
-def _neighbor_sets(distances: np.ndarray, eligible: np.ndarray, count: int) -> list[np.ndarray]:
-    """Per row: indices of the `count` nearest eligible columns, ties by index."""
-    m = distances.shape[0]
-    out = []
-    for i in range(m):
-        candidates = np.flatnonzero(eligible[i])
-        if count <= 0 or candidates.size == 0:
-            out.append(np.empty(0, dtype=int))
-            continue
-        order = np.argsort(distances[i, candidates], kind="stable")
-        out.append(candidates[order[: min(count, candidates.size)]])
-    return out
+def _neighbors(distances: np.ndarray, eligible: np.ndarray, count: int) -> np.ndarray:
+    """The symmetric 0/1 mask of each row's `count` nearest eligible columns, ties by index."""
+    mask = np.zeros(distances.shape, dtype=np.int8)
+    for i, row in enumerate(eligible):
+        candidates = np.flatnonzero(row)
+        mask[i, candidates[np.argsort(distances[i, candidates], kind="stable")[:count]]] = 1
+    return np.maximum(mask, mask.T)
 
 
 def affinity_from_divergences(divergences, labels, nu_w="auto", nu_b: int = 1) -> AffinityMatrix:
@@ -109,17 +103,8 @@ def affinity_from_divergences(divergences, labels, nu_w="auto", nu_b: int = 1) -
     np.fill_diagonal(same, False)
     different = labels[:, None] != labels[None, :]
 
-    within = np.zeros((m, m), dtype=np.int8)
-    for i, neigh in enumerate(_neighbor_sets(values, same, nu_w)):
-        within[i, neigh] = 1
-    within = np.maximum(within, within.T)
-
-    between = np.zeros((m, m), dtype=np.int8)
-    for i, neigh in enumerate(_neighbor_sets(values, different, nu_b)):
-        between[i, neigh] = 1
-    between = np.maximum(between, between.T)
-
-    return AffinityMatrix(values=within - between, nu_w=nu_w, nu_b=nu_b)
+    return AffinityMatrix(values=_neighbors(values, same, nu_w) - _neighbors(values, different, nu_b),
+                          nu_w=nu_w, nu_b=nu_b)
 
 
 def build_affinity(sets, labels, nu_w="auto", nu_b: int = 1,

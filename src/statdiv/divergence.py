@@ -135,8 +135,8 @@ def _kde_collection(sets, bw_policy, kind: DivergenceKind | None = None) -> list
     for s, m in enumerate(mats):
         by_size.setdefault(len(m), []).append(s)
     for group in by_size.values():
-        model = DensityModel(mats[group[0]], bandwidths[group[0]]) if len(group) == 1 else DensityModel(
-            np.stack([mats[s] for s in group]), Bandwidth(np.stack([bandwidths[s].diag for s in group])))
+        model = DensityModel(np.stack([mats[s] for s in group]),
+                             Bandwidth(np.stack([bandwidths[s].diag for s in group])))
         for k, s in enumerate(group):
             kdes[s] = (model, k)
     return kdes

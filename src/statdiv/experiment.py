@@ -19,7 +19,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .classify import KfdaModel, accuracy, kfda_fit, latent_nn_classify, nn_classify
-from .dataset import (ConfigError, Dataset, SyntheticSpec, _checked, _field, _no_unread_keys, _write_json,
+from .dataset import (ConfigError, Dataset, SyntheticSpec, _checked, _field, _no_unread_keys, _write_csv, _write_json,
                       generate_synthetic, load_dataset, split_gallery_probe, standardize_dataset)
 from .dimred import DrConfig, learn_projection, project_sets
 from .divergence import DivergenceKind, _divergence_kind, _is_positive_number, cross_divergence_matrix
@@ -331,12 +331,9 @@ def emit_report(report: Report, out_dir) -> None:
     """Write report.json, accuracy.csv, per-repetition trace CSVs (when a
     projection was learned), and a separate timings.json."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "report.json", report.to_dict())
-    with (out_dir / "accuracy.csv").open("w", encoding="utf-8") as fh:
-        fh.write("repetition,accuracy\n")
-        for record in report.repetitions:
-            fh.write(f"{record['index']},{record['accuracy']:.17g}\n")
+    _write_csv(out_dir / "accuracy.csv", [[record["index"], record["accuracy"]] for record in report.repetitions],
+               "repetition,accuracy", ["%d", "%.17g"])
     for rep, trace in enumerate(report.traces):
         save_trace(trace, out_dir / f"trace_rep{rep}.csv")
     _write_json(out_dir / "timings.json", {"wall_times_seconds": report.wall_times})

@@ -20,11 +20,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .classify import _fix_column_signs
 from .dataset import ConfigError, _checked, _json_fields, _read_csv, _save_with_sidecar
 from .density import _features_of, _read_only
 from .divergence import (DivergenceKind, _ids_of, _is_positive_number, _square_and_cross as _divergences,
                          describe_bandwidth_policy)
+from .manifold import _fix_column_signs
 
 __all__ = [
     "KernelFamily",
@@ -163,21 +163,17 @@ def set_to_subspace(samples, p: int) -> np.ndarray:
     return _fix_column_signs(u[:, :p].copy())
 
 
-def set_to_covariance(samples, ridge: float | None = None) -> np.ndarray:
+def set_to_covariance(samples) -> np.ndarray:
     """Regularized sample covariance (1/n) Xc' Xc + ridge I, always SPD.
 
-    Default ridge is 1e-3 times the mean per-dimension variance (with a
+    The ridge is 1e-3 times the mean per-dimension variance (with a
     tiny absolute floor so degenerate sets stay invertible).
     """
     mat = _features_of(samples)
     n, d = mat.shape
     centered = mat - mat.mean(axis=0)
     cov = (centered.T @ centered) / n
-    if ridge is None:
-        ridge = max(1e-3 * float(np.trace(cov)) / d, 1e-12)
-    elif ridge < 0:
-        raise ValueError(f"ridge must be >= 0, got {ridge}")
-    return cov + ridge * np.eye(d)
+    return cov + max(1e-3 * float(np.trace(cov)) / d, 1e-12) * np.eye(d)
 
 
 def _spd_log(mat: np.ndarray) -> np.ndarray:

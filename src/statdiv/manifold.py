@@ -4,16 +4,19 @@ Points are orthonormal D x d matrices identified with their column span.
 The optimizer consumes one callback for the cost and the plain matrix of
 partial derivatives; it projects to the tangent space, takes Polak-Ribiere
 (non-negative) conjugate directions with re-projection in place of
-parallel transport, and retracts with a sign-fixed thin QR.
+parallel transport, and retracts with a sign-fixed thin QR. Frames made
+elsewhere (kFDA directions, subspace bases, the PCA start) share one
+column sign convention, `_fix_column_signs`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
+
+from .dataset import _write_csv
 
 __all__ = [
     "CgOptions",
@@ -47,12 +50,22 @@ def random_orthonormal(dim: int, rank: int, rng: np.random.Generator) -> np.ndar
     return q * signs
 
 
-def is_orthonormal(w: np.ndarray, tol: float = ORTHONORMAL_TOL) -> bool:
+def is_orthonormal(w: np.ndarray) -> bool:
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] < w.shape[1]:
         return False
     gram = w.T @ w
-    return bool(np.max(np.abs(gram - np.eye(w.shape[1]))) <= tol)
+    return bool(np.max(np.abs(gram - np.eye(w.shape[1]))) <= ORTHONORMAL_TOL)
+
+
+def _fix_column_signs(mat: np.ndarray) -> np.ndarray:
+    """Flip columns of `mat` in place so that each column's largest-magnitude
+    entry (the first one, on ties) is positive; returns `mat`."""
+    for j in range(mat.shape[1]):
+        k = int(np.argmax(np.abs(mat[:, j])))
+        if mat[k, j] < 0:
+            mat[:, j] = -mat[:, j]
+    return mat
 
 
 def _check_point(w: np.ndarray) -> np.ndarray:
@@ -207,15 +220,7 @@ def cg_minimize(objective: Callable[[np.ndarray], tuple[float, Callable[[], np.n
                     stop_reason=stop_reason)
 
 
-def save_trace(result_or_trace, csv_path) -> None:
+def save_trace(trace: np.ndarray, csv_path) -> None:
     """Write the iterate record as CSV with columns
     iteration,cost,grad_norm,step."""
-    if isinstance(result_or_trace, CgResult):
-        trace = result_or_trace.trace
-    else:
-        trace = result_or_trace
-    csv_path = Path(csv_path)
-    with csv_path.open("w", encoding="utf-8") as fh:
-        fh.write("iteration,cost,grad_norm,step\n")
-        for row in np.asarray(trace):
-            fh.write(f"{int(row[0])},{row[1]:.17g},{row[2]:.17g},{row[3]:.17g}\n")
+    _write_csv(csv_path, trace, "iteration,cost,grad_norm,step", ["%d", "%.17g", "%.17g", "%.17g"])

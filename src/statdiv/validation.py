@@ -161,11 +161,11 @@ VALIDATION_SUITES = (
 )
 
 
-def run_validation(printer=print) -> bool:
+def run_validation() -> bool:
     """Run every suite, print one line each, return overall pass."""
     all_ok = True
     for name, check in VALIDATION_SUITES:
         ok, detail = check()
-        printer(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
+        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
         all_ok = all_ok and ok
     return all_ok

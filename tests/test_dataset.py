@@ -11,6 +11,8 @@ from statdiv.dataset import (
     Dataset,
     FeatureSet,
     SyntheticSpec,
+    _write_csv,
+    _write_json,
     generate_synthetic,
     load_dataset,
     save_dataset,
@@ -233,6 +235,14 @@ class TestLoadDataset:
         save_dataset(loaded, tmp_path / "out" / "manifest.json")
         saved = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert [entry["label"] for entry in saved["sets"]] == ["dog", "cat", "dog"]
+
+    def test_writers_make_a_missing_directory(self, tmp_path):
+        _write_csv(tmp_path / "a" / "b" / "m.csv", np.eye(2))
+        _write_csv(tmp_path / "c" / "t.csv", [["Zo\u00eb", "1"]], "id,label", "%s")
+        _write_json(tmp_path / "d" / "e" / "v.json", {"k": 1})
+        assert (tmp_path / "a" / "b" / "m.csv").read_bytes() == b"1,0\n0,1\n"
+        assert (tmp_path / "c" / "t.csv").read_bytes() == "id,label\nZo\u00eb,1\n".encode("utf-8")
+        assert (tmp_path / "d" / "e" / "v.json").read_bytes() == b'{\n  "k": 1\n}\n'
 
 
 class TestGenerateSynthetic:

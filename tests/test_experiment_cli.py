@@ -274,10 +274,12 @@ class TestEmitReport:
         report = run_experiment(ExperimentConfig.from_dict(synthetic_config("nn_dr")))
         emit_report(report, tmp_path)
         assert json.loads((tmp_path / "report.json").read_text()) == report.to_dict()
-        lines = (tmp_path / "accuracy.csv").read_text().strip().splitlines()
-        assert len(lines) == 1 + len(report.repetitions)
-        assert (tmp_path / "trace_rep0.csv").exists()
-        assert (tmp_path / "trace_rep1.csv").exists()
+        rows = "".join("%d,%.17g\n" % (r["index"], r["accuracy"]) for r in report.repetitions)
+        assert (tmp_path / "accuracy.csv").read_bytes() == f"repetition,accuracy\n{rows}".encode()
+        assert len(report.traces) == 2
+        for rep, trace in enumerate(report.traces):
+            rows = "".join("%d,%.17g,%.17g,%.17g\n" % tuple(row) for row in trace)
+            assert (tmp_path / f"trace_rep{rep}.csv").read_bytes() == f"iteration,cost,grad_norm,step\n{rows}".encode()
         assert (tmp_path / "timings.json").exists()
 
     def test_trace_absent_without_dr(self, tmp_path):
@@ -424,6 +426,25 @@ class TestCli:
         else:
             assert code == 1
             assert capsys.readouterr().err.startswith(message)
+
+    @pytest.mark.parametrize("argv, value", [
+        (["dist", "--divergence", "hellinger"], "-1"),
+        (["gram", "--kernel", "cdl"], "nan"),
+        (["gram", "--kernel", "hg"], "inf"),
+        (["train-kfda", "--kernel", "gda", "--dim", "2"], "foo"),
+        (["classify", "--divergence", "hellinger"], "0"),
+    ])
+    def test_bad_bw_names_the_flag_and_writes_nothing(self, tmp_path, capsys, argv, value):
+        data = tmp_path / "data"
+        assert self.run("gen", "--classes", "2", "--sets-per-class", "3",
+                        "--samples-per-set", "8", "--dim", "3", "--out", str(data)) == 0
+        manifest = str(data / "manifest.json")
+        sides = ["--gallery", manifest, "--probe", manifest] if argv[0] == "classify" else ["--manifest", manifest]
+        capsys.readouterr()
+        assert self.run(argv[0], *sides, *argv[1:], "--bw", value, "--out", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err == (
+            f"error: --bw: must be 'silverman', 'isotropic' or a positive number, got {value!r}\n")
+        assert not (tmp_path / "out").exists()
 
     def test_eval_accepts_divergence_alias(self, tmp_path):
         config = tmp_path / "config.json"
@@ -639,6 +660,26 @@ class TestCli:
         assert (result.returncode, result.stderr) == (0, "")
         sidecar = json.loads((tmp_path / "out" / "divergences.json").read_text(encoding="utf-8"))
         assert sidecar["set_ids"] == ["Zo\u00eb", "s"]
+
+    def test_classify_under_an_ascii_locale_writes_utf8_predictions(self, tmp_path):
+        rng = np.random.default_rng(4)
+        labels = ["gr\u00fcn", "\u00f1u"]
+        for side in ("gallery", "probe"):
+            entries = []
+            for i in range(4):
+                np.savetxt(tmp_path / f"{side}{i}.csv", rng.normal(10.0 * (i % 2), 1.0, size=(20, 2)), delimiter=",")
+                entries.append({"id": f"{side}-Zo\u00eb{i}", "label": labels[i % 2], "path": f"{side}{i}.csv"})
+            (tmp_path / f"{side}.json").write_text(json.dumps({"sets": entries}, ensure_ascii=False), encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, "-m", "statdiv.cli", "classify", "--gallery", str(tmp_path / "gallery.json"),
+             "--probe", str(tmp_path / "probe.json"), "--divergence", "hellinger", "--out", str(tmp_path / "out")],
+            capture_output=True, text=True,
+            env={**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"},
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        rows = "".join(f"probe-Zo\u00eb{i},{labels[i % 2]},{labels[i % 2]}\n" for i in range(4))
+        assert (tmp_path / "out" / "predictions.csv").read_bytes() == (
+            f"probe_id,predicted_label,true_label\n{rows}".encode("utf-8"))
 
     def test_cli_entry_point_in_subprocess(self, tmp_path):
         result = subprocess.run(

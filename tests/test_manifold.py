@@ -163,10 +163,15 @@ class TestTraceSerialization:
     def test_csv_columns(self, tmp_path):
         _, cost, egrad, w0 = TestCgMinimize().trace_problem(seed=10)
         result = cg_minimize(objective(cost, egrad), w0, CgOptions(max_iters=5))
-        save_trace(result, tmp_path / "trace.csv")
+        save_trace(result.trace, tmp_path / "trace.csv")
         lines = (tmp_path / "trace.csv").read_text().strip().splitlines()
         assert lines[0] == "iteration,cost,grad_norm,step"
         assert len(lines) == result.trace.shape[0] + 1
         first = lines[1].split(",")
         assert first[0] == "0"
         assert float(first[1]) == pytest.approx(result.costs[0])
+
+    def test_makes_a_missing_directory(self, tmp_path):
+        save_trace(np.array([[0, 2.5, 0.5, 0.0], [1, 1.25, 0.125, 0.5]]), tmp_path / "a" / "trace.csv")
+        assert (tmp_path / "a" / "trace.csv").read_bytes() == (
+            b"iteration,cost,grad_norm,step\n0,2.5,0.5,0\n1,1.25,0.125,0.5\n")
