@@ -184,12 +184,15 @@ def kfda_project(model: KfdaModel, gram_cross) -> np.ndarray:
     return centered.T @ model.coefficients
 
 
+def _latent_distances(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the latent points `rows` (as rows) and `cols` (as columns)."""
+    diff = rows[:, None, :] - cols[None, :, :]
+    return np.sqrt(np.sum(diff * diff, axis=2))
+
+
 def latent_nn_classify(model: KfdaModel, gram_cross) -> np.ndarray:
     """NN labels for probes using Euclidean distance in the latent space."""
-    probe_latent = kfda_project(model, gram_cross)
-    diff = model.train_latent[:, None, :] - probe_latent[None, :, :]
-    distances = np.sqrt(np.sum(diff * diff, axis=2))
-    return nn_classify(distances, model.labels)
+    return nn_classify(_latent_distances(model.train_latent, kfda_project(model, gram_cross)), model.labels)
 
 
 def save_kfda_model(model: KfdaModel, directory) -> None:

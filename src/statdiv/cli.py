@@ -126,6 +126,8 @@ def _cmd_classify(args) -> int:
     probe = load_dataset(args.probe)
     if (args.model is None) == (args.divergence is None):
         raise ConfigError("classify: exactly one of --model or --divergence is required")
+    if args.model is not None and args.bw is not None:
+        raise ConfigError("--bw: not allowed with --model, whose kernel.json holds the bandwidth policy")
     if args.model is not None:
         model = load_kfda_model(args.model)
         path = Path(args.model) / "kernel.json"
@@ -135,7 +137,8 @@ def _cmd_classify(args) -> int:
         predicted = latent_nn_classify(model, cross)
     else:
         kind = _divergence_arg(args.divergence)
-        cross = cross_divergence_matrix(gallery.sets, probe.sets, kind, _bandwidth_policy(args.bw, "--bw", _parse_bw))
+        bw_policy = _bandwidth_policy("silverman" if args.bw is None else args.bw, "--bw", _parse_bw)
+        cross = cross_divergence_matrix(gallery.sets, probe.sets, kind, bw_policy)
         predicted = nn_classify(cross, gallery.labels)
     out = Path(args.out)
     # the two manifests number their labels apart, so the sides meet by label name
@@ -259,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probe", required=True)
     p.add_argument("--model", default=None, help="saved discriminant model directory")
     p.add_argument("--divergence", default=None, help="NN matching instead of a model")
-    p.add_argument("--bw", default="silverman")
+    p.add_argument("--bw", default=None, help="bandwidth policy with --divergence (default silverman)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_classify)
 

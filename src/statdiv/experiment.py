@@ -4,9 +4,9 @@ A run is a pure function of its config: all randomness flows from one seed
 through per-repetition child seeds, pairs are evaluated serially in a
 fixed order, and reports serialize to byte-identical JSON across runs.
 Wall-clock timings are kept out of the report. A kFDA repetition takes
-its gallery matrix (sigma search, training Gram) and its gallery x probe
-matrix from one pass of `kernels._square_and_cross` for every kernel
-family: over the two sides' KDEs, or over one summary per set.
+its gallery matrix and its gallery x probe matrix from one pass of
+`kernels._square_and_cross` for every kernel family, then fits kFDA once
+per sigma (the config's, or each of the grid) and keeps the best fit.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .classify import KfdaModel, accuracy, kfda_fit, latent_nn_classify, nn_classify
+from .classify import KfdaModel, _latent_distances, accuracy, kfda_fit, latent_nn_classify, nn_classify
 from .dataset import (ConfigError, Dataset, SyntheticSpec, _checked, _field, _no_unread_keys, _write_csv, _write_json,
                       generate_synthetic, load_dataset, split_gallery_probe, standardize_dataset)
 from .dimred import DrConfig, learn_projection, project_sets
@@ -228,27 +228,24 @@ def _load_data(config: ExperimentConfig) -> Dataset:
 
 def _gallery_loo_accuracy(model: KfdaModel) -> float:
     """Leave-one-out NN accuracy inside the gallery latent space."""
-    latent = model.train_latent
-    diff = latent[:, None, :] - latent[None, :, :]
-    distances = np.sqrt(np.sum(diff * diff, axis=2))
+    distances = _latent_distances(model.train_latent, model.train_latent)
     np.fill_diagonal(distances, np.inf)
-    nearest = np.argmin(distances, axis=0)
-    return accuracy(model.labels[nearest], model.labels)
+    return accuracy(model.labels[np.argmin(distances, axis=0)], model.labels)
 
 
-def _choose_sigma(square: np.ndarray, labels, config: ExperimentConfig) -> float:
-    """Grid search over the kernel scale, scored by gallery-only LOO-NN on
-    Grams of the given gallery divergence matrix; ties prefer the smallest
-    scale."""
-    best_sigma, best_score = None, -1.0
-    for sigma in SIGMA_GRID:
+def _fit_kfda(square: np.ndarray, labels, config: ExperimentConfig) -> tuple[KernelSpec, KfdaModel]:
+    """kFDA fitted once on the Gram of gallery matrix `square` per sigma (each of SIGMA_GRID under
+    `sigma: "grid"`, else the config's), scored by gallery-only LOO-NN; a later sigma wins only on a
+    strictly higher score, so ties keep the smallest. The winner's (spec, model), not refitted."""
+    best_score, best = -1.0, None
+    for sigma in SIGMA_GRID if config.sigma_grid_search else (config.kernel.sigma,):
         spec = replace(config.kernel, sigma=sigma)
-        values = GramMatrix(_kernel_map(square, spec), spec).values
-        model = kfda_fit(values, labels, config.kfda_latent_dim, config.kfda_regularization)
+        model = kfda_fit(GramMatrix(_kernel_map(square, spec), spec).values, labels,
+                         config.kfda_latent_dim, config.kfda_regularization)
         score = _gallery_loo_accuracy(model)
         if score > best_score:
-            best_sigma, best_score = sigma, score
-    return best_sigma
+            best_score, best = score, (spec, model)
+    return best
 
 
 def _run_repetition(dataset: Dataset, config: ExperimentConfig,
@@ -266,13 +263,9 @@ def _run_repetition(dataset: Dataset, config: ExperimentConfig,
                                         config.bandwidth_policy)
         predicted = nn_classify(cross, gallery.labels)
     elif config.pipeline == "kfda":
-        spec = config.kernel
-        # One pass gives the gallery matrix (sigma search and training Gram) and the cross one.
-        square, cross = _square_and_cross(gallery.sets, probe.sets, spec, config.bandwidth_policy)
-        if config.sigma_grid_search:
-            spec = replace(spec, sigma=_choose_sigma(square, gallery.labels, config))
-        model = kfda_fit(GramMatrix(_kernel_map(square, spec), spec).values, gallery.labels,
-                         config.kfda_latent_dim, config.kfda_regularization)
+        # One pass gives the gallery matrix (every fit's training Gram) and the cross one.
+        square, cross = _square_and_cross(gallery.sets, probe.sets, config.kernel, config.bandwidth_policy)
+        spec, model = _fit_kfda(square, gallery.labels, config)
         predicted = latent_nn_classify(model, _kernel_map(cross, spec))
         record["sigma"] = spec.sigma
     else:  # nn_dr

@@ -4,7 +4,8 @@ Three kernels act on pairwise divergences (Gaussian and Laplace maps of
 the squared Hellinger distance, and an exponential map of the Jeffrey
 divergence); two baselines act on per-set geometric summaries (projection
 kernel between subspaces, log-Euclidean inner product between regularized
-covariances). One builder gives, for any family in one pass, a gallery's
+covariances). Each family is defined once, in `_DIVERGENCE_FAMILIES` or
+`_BASELINES`. One builder gives, for any family in one pass, a gallery's
 square matrix and its gallery x probe block (divergences for a divergence
 family, from one fit of each KDE; kernel values for a baseline, from one
 summary per set), and one map turns either into kernel values: the Gram,
@@ -61,10 +62,19 @@ def _kernel_family(raw, path: str) -> KernelFamily:
         raise ConfigError(f"{path}: must be one of {[f.value for f in KernelFamily]}, got {raw!r}") from None
 
 
+# A divergence family: (the divergence it maps, its map kernel(d, sigma)).
 _DIVERGENCE_FAMILIES = {
-    KernelFamily.HELLINGER_GAUSSIAN: DivergenceKind.HELLINGER_SQUARED,
-    KernelFamily.HELLINGER_LAPLACE: DivergenceKind.HELLINGER_SQUARED,
-    KernelFamily.JEFFREY_EXPONENTIAL: DivergenceKind.JEFFREY,
+    KernelFamily.HELLINGER_GAUSSIAN: (DivergenceKind.HELLINGER_SQUARED, lambda d, sigma: np.exp(-sigma * d)),
+    KernelFamily.HELLINGER_LAPLACE: (DivergenceKind.HELLINGER_SQUARED,
+                                     lambda d, sigma: np.exp(-sigma * np.sqrt(np.maximum(d, 0.0)))),
+    KernelFamily.JEFFREY_EXPONENTIAL: (DivergenceKind.JEFFREY, lambda d, sigma: np.exp(-sigma * d)),
+}
+# A baseline: (its per-set summary(set, spec), the kernel value inner(a, b) of two summaries).
+_BASELINES = {
+    KernelFamily.GRASSMANN_PROJECTION: (lambda s, spec: set_to_subspace(s, spec.subspace_dim),
+                                        lambda a, b: float(np.sum((a.T @ b) ** 2))),
+    KernelFamily.SPD_LOG_EUCLIDEAN: (lambda s, spec: _spd_log(set_to_covariance(s)),
+                                     lambda a, b: float(np.sum(a * b))),
 }
 
 
@@ -101,23 +111,13 @@ def kernel_from_divergence(delta, spec: KernelSpec):
     delta = np.asarray(delta, dtype=float)
     if np.any(delta < 0):
         raise ValueError("divergence values must be non-negative")
-    family = spec.family
-    if family in (KernelFamily.HELLINGER_GAUSSIAN, KernelFamily.HELLINGER_LAPLACE):
-        if np.any(delta > 2.0 + 1e-9):
-            raise ValueError(
-                f"squared Hellinger values must be <= 2, got max {float(np.max(delta))}"
-            )
-        if family is KernelFamily.HELLINGER_GAUSSIAN:
-            out = np.exp(-spec.sigma * delta)
-        else:
-            out = np.exp(-spec.sigma * np.sqrt(np.maximum(delta, 0.0)))
-    elif family is KernelFamily.JEFFREY_EXPONENTIAL:
-        out = np.exp(-spec.sigma * delta)
-    else:
-        raise ValueError(f"{family} is not a divergence-based kernel")
-    if out.ndim == 0:
-        return float(out)
-    return out
+    if spec.family not in _DIVERGENCE_FAMILIES:
+        raise ValueError(f"{spec.family} is not a divergence-based kernel")
+    kind, kernel = _DIVERGENCE_FAMILIES[spec.family]
+    if kind is DivergenceKind.HELLINGER_SQUARED and np.any(delta > 2.0 + 1e-9):
+        raise ValueError(f"squared Hellinger values must be <= 2, got max {float(np.max(delta))}")
+    out = kernel(delta, spec.sigma)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -190,17 +190,14 @@ def _square_and_cross(gallery, probe, spec: KernelSpec, bw_policy,
     from one summary per set, the subspace basis (projection) or covariance log (log-Euclidean), the
     square's upper triangle mirrored. :func:`_kernel_map` turns either into kernel values."""
     if spec.family in _DIVERGENCE_FAMILIES:
-        div, cross = _divergences(gallery, probe, _DIVERGENCE_FAMILIES[spec.family], bw_policy, square)
+        div, cross = _divergences(gallery, probe, _DIVERGENCE_FAMILIES[spec.family][0], bw_policy, square)
         return div.values, cross
-    sets, g = [*gallery, *probe], len(gallery)
-    if spec.family is KernelFamily.GRASSMANN_PROJECTION:
-        summaries = [set_to_subspace(s, spec.subspace_dim) for s in sets]
-    else:
-        summaries = [_spd_log(set_to_covariance(s)) for s in sets]
+    (summary, inner), sets, g = _BASELINES[spec.family], [*gallery, *probe], len(gallery)
+    summaries = [summary(s, spec) for s in sets]
     values = np.zeros((g, len(sets)))
     for i in range(g):
         for j in range(i if square else g, len(sets)):
-            values[i, j] = _summary_inner(summaries[i], summaries[j], spec)
+            values[i, j] = inner(summaries[i], summaries[j])
     own, lower = values[:, :g], np.tril_indices(g, -1)
     own[lower] = own.T[lower]
     return own, values[:, g:].copy()
@@ -210,14 +207,6 @@ def _kernel_map(values: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """Kernel values of a :func:`_square_and_cross` matrix: a divergence family's divergences mapped
     entrywise (:func:`kernel_from_divergence`; a zero diagonal maps to exactly 1), a baseline's as they are."""
     return np.asarray(kernel_from_divergence(values, spec)) if spec.family in _DIVERGENCE_FAMILIES else values
-
-
-def _summary_inner(a: np.ndarray, b: np.ndarray, spec: KernelSpec) -> float:
-    """Baseline kernel value of two summaries: ||A' B||_F^2 between subspace
-    bases, Tr(A' B) between covariance logs."""
-    if spec.family is KernelFamily.GRASSMANN_PROJECTION:
-        return float(np.sum((a.T @ b) ** 2))
-    return float(np.sum(a * b))
 
 
 def gram(sets, spec: KernelSpec, bw_policy="silverman") -> GramMatrix:

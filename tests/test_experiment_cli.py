@@ -3,12 +3,18 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from statdiv.cli import main
 from statdiv.experiment import ConfigError, ExperimentConfig, emit_report, run_experiment
+
+
+# A child `python -m statdiv.cli` finds statdiv in the repo's src, ahead of any inherited PYTHONPATH.
+SRC_PATH = os.pathsep.join(filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
+                                         os.environ.get("PYTHONPATH")]))
 
 
 def synthetic_config(pipeline="nn", **overrides):
@@ -261,6 +267,25 @@ class TestRunExperiment:
         record = run_experiment(ExperimentConfig.from_dict(raw)).repetitions[0]
         g, p = len(record["gallery_ids"]), len(record["probe_ids"])
         assert sum(blocks) == g + p + g * (g - 1) + 2 * g * p
+
+    @pytest.mark.parametrize("sigma", [0.1, "grid"])
+    def test_kfda_repetition_fits_each_sigma_once(self, monkeypatch, sigma):
+        # the searched sigma's fit is the model kept, never fitted again
+        import statdiv.experiment as experiment_mod
+        from statdiv.kernels import SIGMA_GRID
+
+        fits = []
+        real_fit = experiment_mod.kfda_fit
+
+        def counting(*args, **kwargs):
+            fits.append(args)
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(experiment_mod, "kfda_fit", counting)
+        raw = synthetic_config("kfda", repetitions=1)
+        raw["kernel"]["sigma"] = sigma
+        run_experiment(ExperimentConfig.from_dict(raw))
+        assert len(fits) == (len(SIGMA_GRID) if sigma == "grid" else 1)
 
     def test_dr_pipeline_produces_traces(self):
         report = run_experiment(ExperimentConfig.from_dict(synthetic_config("nn_dr")))
@@ -548,6 +573,39 @@ class TestCli:
         assert self.run("classify", "--gallery", manifest, "--probe", manifest,
                         "--model", str(model), "--out", str(tmp_path / "cls")) == 0
 
+    @pytest.mark.parametrize("value", ["0.5", "silverman", "foo"])
+    def test_classify_refuses_bw_with_a_model_and_writes_nothing(self, tmp_path, capsys, value):
+        # the model's kernel.json holds its bandwidth policy, so a --bw given beside it is an error
+        data = tmp_path / "data"
+        assert self.run("gen", "--classes", "2", "--sets-per-class", "3",
+                        "--samples-per-set", "10", "--dim", "3", "--out", str(data)) == 0
+        manifest, model = str(data / "manifest.json"), tmp_path / "model"
+        assert self.run("train-kfda", "--manifest", manifest, "--kernel", "hg", "--out", str(model)) == 0
+        capsys.readouterr()
+        assert self.run("classify", "--gallery", manifest, "--probe", manifest, "--model", str(model),
+                        "--bw", value, "--out", str(tmp_path / "cls")) == 1
+        assert capsys.readouterr().err.startswith("error: --bw: not allowed with --model")
+        assert not (tmp_path / "cls").exists()
+
+    def test_classify_without_bw_uses_silverman(self, tmp_path, monkeypatch):
+        import statdiv.cli as cli_mod
+
+        data = tmp_path / "data"
+        assert self.run("gen", "--classes", "2", "--sets-per-class", "3",
+                        "--samples-per-set", "10", "--dim", "3", "--out", str(data)) == 0
+        manifest = str(data / "manifest.json")
+        policies = []
+        real = cli_mod.cross_divergence_matrix
+
+        def spying(gallery, probe, kind, bw_policy):
+            policies.append(bw_policy)
+            return real(gallery, probe, kind, bw_policy)
+
+        monkeypatch.setattr(cli_mod, "cross_divergence_matrix", spying)
+        assert self.run("classify", "--gallery", manifest, "--probe", manifest, "--divergence", "hellinger",
+                        "--out", str(tmp_path / "cls")) == 0
+        assert policies == ["silverman"]
+
     def test_kernel_json_holds_the_fitted_spec(self, tmp_path):
         data = tmp_path / "data"
         assert self.run("gen", "--classes", "2", "--sets-per-class", "3",
@@ -655,7 +713,7 @@ class TestCli:
             [sys.executable, "-m", "statdiv.cli", "dist", "--manifest", str(manifest),
              "--divergence", "hellinger", "--out", str(tmp_path / "out")],
             capture_output=True, text=True,
-            env={**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"},
+            env={**os.environ, "PYTHONPATH": SRC_PATH, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"},
         )
         assert (result.returncode, result.stderr) == (0, "")
         sidecar = json.loads((tmp_path / "out" / "divergences.json").read_text(encoding="utf-8"))
@@ -674,7 +732,7 @@ class TestCli:
             [sys.executable, "-m", "statdiv.cli", "classify", "--gallery", str(tmp_path / "gallery.json"),
              "--probe", str(tmp_path / "probe.json"), "--divergence", "hellinger", "--out", str(tmp_path / "out")],
             capture_output=True, text=True,
-            env={**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"},
+            env={**os.environ, "PYTHONPATH": SRC_PATH, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"},
         )
         assert (result.returncode, result.stderr) == (0, "")
         rows = "".join(f"probe-Zo\u00eb{i},{labels[i % 2]},{labels[i % 2]}\n" for i in range(4))
@@ -686,7 +744,7 @@ class TestCli:
             [sys.executable, "-m", "statdiv.cli", "gen", "--classes", "2",
              "--sets-per-class", "3", "--samples-per-set", "10", "--dim", "2",
              "--out", str(tmp_path / "d")],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC_PATH},
         )
         assert result.returncode == 0
         assert (tmp_path / "d" / "manifest.json").exists()

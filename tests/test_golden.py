@@ -7,6 +7,12 @@ separated, so every number in the reports is exact on any BLAS core. The
 per-set summaries discard the class means that separate the synthetic
 classes, so their accuracies sit near chance, but each probe's nearest
 gallery set leads the next by a relative margin of 7e-4 or more. The
+`kfda_hl` config pins the Hellinger-Laplace map at a fixed sigma, and the
+`kfda_j` config pins the Jeffrey map under the sigma search on harder data,
+where the search chooses 0.001 in one repetition and 0.005 in two: a later
+sigma wins only on a strictly higher gallery leave-one-out score, so ties
+keep the smaller one. Their nearest latent neighbours of another class are
+3e-2 (relative) or more further away than the nearest. The
 `nn_dr` run also pins each repetition's CG trace, `<name>_trace_rep*.csv`,
 to a relative 1e-10: its 17-digit costs move in the last digits from one
 BLAS core to another (by at most 2.2e-13 across the cores CI runs), while
@@ -25,7 +31,7 @@ from statdiv.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize("name", ["nn", "kfda_grid", "kfda_gda", "kfda_cdl", "nn_dr"])
+@pytest.mark.parametrize("name", ["nn", "kfda_grid", "kfda_hl", "kfda_j", "kfda_gda", "kfda_cdl", "nn_dr"])
 def test_eval_report_is_byte_identical_to_golden(tmp_path, capsys, name):
     assert main(["eval", "--config", str(GOLDEN / f"{name}_config.json"), "--out", str(tmp_path)]) == 0
     assert (tmp_path / "report.json").read_bytes() == (GOLDEN / f"{name}_report.json").read_bytes()

@@ -68,6 +68,19 @@ class TestKernelFromDivergence:
         values = kernel_from_divergence(np.array([0.0, 1.0, 30.0]), spec)
         assert np.all((values > 0.0) & (values <= 1.0))
 
+    @pytest.mark.parametrize("spec", [KernelSpec(KernelFamily.GRASSMANN_PROJECTION, subspace_dim=2),
+                                      KernelSpec(KernelFamily.SPD_LOG_EUCLIDEAN)])
+    @pytest.mark.parametrize("delta", [0.5, 4.0])
+    def test_refuses_a_baseline(self, spec, delta):
+        with pytest.raises(ValueError, match="is not a divergence-based kernel"):
+            kernel_from_divergence(delta, spec)
+
+    def test_every_family_is_in_exactly_one_table(self):
+        from statdiv.kernels import _BASELINES, _DIVERGENCE_FAMILIES
+
+        for family in KernelFamily:
+            assert (family in _DIVERGENCE_FAMILIES) + (family in _BASELINES) == 1, family
+
 
 class TestGram:
     def test_identical_sets_give_all_ones(self):
