@@ -110,8 +110,9 @@ class ExperimentConfig:
             _require(pipeline == "kfda", "kernel", "only valid with the kfda pipeline")
             family = _kernel_family(_field(kernel, "family", "kernel", str), "kernel.family")
             sigma_grid_search = kernel.get("sigma") == "grid"
+            grid_families = " or ".join(", ".join(repr(f.value) for f in _DIVERGENCE_FAMILIES).rsplit(", ", 1))
             _require(not sigma_grid_search or family in _DIVERGENCE_FAMILIES, "kernel.sigma",
-                     f"'grid' needs a divergence kernel ('hg', 'hl' or 'j'), got family {family.value!r}")
+                     f"'grid' needs a divergence kernel ({grid_families}), got family {family.value!r}")
             if sigma_grid_search:
                 kernel["sigma"] = SIGMA_GRID[0]
             sigma = _field(kernel, "sigma", "kernel", float, 0.1)

@@ -4,7 +4,8 @@ Points are orthonormal D x d matrices identified with their column span.
 The optimizer consumes one callback for the cost and the plain matrix of
 partial derivatives; it projects to the tangent space, takes Polak-Ribiere
 (non-negative) conjugate directions with re-projection in place of
-parallel transport, and retracts with a sign-fixed thin QR. Frames made
+parallel transport, and retracts with a sign-fixed thin QR. Its Armijo line
+search starts next to the last accepted step, not at step 1. Frames made
 elsewhere (kFDA directions, subspace bases, the PCA start) share one
 column sign convention, `_fix_column_signs`.
 """
@@ -17,6 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .dataset import _write_csv
+from .divergence import _is_positive_number
 
 __all__ = [
     "CgOptions",
@@ -31,8 +33,8 @@ __all__ = [
 
 ORTHONORMAL_TOL = 1e-10
 
-# Backtracking line search: Armijo sufficient-decrease constant, step
-# shrink factor, first trial step of every search, and trials per search.
+# Line search: Armijo sufficient-decrease constant, step factor, largest
+# step, and the bound on the step exponent k (step = INITIAL_STEP * BACKTRACK_FACTOR**k).
 ARMIJO_C1 = 1e-4
 BACKTRACK_FACTOR = 0.5
 INITIAL_STEP = 1.0
@@ -117,9 +119,9 @@ class CgOptions:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        for name in ("grad_tol", "rel_cost_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for name, value in (("grad_tol", self.grad_tol), ("rel_cost_tol", self.rel_cost_tol)):
+            if not _is_positive_number(value):
+                raise ValueError(f"{name} must be a positive number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -152,6 +154,9 @@ def cg_minimize(objective: Callable[[np.ndarray], tuple[float, Callable[[], np.n
     """Minimize a cost over orthonormal frames: `objective(w)` returns the cost at w and a
     function of no arguments for the ambient gradient at w, called only at w0 and at accepted
     points and released before the next point is evaluated, so one point's work is held at a time.
+    Each search starts one step above the last accepted one, grows while trials pass (up to
+    INITIAL_STEP) and, after a failure, shrinks to the first step that passes; a passed step
+    above a failed one is evaluated again, so the accepted point is the last one evaluated.
 
     Every accepted iterate satisfies the orthonormality invariant, the
     recorded cost sequence is non-increasing (Armijo acceptance), and the
@@ -168,6 +173,7 @@ def cg_minimize(objective: Callable[[np.ndarray], tuple[float, Callable[[], np.n
                         stop_reason="grad_tol")
 
     direction = -g
+    k = 0  # exponent of the last accepted step
     converged = False
     stop_reason = "max_iters"
     for iteration in range(1, opts.max_iters + 1):
@@ -176,18 +182,21 @@ def cg_minimize(objective: Callable[[np.ndarray], tuple[float, Callable[[], np.n
             direction = -g
             slope = -_inner(g, g)
 
-        step = INITIAL_STEP
-        for _ in range(MAX_BACKTRACKS):
+        k, shrinking = max(k - 1, 0), False
+        while k < MAX_BACKTRACKS:
+            step = INITIAL_STEP * BACKTRACK_FACTOR ** k
             try:
                 w_new = retract(w, direction, step)
             except np.linalg.LinAlgError:
-                step *= BACKTRACK_FACTOR
-                continue
-            gradient = None  # drop the last point's closure, and the work it holds, before forming this one's
-            f_new, gradient = objective(w_new)
-            if f_new <= f + ARMIJO_C1 * step * slope:
+                passed = False
+            else:
+                gradient = None  # drop the last point's closure, and the work it holds, before forming this one's
+                f_new, gradient = objective(w_new)
+                passed = f_new <= f + ARMIJO_C1 * step * slope
+            if passed and (shrinking or k == 0):
                 break
-            step *= BACKTRACK_FACTOR
+            shrinking = not passed
+            k += 1 if shrinking else -1
         else:  # no trial point was accepted
             stop_reason = "line_search_failed"
             break

@@ -58,6 +58,13 @@ REJECTED = [
     ("kfda", "kfda.regularization", 0, "kfda.regularization: must be > 0"),
     ("kfda", "kernel", {"family": "gda", "sigma": "grid", "subspace_dim": 2},
      "kernel.sigma: 'grid' needs a divergence kernel ('hg', 'hl' or 'j'), got family 'gda'"),
+    # json reads NaN, Infinity and 1e400 (which overflows to inf) as floats
+    ("nn_dr", "dr.grad_tol", float("nan"), "dr: grad_tol must be a positive number, got nan"),
+    ("nn_dr", "dr.grad_tol", float("inf"), "dr: grad_tol must be a positive number, got inf"),
+    ("nn_dr", "dr.grad_tol", json.loads("1e400"), "dr: grad_tol must be a positive number, got inf"),
+    ("nn_dr", "dr.rel_cost_tol", float("nan"), "dr: rel_cost_tol must be a positive number, got nan"),
+    ("nn_dr", "dr.rel_cost_tol", float("inf"), "dr: rel_cost_tol must be a positive number, got inf"),
+    ("nn_dr", "dr.rel_cost_tol", json.loads("1e400"), "dr: rel_cost_tol must be a positive number, got inf"),
 ]
 
 
@@ -389,6 +396,15 @@ class TestCli:
         assert self.run("eval", "--config", str(config), "--out", str(tmp_path / "run")) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and "Traceback" not in err
+
+    @pytest.mark.parametrize("path", ["dr.grad_tol", "dr.rel_cost_tol"])
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_eval_rejects_a_non_finite_tolerance_as_written(self, tmp_path, capsys, path, text):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(rejected_config("nn_dr", path, 0.125)).replace("0.125", text))
+        assert self.run("eval", "--config", str(config), "--out", str(tmp_path / "run")) == 1
+        assert capsys.readouterr().err.startswith(f"error: dr: {path[3:]} must be a positive number, got ")
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("raw, flags, message", [
         ([1], ["--seed", "3"], "config: must be a JSON object"),
