@@ -6,8 +6,10 @@ or for the sets of one size on a leading axis: its log normalizer and
 whitened anchors (`_anchors`) are computed once. A block of log kernels, a
 row per point and a column per sample, is a centred GEMM on those anchors
 (`_log_kernel_matrix`), its rows reduced by a log-sum-exp bit-equal to
-`scipy.special.logsumexp` (`_log_mixture`), so densities never underflow
-to 0, chunk by chunk of rows in one buffer, so no large block is held whole.
+`scipy.special.logsumexp` (`_row_logsumexp`, which finds a long row's maximum
+by its index and counts tied maxima only on the rows that have them), so
+densities never underflow to 0, chunk by chunk of rows in one buffer, so no
+large block is held whole (`_log_mixture`).
 :func:`plan` lays out once every block a list of pairs needs, in tiles of one
 size of KDE, which :func:`tiles` evaluates on any fit of those sets and
 :func:`log_ratios` turns into each set's log ratios as one array."""
@@ -199,18 +201,34 @@ def _row_logsumexp(a: np.ndarray) -> np.ndarray:
     """log(sum(exp(a), axis=1)) for rows of finite or -inf entries, by the algorithm of
     `scipy.special.logsumexp` and bit-equal to it row by row: shift by the row maximum, count the
     maxima apart, add log1p of the rest over that count. A row whose maximum is -inf gives -inf (it
-    is shifted by 0, so no -inf - -inf is formed); a NaN (a log kernel's inf - inf) is an error. Rows
-    under 48 entries, in a chunk of up to half `_LSE_BLOCK`, find their exact maxima and counts
-    across rows, on a transposed copy that stays in cache: numpy reduces short rows slowly."""
-    short = a.shape[1] < 48 and a.size <= _LSE_BLOCK // 2
-    t = a.T.copy() if short else a.T
-    a_max = t.max(axis=0)
+    is shifted by 0, so no -inf - -inf is formed); a NaN (a log kernel's inf - inf) is an error.
+    Rows under 48 entries, in a chunk of up to half `_LSE_BLOCK`, find their exact maxima and counts
+    across rows, on a transposed copy that stays in cache: numpy reduces short rows slowly. Longer
+    rows find one maximum by its index (a NaN is the first argmax) and drop it from the shifted
+    copy; a row whose rest still holds an entry >= 0 ties it (a - max is exact in sign), and only
+    such rows count and drop their other maxima, so no mask of the whole chunk is formed."""
+    if a.shape[1] < 48 and a.size <= _LSE_BLOCK // 2:
+        t = a.T.copy()
+        a_max = t.max(axis=0)
+        count = (t == a_max).sum(axis=0, dtype=float)
+        rest = np.where(a == a_max[:, None], -np.inf, a)
+        rest -= np.where(a_max == -np.inf, 0.0, a_max)[:, None]
+    else:
+        rows = np.arange(len(a))
+        first = a.argmax(axis=1)
+        a_max = a[rows, first]
+        rest = a - np.where(a_max == -np.inf, 0.0, a_max)[:, None]
+        rest[rows, first] = -np.inf
+        count = np.ones(len(a))
+        ties = np.flatnonzero(rest[rows, rest.argmax(axis=1)] >= 0)  # argmax: numpy reduces rows by max slowly
+        if ties.size:
+            tied = rest[ties]
+            is_max = tied >= 0
+            count[ties] += is_max.sum(axis=1)
+            tied[is_max] = -np.inf
+            rest[ties] = tied
     if np.isnan(a_max).any():
         raise ValueError("a log kernel is NaN: a point or sample lies ~1e154 bandwidths from the samples' mean")
-    is_max = a == a_max[:, None]
-    count = (t == a_max if short else is_max.T).sum(axis=0, dtype=float)
-    rest = np.where(is_max, -np.inf, a)
-    rest -= np.where(a_max == -np.inf, 0.0, a_max)[:, None]
     np.exp(rest, out=rest)
     s = rest.sum(axis=1) / count
     return np.log1p(s) + np.log(count) + a_max

@@ -84,24 +84,31 @@ def resolve_bandwidths(sample_matrices, bw_policy, kind: DivergenceKind | None =
       - a sequence of Bandwidth / diagonal vectors, one per set.
     """
     mats = [_features_of(m) for m in sample_matrices]
+    rule = _bandwidth_rule(bw_policy, kind, len(mats))
+    return [rule(i, m) for i, m in enumerate(mats)]
+
+
+def _bandwidth_rule(bw_policy, kind: DivergenceKind | None, n_sets: int):
+    """The :func:`resolve_bandwidths` policy `bw_policy` for `n_sets` sets as a function
+    bandwidth(i, matrix of set i); a ValueError now if the policy itself is invalid."""
     if isinstance(bw_policy, str):
         if bw_policy == "silverman":
-            if kind is DivergenceKind.HELLINGER_SQUARED:
-                return [hellinger_bandwidth(m) for m in mats]
-            return [silverman_bandwidth(m) for m in mats]
+            rule = hellinger_bandwidth if kind is DivergenceKind.HELLINGER_SQUARED else silverman_bandwidth
+            return lambda i, m: rule(m)
         if bw_policy == "isotropic":
-            return [isotropic_silverman_bandwidth(m) for m in mats]
+            return lambda i, m: isotropic_silverman_bandwidth(m)
         raise ValueError(f"unknown bandwidth policy {bw_policy!r}")
     if isinstance(bw_policy, numbers.Real):
         if not _is_positive_number(bw_policy):
             raise ValueError(f"shared isotropic bandwidth must be a positive number, got {bw_policy!r}")
-        return [Bandwidth(np.full(m.shape[1], float(bw_policy))) for m in mats]
+        return lambda i, m: Bandwidth(np.full(m.shape[1], float(bw_policy)))
     bandwidths = list(bw_policy)
-    if len(bandwidths) != len(mats):
+    if len(bandwidths) != n_sets:
         raise ValueError(
-            f"got {len(bandwidths)} explicit bandwidths for {len(mats)} sets"
+            f"got {len(bandwidths)} explicit bandwidths for {n_sets} sets"
         )
-    return [b if isinstance(b, Bandwidth) else Bandwidth(np.asarray(b, dtype=float)) for b in bandwidths]
+    return lambda i, m: (bandwidths[i] if isinstance(bandwidths[i], Bandwidth)
+                         else Bandwidth(np.asarray(bandwidths[i], dtype=float)))
 
 
 def _is_positive_number(value) -> bool:
@@ -121,17 +128,19 @@ def describe_bandwidth_policy(bw_policy) -> str:
 def _kde_collection(sets, bw_policy, kind: DivergenceKind | None = None) -> list[tuple[DensityModel, int]]:
     """The KDEs of `sets` (one dimension), bandwidths by :func:`resolve_bandwidths`, as (model,
     k) per set: the sets of one size are fitted at once, the KDEs on one model's leading axis.
-    A set that is not n >= 2 finite rows in the first set's D is a ValueError naming it by id or index."""
-    mats = []
+    A set that is not n >= 2 finite rows in the first set's D, or whose bandwidth is not positive
+    and finite, is a ValueError naming it by id or index."""
+    mats, bandwidths, rule = [], [], _bandwidth_rule(bw_policy, kind, len(sets))
     for i, s in enumerate(sets):
         try:
             mats.append(_as_sample_matrix(s))
             if mats[i].shape[1] != mats[0].shape[1]:
                 raise ValueError(
                     f"dimension mismatch: D={mats[i].shape[1]}, but the first set has D={mats[0].shape[1]}")
+            bandwidths.append(rule(i, mats[i]))
         except ValueError as error:
             raise ValueError(f"set {getattr(s, 'id', i)!r}: {error}") from None
-    bandwidths, by_size, kdes = resolve_bandwidths(mats, bw_policy, kind), {}, [None] * len(mats)
+    by_size, kdes = {}, [None] * len(mats)
     for s, m in enumerate(mats):
         by_size.setdefault(len(m), []).append(s)
     for group in by_size.values():

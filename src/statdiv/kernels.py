@@ -69,12 +69,13 @@ _DIVERGENCE_FAMILIES = {
                                      lambda d, sigma: np.exp(-sigma * np.sqrt(np.maximum(d, 0.0)))),
     KernelFamily.JEFFREY_EXPONENTIAL: (DivergenceKind.JEFFREY, lambda d, sigma: np.exp(-sigma * d)),
 }
-# A baseline: (its per-set summary(set, spec), the kernel value inner(a, b) of two summaries).
+# A baseline: (its per-set summary(set, spec), the kernel value inner(a, b) of two summaries,
+# its name if its summary needs an integer `subspace_dim` >= 1, else None).
 _BASELINES = {
     KernelFamily.GRASSMANN_PROJECTION: (lambda s, spec: set_to_subspace(s, spec.subspace_dim),
-                                        lambda a, b: float(np.sum((a.T @ b) ** 2))),
+                                        lambda a, b: float(np.sum((a.T @ b) ** 2)), "the projection kernel"),
     KernelFamily.SPD_LOG_EUCLIDEAN: (lambda s, spec: _spd_log(set_to_covariance(s)),
-                                     lambda a, b: float(np.sum(a * b))),
+                                     lambda a, b: float(np.sum(a * b)), None),
 }
 
 
@@ -93,10 +94,11 @@ class KernelSpec:
     def __post_init__(self):
         if not _is_positive_number(self.sigma):
             raise ValueError(f"sigma must be a positive number, got {self.sigma!r}")
-        if self.family is KernelFamily.GRASSMANN_PROJECTION:
+        needs_dim = self.family in _BASELINES and _BASELINES[self.family][2]
+        if needs_dim:
             dim = self.subspace_dim
             if not isinstance(dim, numbers.Integral) or isinstance(dim, bool) or dim < 1:
-                raise ValueError(f"the projection kernel needs an integer subspace_dim >= 1, got {dim!r}")
+                raise ValueError(f"{needs_dim} needs an integer subspace_dim >= 1, got {dim!r}")
             object.__setattr__(self, "subspace_dim", int(dim))
 
 
@@ -192,7 +194,7 @@ def _square_and_cross(gallery, probe, spec: KernelSpec, bw_policy,
     if spec.family in _DIVERGENCE_FAMILIES:
         div, cross = _divergences(gallery, probe, _DIVERGENCE_FAMILIES[spec.family][0], bw_policy, square)
         return div.values, cross
-    (summary, inner), sets, g = _BASELINES[spec.family], [*gallery, *probe], len(gallery)
+    (summary, inner, _), sets, g = _BASELINES[spec.family], [*gallery, *probe], len(gallery)
     summaries = [summary(s, spec) for s in sets]
     values = np.zeros((g, len(sets)))
     for i in range(g):

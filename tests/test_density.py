@@ -34,7 +34,7 @@ class TestSilvermanBandwidth:
         bw = silverman_bandwidth(mat)
         sd = mat.std(axis=0, ddof=1)
         floor = 1e-12 * (1.0 + np.mean(sd**2))
-        assert bw.diag[1] == pytest.approx(floor)
+        assert bw.diag[1] == pytest.approx(floor, abs=0)  # the default abs=1e-12 would span the whole floor
         assert bw.diag[1] > 0
 
     @pytest.mark.parametrize("scale", [0.5, 2.0, 100.0])
@@ -163,6 +163,53 @@ class TestRowLogSumExp:
                 warnings.simplefilter("error", RuntimeWarning)
                 got = _row_logsumexp(a)
             np.testing.assert_array_equal(got, logsumexp(a, axis=1))
+
+    # Widths on both sides of 48 (the long-row branch) and chunks on both sides of half `_LSE_BLOCK`
+    # (32768 entries): 600 x 40 and 900 x 40 are short and long rows of 40, 20 x 2000 a long chunk.
+    @pytest.mark.parametrize("m, n", [(30, 47), (30, 48), (30, 49), (100, 100), (600, 40), (900, 40),
+                                      (20, 2000), (3, 40000)])
+    @pytest.mark.parametrize("case", ["rounded", "duplicate_columns", "clamped_zeros", "signed_zeros"])
+    def test_long_rows_equal_scipy_bit_for_bit(self, m, n, case):
+        """Tied maxima in each branch: rounded values, duplicated columns, several
+        entries clamped to 0 in a row as in a KDE's own block, -0.0 beside +0.0;
+        a -inf sprinkle and an all -inf row."""
+        from statdiv.density import _row_logsumexp
+
+        rng = np.random.default_rng(m * n)
+        a = -rng.exponential(5.0, size=(m, n))
+        if case == "rounded":
+            a = np.round(a)
+        elif case == "duplicate_columns":
+            a[:, n // 2:] = a[:, :n - n // 2]
+        elif case == "clamped_zeros":
+            a[rng.random((m, n)) < 3.0 / n] = 0.0
+            np.fill_diagonal(a, 0.0)
+            a[0, [0, n // 3, n - 1]] = 0.0
+        else:
+            a[rng.random((m, n)) < 0.1] = 0.0
+            a[rng.random((m, n)) < 0.1] = -0.0
+            a[0, :2] = (-0.0, 0.0)
+            a[1, :2] = (0.0, -0.0)
+        a[rng.random((m, n)) < 0.2] = -np.inf
+        a[m // 2] = -np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _row_logsumexp(a)
+        want = logsumexp(a, axis=1)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("m, n", [(3, 47), (3, 48), (20, 2000)])
+    def test_nan_in_a_row_with_ties_is_an_error(self, m, n):
+        from statdiv.density import _row_logsumexp
+
+        a = np.round(-np.random.default_rng(n).exponential(5.0, size=(m, n)))
+        a[1, :3] = 0.0  # tied maxima
+        a[1, 5] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="log kernel is NaN"):
+                _row_logsumexp(a)
 
     @pytest.mark.parametrize("shape", [(97, 2000), (2001, 40), (3, 70000), (300, 300)], ids="{0[0]}x{0[1]}".format)
     def test_row_blocks_equal_scipy_bit_for_bit(self, shape):

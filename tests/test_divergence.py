@@ -423,6 +423,20 @@ class TestDivergenceMatrix:
         with pytest.raises(ValueError, match=r"^set 1: sample matrix contains non-finite entries$"):
             divergence_matrix(sets, DivergenceKind.HELLINGER_SQUARED)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the variance of 1e155-scale rows
+    @pytest.mark.parametrize("kind, policy", [(DivergenceKind.HELLINGER_SQUARED, "silverman"),
+                                              (DivergenceKind.JEFFREY, "silverman"),
+                                              (DivergenceKind.HELLINGER_SQUARED, "isotropic")])
+    @pytest.mark.parametrize("named", [False, True])
+    def test_matrix_names_the_set_whose_bandwidth_overflows(self, kind, policy, named):
+        rng = np.random.default_rng(17)
+        sets = [rng.standard_normal((20, 3)), 1e155 * rng.standard_normal((20, 3))]
+        name = "1"
+        if named:
+            sets, name = [FeatureSet(f"s{i}", 0, s) for i, s in enumerate(sets)], "'s1'"
+        with pytest.raises(ValueError, match=rf"^set {name}: bandwidth diagonal entries must be positive and finite$"):
+            divergence_matrix(sets, kind, policy)
+
     def test_matrix_invariant_rejects_asymmetry(self):
         bad = np.array([[0.0, 1.0], [0.5, 0.0]])
         with pytest.raises(ValueError, match="not symmetric"):

@@ -236,7 +236,7 @@ class TestSetSummaries:
         np.testing.assert_allclose(np.diag(matrix.values), 2.0, atol=1e-10)
 
     def test_grassmann_spec_requires_subspace_dim(self):
-        with pytest.raises(ValueError, match="subspace_dim"):
+        with pytest.raises(ValueError, match=r"^the projection kernel needs an integer subspace_dim >= 1, got None$"):
             KernelSpec(family=KernelFamily.GRASSMANN_PROJECTION)
 
     @pytest.mark.parametrize("dim", [2.7, 2.0, True, "2", 0, -1])
