@@ -91,9 +91,10 @@ def silverman_bandwidth(samples) -> Bandwidth:
     """
     mat = _as_sample_matrix(samples)
     n, d = mat.shape
-    sd = mat.std(axis=0, ddof=1)
-    h2 = (sd * _silverman_factor(n, d)) ** 2
-    floor = 1e-12 * (1.0 + float(np.mean(sd**2)))
+    with np.errstate(over="ignore"):  # an overflowed variance is inf, and Bandwidth rejects it
+        sd = mat.std(axis=0, ddof=1)
+        h2 = (sd * _silverman_factor(n, d)) ** 2
+        floor = 1e-12 * (1.0 + float(np.mean(sd**2)))
     return Bandwidth(np.maximum(h2, floor))
 
 
@@ -106,7 +107,8 @@ def isotropic_silverman_bandwidth(samples) -> Bandwidth:
     """
     mat = _as_sample_matrix(samples)
     n, d = mat.shape
-    mean_var = float(np.mean(mat.var(axis=0, ddof=1)))
+    with np.errstate(over="ignore"):  # as in silverman_bandwidth
+        mean_var = float(np.mean(mat.var(axis=0, ddof=1)))
     h2 = mean_var * _silverman_factor(n, d) ** 2
     floor = 1e-12 * (1.0 + mean_var)
     return Bandwidth(np.full(d, max(h2, floor)))

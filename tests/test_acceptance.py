@@ -4,6 +4,8 @@ Run with `pytest tests/test_acceptance.py -s` to see every line. Criterion 1
 asserts the stated 5% Hellinger tolerance; the default Hellinger estimate
 meets it because its bandwidth is undersmoothed to the rate n^(-1/(D+3)),
 while the Jeffrey estimate keeps Silverman's density-optimal bandwidth.
+Criteria 1, 3, 4 (exact grams), 5 and 6 run the checks of `statdiv.validation`
+that `statdiv validate` runs too, each at its own seeds and trials.
 """
 
 import json
@@ -22,20 +24,20 @@ from statdiv.divergence import (
     divergence_matrix,
     hellinger_empirical,
     jeffrey_empirical,
+    resolve_bandwidths,
 )
-from statdiv.dimred import (
-    DrConfig,
-    affinity_from_divergences,
-    dr_cost,
-    dr_euclidean_gradient,
-    learn_projection,
-    project_sets,
-)
-from statdiv.divergence import resolve_bandwidths
+from statdiv.dimred import DrConfig, affinity_from_divergences, dr_cost, learn_projection, project_sets
 from statdiv.experiment import ExperimentConfig, run_experiment
 from statdiv.kernels import SIGMA_GRID, KernelFamily, KernelSpec, kernel_from_divergence, min_eigenvalue
 from statdiv.manifold import CgOptions, random_orthonormal
 from statdiv.oracles import GaussianParams
+from statdiv.validation import (
+    estimator_errors,
+    exact_gram_floor,
+    gradient_error,
+    hellinger_quadratic_form_max,
+    stein_identity_gap,
+)
 
 
 def report_line(number: int, ok: bool, detail: str) -> None:
@@ -51,17 +53,9 @@ def test_criterion_01_estimator_oracle_agreement():
     assert true_j == pytest.approx(1.0, rel=1e-12)
 
     start = time.perf_counter()
-    est_h, est_j = [], []
-    for seed in range(20):
-        rng = np.random.default_rng(seed)
-        p = rng.normal(0.0, 1.0, size=(2000, 1))
-        q = rng.normal(1.0, 1.0, size=(2000, 1))
-        est_h.append(hellinger_empirical(p, q))
-        est_j.append(jeffrey_empirical(p, q))
+    err_h, err_j = estimator_errors(range(20))
     elapsed = time.perf_counter() - start
 
-    err_h = abs(float(np.median(est_h)) - true_h) / true_h
-    err_j = abs(float(np.median(est_j)) - true_j) / true_j
     ok = err_h <= 0.05 and err_j <= 0.10 and elapsed < 30.0
     report_line(1, ok,
                 f"median estimate rel err: hellinger {err_h:.4f} (tol 0.05), "
@@ -93,41 +87,10 @@ def test_criterion_02_symmetry_and_identity():
 
 
 def test_criterion_03_hellinger_negative_definiteness():
-    rng = np.random.default_rng(3)
-    worst = -np.inf
-    for _ in range(200):
-        count = int(rng.integers(2, 9))
-        bins = int(rng.integers(2, 17))
-        hists = rng.uniform(0.01, 1.0, size=(count, bins))
-        hists /= hists.sum(axis=1, keepdims=True)
-        coeff = rng.standard_normal(count)
-        coeff -= coeff.mean()
-        quad = sum(
-            coeff[i] * coeff[j] * oracles.hellinger_discrete_exact(hists[i], hists[j])
-            for i in range(count) for j in range(count)
-        )
-        worst = max(worst, quad)
+    worst = hellinger_quadratic_form_max(3, 200, 0.01)
     ok = worst <= 1e-10
     report_line(3, ok, f"max zero-sum quadratic form = {worst:.2e} (tol 1e-10)")
     assert worst <= 1e-10
-
-
-def _exact_histogram_gram_floor(rng, trials):
-    worst = np.inf
-    for _ in range(trials):
-        hists = rng.uniform(0.02, 1.0, size=(12, int(rng.integers(2, 17))))
-        hists /= hists.sum(axis=1, keepdims=True)
-        deltas = np.zeros((12, 12))
-        for i in range(12):
-            for j in range(i + 1, 12):
-                deltas[i, j] = deltas[j, i] = oracles.hellinger_discrete_exact(hists[i], hists[j])
-        for sigma in SIGMA_GRID:
-            for family in (KernelFamily.HELLINGER_GAUSSIAN, KernelFamily.HELLINGER_LAPLACE):
-                values = np.asarray(kernel_from_divergence(
-                    deltas, KernelSpec(family=family, sigma=sigma)))
-                np.fill_diagonal(values, 1.0)
-                worst = min(worst, min_eigenvalue(values))
-    return worst
 
 
 def _empirical_gram_floor(rng, trials):
@@ -154,7 +117,7 @@ def _empirical_gram_floor(rng, trials):
 
 
 def test_criterion_04_kernel_positive_definiteness():
-    exact_floor = _exact_histogram_gram_floor(np.random.default_rng(4), 500)
+    exact_floor = exact_gram_floor(4, 500, 0.02)
     empirical_floor = _empirical_gram_floor(np.random.default_rng(44), 500)
     ok = exact_floor >= -1e-10 and empirical_floor >= -1e-6
     report_line(4, ok, f"min eigenvalue: exact grams {exact_floor:.2e} (tol -1e-10), "
@@ -164,19 +127,7 @@ def test_criterion_04_kernel_positive_definiteness():
 
 
 def test_criterion_05_bhattacharyya_stein_identity():
-    rng = np.random.default_rng(5)
-    worst = 0.0
-    for _ in range(100):
-        dim = int(rng.integers(1, 7))
-        mat_a = rng.standard_normal((dim, dim))
-        mat_b = rng.standard_normal((dim, dim))
-        a = mat_a @ mat_a.T + 0.05 * dim * np.eye(dim)
-        b = mat_b @ mat_b.T + 0.05 * dim * np.eye(dim)
-        zero = np.zeros(dim)
-        lhs = -np.log(oracles.bhattacharyya_coefficient_gaussian(
-            GaussianParams(zero, a), GaussianParams(zero, b)))
-        rhs = 0.5 * oracles.stein_divergence(a, b)
-        worst = max(worst, abs(lhs - rhs))
+    worst = stein_identity_gap(5, 100)
     ok = worst <= 1e-10
     report_line(5, ok, f"max |(-ln B) - S/2| = {worst:.2e} (tol 1e-10)")
     assert worst <= 1e-10
@@ -184,31 +135,7 @@ def test_criterion_05_bhattacharyya_stein_identity():
 
 def test_criterion_06_analytic_gradients_match_finite_differences():
     start = time.perf_counter()
-    worst = 0.0
-    for trial in range(20):
-        rng = np.random.default_rng(600 + trial)
-        mats = [rng.normal(rng.uniform(-1, 1), 1.0, size=(6, 4)) for _ in range(4)]
-        labels = np.array([0, 0, 1, 1])
-        div = rng.uniform(0.1, 1.5, size=(4, 4))
-        div = 0.5 * (div + div.T)
-        np.fill_diagonal(div, 0.0)
-        affinity = affinity_from_divergences(div, labels, nu_w=1, nu_b=1)
-        frame = random_orthonormal(4, 2, rng)
-        bandwidths = resolve_bandwidths(project_sets(mats, frame), "isotropic")
-        for kind in (DivergenceKind.HELLINGER_SQUARED, DivergenceKind.JEFFREY):
-            analytic = dr_euclidean_gradient(frame, mats, affinity, kind, bandwidths)
-            numeric = np.zeros_like(frame)
-            step = 1e-6
-            for a in range(4):
-                for b in range(2):
-                    plus = frame.copy(); plus[a, b] += step
-                    minus = frame.copy(); minus[a, b] -= step
-                    numeric[a, b] = (
-                        dr_cost(plus, mats, affinity, kind, bandwidths)
-                        - dr_cost(minus, mats, affinity, kind, bandwidths)
-                    ) / (2 * step)
-            scale = max(np.max(np.abs(numeric)), 1e-12)
-            worst = max(worst, np.max(np.abs(analytic - numeric)) / scale)
+    worst = gradient_error(600, 20)
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-3 and elapsed < 60.0
     report_line(6, ok, f"max relative gradient error = {worst:.2e} (tol 1e-3), "

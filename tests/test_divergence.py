@@ -423,7 +423,6 @@ class TestDivergenceMatrix:
         with pytest.raises(ValueError, match=r"^set 1: sample matrix contains non-finite entries$"):
             divergence_matrix(sets, DivergenceKind.HELLINGER_SQUARED)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the variance of 1e155-scale rows
     @pytest.mark.parametrize("kind, policy", [(DivergenceKind.HELLINGER_SQUARED, "silverman"),
                                               (DivergenceKind.JEFFREY, "silverman"),
                                               (DivergenceKind.HELLINGER_SQUARED, "isotropic")])

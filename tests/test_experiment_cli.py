@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from statdiv import validation
 from statdiv.cli import main
 from statdiv.experiment import ConfigError, ExperimentConfig, emit_report, run_experiment
 
@@ -697,6 +698,23 @@ class TestCli:
         message = str(info.value)
         assert str(csv) in message and "at row 2, " in message
         assert f"column {column or width + 1}" in message
+
+    def test_validate_passes_every_suite_in_order(self, capsys):
+        assert self.run("validate") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(validation.VALIDATION_SUITES)
+        for line, (name, *_) in zip(lines, validation.VALIDATION_SUITES):
+            assert line.startswith(f"[PASS] {name}: ")
+
+    def test_validate_exit_code_when_a_suite_fails(self, monkeypatch, capsys):
+        suites = {suite[0]: suite for suite in validation.VALIDATION_SUITES}
+        name, _, passes, detail = suites["stein-identity"]
+        monkeypatch.setattr(validation, "VALIDATION_SUITES",
+                            (suites["tangent-projection"], (name, lambda: 1.0, passes, detail)))
+        assert self.run("validate") == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("[PASS] tangent-projection: ")
+        assert lines[1:] == ["[FAIL] stein-identity: max |(-ln B) - S/2| = 1.000e+00 (tol 1e-10)"]
 
     def test_io_error_exit_code(self, tmp_path):
         blocker = tmp_path / "blocker"
