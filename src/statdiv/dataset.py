@@ -11,7 +11,7 @@ the writers make the file's directory.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from types import GenericAlias
 
@@ -74,13 +74,19 @@ def _no_unread_keys(raw: dict, path: str) -> None:
         raise ConfigError(f"{path}.{key}: unknown key" if path else f"{key}: unknown key")
 
 
-def _checked(build, path: str):
-    """`build()`, with a ValueError from the type's own checks as a
-    ConfigError prefixed with `path`."""
+def _checked(cls, path: str, *args, **kwargs):
+    """The dataclass `cls(*args, **kwargs)` read at field path `path`, with a ValueError
+    from its own checks as a ConfigError naming the field that the message names first:
+    `path.name: rest` for a message `name rest`, `path.name: message` for one that names
+    it later, and `path: message` for one that names none."""
     try:
-        return build()
+        return cls(*args, **kwargs)
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        message, names = str(exc), {f.name for f in fields(cls)}
+        name = next((word for word in message.split() if word in names), None)
+        if name is None:
+            raise ConfigError(f"{path}: {message}") from exc
+        raise ConfigError(f"{path}.{name}: {message.removeprefix(name + ' ')}") from exc
 
 
 def _read_json(path, where: str | None = None):

@@ -6,10 +6,12 @@ or for the sets of one size on a leading axis: its log normalizer and
 whitened anchors (`_anchors`) are computed once. A block of log kernels, a
 row per point and a column per sample, is a centred GEMM on those anchors
 (`_log_kernel_matrix`), its rows reduced by a log-sum-exp bit-equal to
-`scipy.special.logsumexp` (`_row_logsumexp`, which finds a long row's maximum
-by its index and counts tied maxima only on the rows that have them), so
+`scipy.special.logsumexp` of the block clamped at 0 (`_row_logsumexp`, which
+finds a long row's maximum by its index, clamps only the rows whose maximum
+rounds above 0, and counts tied maxima only on the rows that have them), so
 densities never underflow to 0, chunk by chunk of rows in one buffer, so no
-large block is held whole (`_log_mixture`).
+large block is held whole: a block of several chunks is reduced in that buffer
+itself and formed again for a caller that needs it (`_log_mixture`).
 :func:`plan` lays out once every block a list of pairs needs, in tiles of one
 size of KDE, which :func:`tiles` evaluates on any fit of those sets and
 :func:`log_ratios` turns into each set's log ratios as one array."""
@@ -167,8 +169,9 @@ def _anchors(samples: np.ndarray, diag: np.ndarray, log_norm) -> tuple:
 
 def _log_kernel_matrix(points: np.ndarray, centre: np.ndarray, scale: np.ndarray, runs):
     """Yields (first row, L[rows]) per chunk, L[k, i] = -0.5 * sum_j (points[k,j] - samples[i,j])^2 / diag[j]
-    = x_k . a_i - |x_k|^2/2 - |a_i|^2/2 clamped at 0, a GEMM in the centred coordinates of :func:`_anchors`.
-    Absolute error about eps * max(|x_k|^2, |a_i|^2), also where L is near 0; NaN once one overflows. Each
+    = x_k . a_i - |x_k|^2/2 - |a_i|^2/2, a GEMM in the centred coordinates of :func:`_anchors`. Absolute
+    error about eps * max(|x_k|^2, |a_i|^2), also where L is near 0, so an entry may round above 0 (the
+    reduction clamps it: :func:`_clamp_above_zero`); NaN once one overflows. Each
     row is whitened by its own KDE's `centre` and `scale` (broadcast). `runs` holds (P, n, a) per run of P
     blocks of n rows, a the P x (D+2) x n_b transposed anchors of their KDEs (or of the one they share): a
     batched matmul, one GEMM per block, so each is bit-equal on any core. The chunks reuse one buffer: all
@@ -188,30 +191,47 @@ def _log_kernel_matrix(points: np.ndarray, centre: np.ndarray, scale: np.ndarray
             else:
                 np.matmul(w[start:stop].reshape(count, n, -1), a, out=out[start:stop].reshape(count, n, -1))
             start = stop
-        yield first, np.minimum(out, 0.0, out=out)
+        yield first, out
 
 
 # Entries per chunk of `_log_kernel_matrix`: 512 KiB of float64, so a large block's
-# GEMM output and log-sum-exp temporaries stay in cache and no m x n matrix is held.
+# GEMM output, reduced in place, stays in cache and no m x n matrix is held.
 _LSE_BLOCK = 2**16
 # Window of `tiles`: 64 KiB of float64, under glibc's 128 KiB mmap threshold; tiling
 # 100 x 100 blocks to 600 x 100 (512 KiB) raised peak RSS and time on a 2-core x86 host.
 _STACK_BLOCK = 2**13
 
 
-def _row_logsumexp(a: np.ndarray) -> np.ndarray:
-    """log(sum(exp(a), axis=1)) for rows of finite or -inf entries, by the algorithm of
-    `scipy.special.logsumexp` and bit-equal to it row by row: shift by the row maximum, count the
-    maxima apart, add log1p of the rest over that count. A row whose maximum is -inf gives -inf (it
-    is shifted by 0, so no -inf - -inf is formed); a NaN (a log kernel's inf - inf) is an error.
+def _clamp_above_zero(a: np.ndarray, a_max: np.ndarray) -> int:
+    """Clamps at 0, in place, the rows of log kernels `a` whose maxima `a_max` round above 0, and
+    those maxima: a log kernel is at most 0, and only rounding lifts one above it. Every other row
+    is left as it is, so the clamp costs nothing on a block with no such row. The clamped count."""
+    above = np.flatnonzero(a_max > 0)
+    if above.size:
+        a[above] = np.minimum(a[above], 0.0)
+        a_max[above] = 0.0
+    return above.size
+
+
+def _row_logsumexp(a: np.ndarray, in_place: bool = False) -> np.ndarray:
+    """log(sum(exp(min(a, 0)), axis=1)) for rows of finite or -inf entries, by the algorithm of
+    `scipy.special.logsumexp` and bit-equal to it on `np.minimum(a, 0)` row by row: find each row's
+    maximum, clamp the rows whose maximum is above 0 (:func:`_clamp_above_zero`, in `a`), shift by the
+    maximum, count the maxima apart, add log1p of the rest over that count. An `a` of entries <= 0 is
+    left unchanged, unless `in_place`, which shifts and exponentiates long rows in `a` itself. A row
+    whose maximum is -inf gives -inf (it is shifted by 0, so no -inf - -inf is formed); a NaN (a log
+    kernel's inf - inf) is an error.
     Rows under 48 entries, in a chunk of up to half `_LSE_BLOCK`, find their exact maxima and counts
     across rows, on a transposed copy that stays in cache: numpy reduces short rows slowly. Longer
     rows find one maximum by its index (a NaN is the first argmax) and drop it from the shifted
     copy; a row whose rest still holds an entry >= 0 ties it (a - max is exact in sign), and only
-    such rows count and drop their other maxima, so no mask of the whole chunk is formed."""
+    such rows count and drop their other maxima, so no mask of the whole chunk is formed. A clamped
+    row drops each of its maxima, which are its entries that were >= 0, whichever it drops first."""
     if a.shape[1] < 48 and a.size <= _LSE_BLOCK // 2:
         t = a.T.copy()
         a_max = t.max(axis=0)
+        if _clamp_above_zero(a, a_max):
+            t = a.T.copy()
         count = (t == a_max).sum(axis=0, dtype=float)
         rest = np.where(a == a_max[:, None], -np.inf, a)
         rest -= np.where(a_max == -np.inf, 0.0, a_max)[:, None]
@@ -219,7 +239,8 @@ def _row_logsumexp(a: np.ndarray) -> np.ndarray:
         rows = np.arange(len(a))
         first = a.argmax(axis=1)
         a_max = a[rows, first]
-        rest = a - np.where(a_max == -np.inf, 0.0, a_max)[:, None]
+        _clamp_above_zero(a, a_max)
+        rest = np.subtract(a, np.where(a_max == -np.inf, 0.0, a_max)[:, None], out=a if in_place else None)
         rest[rows, first] = -np.inf
         count = np.ones(len(a))
         ties = np.flatnonzero(rest[rows, rest.argmax(axis=1)] >= 0)  # argmax: numpy reduces rows by max slowly
@@ -236,15 +257,26 @@ def _row_logsumexp(a: np.ndarray) -> np.ndarray:
     return np.log1p(s) + np.log(count) + a_max
 
 
+def _clamped_chunks(*args):
+    """The chunks of :func:`_log_kernel_matrix` of `args`, formed again, each clamped at 0 as
+    :func:`_row_logsumexp` clamps it, so each equals np.minimum of the log kernels and 0."""
+    for first, chunk in _log_kernel_matrix(*args):
+        _clamp_above_zero(chunk, chunk[np.arange(len(chunk)), chunk.argmax(axis=1)])
+        yield first, chunk
+
+
 def _log_mixture(log_norm, *args) -> tuple[np.ndarray, object, np.ndarray]:
     """KDE log density from the chunks of its log-kernel matrix, :func:`_log_kernel_matrix` of
-    `args`: each chunk's row log-sum-exp (:func:`_row_logsumexp`) plus each row's log normalizer;
-    then the matrix if it was one chunk (else a function of no arguments that forms the chunks
-    again) and that log-sum-exp, from which a caller forms the component weights exp(L - lse)
-    without a second reduction."""
-    parts = [(kernels, _row_logsumexp(kernels)) for _, kernels in _log_kernel_matrix(*args)]
+    `args` (points first): each chunk's row log-sum-exp (:func:`_row_logsumexp`, which clamps
+    it at 0) plus each row's log normalizer; then the clamped matrix if it was one chunk (else
+    a function of no arguments that forms the clamped chunks again, :func:`_clamped_chunks`)
+    and that log-sum-exp, from which a caller forms the component weights exp(L - lse) without
+    a second reduction. A chunk of fewer than all the rows is reduced in place, as it is formed
+    again on demand; a single chunk, the matrix a caller keeps, is not."""
+    parts = [(kernels, _row_logsumexp(kernels, in_place=len(kernels) < len(args[0])))
+             for _, kernels in _log_kernel_matrix(*args)]
     kernels, lse = parts[0] if len(parts) == 1 else (
-        partial(_log_kernel_matrix, *args), np.concatenate([part for _, part in parts]))
+        partial(_clamped_chunks, *args), np.concatenate([part for _, part in parts]))
     return lse + log_norm, kernels, lse
 
 

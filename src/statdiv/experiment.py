@@ -57,7 +57,7 @@ def _read_dataclass(cls, raw: dict, path: str):
     with the dataclass's own default."""
     hints = get_type_hints(cls)
     values = {f.name: _field(raw, f.name, path, hints[f.name], f.default) for f in fields(cls)}
-    return _checked(lambda: cls(**values), path)
+    return _checked(cls, path, **values)
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ class ExperimentConfig:
             sigma = _field(kernel, "sigma", "kernel", float, 0.1)
             subspace_dim = _field(kernel, "subspace_dim", "kernel", int, None)
             _no_unread_keys(kernel, "kernel")
-            kernel = _checked(lambda: KernelSpec(family, sigma, subspace_dim), "kernel")
+            kernel = _checked(KernelSpec, "kernel", family, sigma, subspace_dim)
 
         if pipeline == "kfda":
             _require(kernel is not None, "kernel", "required by the kfda pipeline")
@@ -158,8 +158,8 @@ class ExperimentConfig:
             nu_b = _field(dr, "nu_b", "dr", int, 1)
             init = _field(dr, "init", "dr", str, "pca")
             _no_unread_keys(dr, "dr")
-            dr = _checked(lambda: DrConfig(target_dim=target_dim, kind=divergence, nu_w=nu_w, nu_b=nu_b,
-                                           cg=cg, init=init, affinity_bw_policy=bw_policy), "dr")
+            dr = _checked(DrConfig, "dr", target_dim=target_dim, kind=divergence, nu_w=nu_w, nu_b=nu_b,
+                          cg=cg, init=init, affinity_bw_policy=bw_policy)
         else:
             _require(dr is None, "dr", "only valid with the nn_dr pipeline")
 

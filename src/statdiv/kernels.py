@@ -257,7 +257,7 @@ def _load_spec(path, kinds: dict) -> tuple[KernelSpec, dict]:
     every field, each read by `dataset._json_fields` (the others as their kind in `kinds`)."""
     fields = _json_fields(path, {"family": str, "sigma": float, "subspace_dim": (int, type(None)), **kinds})
     family = _kernel_family(fields["family"], f"{path}.family")
-    return _checked(lambda: KernelSpec(family, fields["sigma"], fields["subspace_dim"]), str(path)), fields
+    return _checked(KernelSpec, str(path), family, fields["sigma"], fields["subspace_dim"]), fields
 
 
 def save_gram_matrix(matrix: GramMatrix, csv_path) -> None:

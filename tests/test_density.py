@@ -310,6 +310,165 @@ class TestChunkedBlocks:
         assert peak <= 4 * _LSE_BLOCK * 8
 
 
+def record_blocks(monkeypatch):
+    """Each `_log_kernel_matrix` call's chunks, copied as the GEMM forms them (before any
+    clamp or in-place reduction), one list per call."""
+    from statdiv import density
+
+    blocks = []
+    kernel = density._log_kernel_matrix
+
+    def recording(*args):
+        chunks = []
+        blocks.append(chunks)
+        for first, chunk in kernel(*args):
+            chunks.append(chunk.copy())
+            yield first, chunk
+
+    monkeypatch.setattr(density, "_log_kernel_matrix", recording)
+    return blocks
+
+
+def dyadic_samples(rng, n, dim):
+    """n samples of eighths, in pairs x, -x and two at 0, so their mean is exactly 0 and
+    the rows of the two at it peak at exactly 0."""
+    half = np.round(8 * rng.normal(size=(n // 2 - 1, dim))) / 8
+    return np.vstack([half, -half, np.zeros((2, dim))])
+
+
+class TestRowsAboveZero:
+    """A log kernel is at most 0, but its GEMM rounds above 0 near a sample; every density
+    is still the log-sum-exp of the block clamped at 0, bit for bit."""
+
+    # 24 wide: short rows; 100 wide: long rows in one chunk; 2000 x 10: a chunked own block
+    @pytest.mark.parametrize("n, dim", [(24, 20), (100, 10), (2000, 10)], ids=["24x20", "100x10", "2000x10"])
+    @pytest.mark.parametrize("draw", ["normal", "dyadic"])
+    def test_own_block_equals_scipy_on_the_clamped_block(self, monkeypatch, n, dim, draw):
+        rng = np.random.default_rng(n + dim)
+        samples = rng.normal(size=(n, dim)) if draw == "normal" else dyadic_samples(rng, n, dim)
+        model = DensityModel(samples, silverman_bandwidth(samples))
+        blocks = record_blocks(monkeypatch)
+        got = log_density_batch(model, samples)
+        (chunks,) = blocks
+        log_k = np.concatenate(chunks)
+        peaks = log_k.max(axis=1)
+        assert np.mean(peaks > 0) >= 0.2  # about a quarter of the rows round above 0
+        assert draw == "normal" or np.count_nonzero(peaks == 0) >= 2
+        np.testing.assert_array_equal(got, logsumexp(np.minimum(log_k, 0.0), axis=1) + model.log_norm)
+
+    @pytest.mark.parametrize("m, n", [(30, 24), (30, 100), (40, 2000)])
+    @pytest.mark.parametrize("in_place", [False, True])
+    def test_rows_above_zero_equal_scipy_on_the_clamped_rows(self, m, n, in_place):
+        """Rows above 0 by rounding and by far, beside rows that peak at -0.0 and +0.0."""
+        from statdiv.density import _row_logsumexp
+
+        rng = np.random.default_rng(m * n)
+        a = -rng.exponential(5.0, size=(m, n))
+        a[rng.random((m, n)) < 0.1] = 0.0
+        a[rng.random((m, n)) < 0.1] = -0.0
+        a[rng.random((m, n)) < 0.2] = -np.inf
+        above = np.flatnonzero(rng.random(m) < 0.3)
+        a[above, rng.integers(0, n, size=above.size)] = 1e-15 * rng.exponential(size=above.size)
+        a[0, :] = -1.0
+        a[0, :3] = (-0.0, -2.0, -0.0)  # peaks at -0.0
+        a[1, :] = -1.0
+        a[1, :2] = (-0.0, 0.0)  # peaks at a signed zero tied with the other
+        a[2, :3] = (1e-15, 0.0, 3.0)  # above 0, then tied at 0
+        a[3] = -np.inf
+        want = logsumexp(np.minimum(a, 0.0), axis=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _row_logsumexp(a.copy(), in_place)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("m, n", [(30, 24), (30, 100), (40, 2000)])
+    def test_leaves_rows_at_or_under_zero_unchanged(self, m, n):
+        from statdiv.density import _row_logsumexp
+
+        rng = np.random.default_rng(m + n)
+        a = -rng.exponential(5.0, size=(m, n))
+        a[rng.random((m, n)) < 0.1] = 0.0
+        a[rng.random((m, n)) < 0.1] = -0.0
+        a[rng.random((m, n)) < 0.2] = -np.inf
+        before = a.copy()
+        _row_logsumexp(a)
+        assert a.tobytes() == before.tobytes()
+
+
+class TestKeptAndFormedAgainKernels:
+    """The log kernels a caller reads after the reduction, a single chunk's kept matrix or
+    the chunks formed again for the DR gradient, equal the block clamped at 0; only a block
+    of several chunks, formed again on demand, is reduced in place."""
+
+    @staticmethod
+    def dr_gradient():
+        """A DR gradient whose tiles include a chunked own block (300 x 300) and single-chunk
+        ones, among them an own block (60 x 60); both own blocks have rows above 0."""
+        from statdiv.dimred import AffinityMatrix, dr_euclidean_gradient, project_sets
+        from statdiv.divergence import DivergenceKind, resolve_bandwidths
+        from statdiv.manifold import random_orthonormal
+
+        rng = np.random.default_rng(62)
+        mats = [rng.normal(0.0, 1.0, size=(300, 8)), rng.normal(0.5, 1.0, size=(60, 8))]
+        affinity = AffinityMatrix(values=np.array([[0, -1], [-1, 0]]), nu_w=0, nu_b=1)
+        w = random_orthonormal(8, 4, rng)  # 2 projected dimensions round above 0 on no row on some cores
+        bandwidths = resolve_bandwidths(project_sets(mats, w), "isotropic")
+        dr_euclidean_gradient(w, mats, affinity, DivergenceKind.HELLINGER_SQUARED, bandwidths)
+
+    def test_gradient_reads_the_clamped_blocks(self, monkeypatch):
+        from statdiv import dimred
+
+        blocks = record_blocks(monkeypatch)
+        reads = []
+        gradient = dimred._tile_gradient
+
+        def reading(total, tile, kdes, mats, omega, points_proj, kernels, lse):
+            read = []
+            reads.append((read, callable(kernels)))
+            if callable(kernels):
+                def kernels(formed_again=kernels):
+                    for first, chunk in formed_again():
+                        read.append(chunk.copy())
+                        yield first, chunk
+            else:
+                read.append(kernels.copy())
+            gradient(total, tile, kdes, mats, omega, points_proj, kernels, lse)
+
+        monkeypatch.setattr(dimred, "_tile_gradient", reading)
+        self.dr_gradient()
+        assert {chunked for _, chunked in reads} == {False, True}
+        above = {False: 0, True: 0}
+        for (read, chunked), chunks in zip(reads, blocks):  # the cost forms every tile first, in order
+            log_k = np.concatenate(chunks)
+            above[chunked] += np.count_nonzero(log_k.max(axis=1) > 0)
+            np.testing.assert_array_equal(np.concatenate(read), np.minimum(log_k, 0.0))
+        assert min(above.values()) > 0
+
+    def test_only_blocks_over_the_lse_block_are_reduced_in_place(self, monkeypatch):
+        from statdiv import density
+        from statdiv.divergence import hellinger_empirical
+
+        calls, entries = [], []
+        kernel, reduce = density._log_kernel_matrix, density._row_logsumexp
+
+        def forming(points, centre, scale, runs):
+            entries[:] = [len(points) * runs[0][2].shape[2]]
+            return kernel(points, centre, scale, runs)
+
+        def reducing(a, in_place=False):
+            calls.append((entries[0], in_place))
+            return reduce(a, in_place)
+
+        monkeypatch.setattr(density, "_log_kernel_matrix", forming)
+        monkeypatch.setattr(density, "_row_logsumexp", reducing)
+        rng = np.random.default_rng(63)
+        hellinger_empirical(rng.normal(size=(2000, 1)), rng.normal(1.0, 1.0, size=(2000, 1)))
+        self.dr_gradient()
+        assert {in_place for _, in_place in calls} == {False, True}
+        assert all(in_place == (size > density._LSE_BLOCK) for size, in_place in calls)
+
+
 class TestBandwidthValidation:
     @pytest.mark.parametrize("diag", [[0.0], [-1.0], [np.nan], [np.inf]])
     def test_rejects_bad_diagonals(self, diag):

@@ -736,7 +736,7 @@ class TestKernelBlockMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * _LSE_BLOCK * 8
+        assert peak <= 2 * _LSE_BLOCK * 8
 
     def test_a_block_that_would_carry_a_tile_past_the_window_starts_the_next(self, monkeypatch):
         # KDE 1 (2000 samples) at 3 points, then at 2000: a tile over `_LSE_BLOCK` entries is one block

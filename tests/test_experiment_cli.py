@@ -45,8 +45,8 @@ REJECTED = [
     ("nn", "repetitions", 2.9, "repetitions: must be an integer"),
     ("nn", "split.per_class_gallery", 2.5, "split.per_class_gallery: must be an integer"),
     ("kfda", "kernel.sigma", True, "kernel.sigma: must be a number"),
-    ("nn_dr", "dr.init", "bogus", "dr: init must be 'pca' or 'random'"),
-    ("nn_dr", "dr.target_dim", 0, "dr: target_dim must be >= 1"),
+    ("nn_dr", "dr.init", "bogus", "dr.init: must be 'pca' or 'random', got 'bogus'"),
+    ("nn_dr", "dr.target_dim", 0, "dr.target_dim: must be >= 1, got 0"),
     ("nn", "repetition", 5, "repetition: unknown key"),
     ("nn", "seed", "7", "seed: must be an integer"),
     ("nn_dr", "dr.max_iters", 2.5, "dr.max_iters: must be an integer"),
@@ -60,12 +60,18 @@ REJECTED = [
     ("kfda", "kernel", {"family": "gda", "sigma": "grid", "subspace_dim": 2},
      "kernel.sigma: 'grid' needs a divergence kernel ('hg', 'hl' or 'j'), got family 'gda'"),
     # json reads NaN, Infinity and 1e400 (which overflows to inf) as floats
-    ("nn_dr", "dr.grad_tol", float("nan"), "dr: grad_tol must be a positive number, got nan"),
-    ("nn_dr", "dr.grad_tol", float("inf"), "dr: grad_tol must be a positive number, got inf"),
-    ("nn_dr", "dr.grad_tol", json.loads("1e400"), "dr: grad_tol must be a positive number, got inf"),
-    ("nn_dr", "dr.rel_cost_tol", float("nan"), "dr: rel_cost_tol must be a positive number, got nan"),
-    ("nn_dr", "dr.rel_cost_tol", float("inf"), "dr: rel_cost_tol must be a positive number, got inf"),
-    ("nn_dr", "dr.rel_cost_tol", json.loads("1e400"), "dr: rel_cost_tol must be a positive number, got inf"),
+    ("nn_dr", "dr.grad_tol", float("nan"), "dr.grad_tol: must be a positive number, got nan"),
+    ("nn_dr", "dr.grad_tol", float("inf"), "dr.grad_tol: must be a positive number, got inf"),
+    ("nn_dr", "dr.grad_tol", json.loads("1e400"), "dr.grad_tol: must be a positive number, got inf"),
+    ("nn_dr", "dr.rel_cost_tol", float("nan"), "dr.rel_cost_tol: must be a positive number, got nan"),
+    ("nn_dr", "dr.rel_cost_tol", float("inf"), "dr.rel_cost_tol: must be a positive number, got inf"),
+    ("nn_dr", "dr.rel_cost_tol", json.loads("1e400"), "dr.rel_cost_tol: must be a positive number, got inf"),
+    # a dataclass's own check, named by the field its message names
+    ("nn", "data.synthetic.samples_per_set", 1, "data.synthetic.samples_per_set: must be >= 2, got 1"),
+    ("nn", "data.synthetic.within_class_jitter", -0.5, "data.synthetic.within_class_jitter: must be >= 0, got -0.5"),
+    ("kfda", "kernel.sigma", -0.5, "kernel.sigma: must be a positive number, got -0.5"),
+    ("kfda", "kernel", {"family": "gda"},
+     "kernel.subspace_dim: the projection kernel needs an integer subspace_dim >= 1, got None"),
 ]
 
 
@@ -404,7 +410,7 @@ class TestCli:
         config = tmp_path / "config.json"
         config.write_text(json.dumps(rejected_config("nn_dr", path, 0.125)).replace("0.125", text))
         assert self.run("eval", "--config", str(config), "--out", str(tmp_path / "run")) == 1
-        assert capsys.readouterr().err.startswith(f"error: dr: {path[3:]} must be a positive number, got ")
+        assert capsys.readouterr().err.startswith(f"error: {path}: must be a positive number, got ")
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("raw, flags, message", [
@@ -645,6 +651,7 @@ class TestCli:
         ("gram", "gram.json", "sigma", True),
         ("gram", "gram.json", "subspace_dim", 2.7),
         ("gram", "gram.json", "family", None),
+        ("gram", "gram.json", "sigma", -0.5),  # fails KernelSpec's own check
     ])
     def test_bad_matrix_sidecar_names_file_and_field(self, tmp_path, command, filename, field, value):
         from statdiv.divergence import load_divergence_matrix
