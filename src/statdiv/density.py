@@ -7,14 +7,17 @@ whitened anchors (`_anchors`) are computed once. A block of log kernels, a
 row per point and a column per sample, is a centred GEMM on those anchors
 (`_log_kernel_matrix`), its rows reduced by a log-sum-exp bit-equal to
 `scipy.special.logsumexp` of the block clamped at 0 (`_row_logsumexp`, which
-finds a long row's maximum by its index, clamps only the rows whose maximum
-rounds above 0, and counts tied maxima only on the rows that have them), so
-densities never underflow to 0, chunk by chunk of rows in one buffer, so no
-large block is held whole: a block of several chunks is reduced in that buffer
-itself and formed again for a caller that needs it (`_log_mixture`).
+finds a long row's maximum by its index and subtracts it outside numpy's
+buffered broadcast, clamps only the rows whose maximum rounds above 0, and
+counts tied maxima only on the rows that have them), so densities never
+underflow to 0, chunk by chunk of rows in one buffer, so no large block is
+held whole: a block of several chunks is reduced in that buffer itself and
+formed again for a caller that needs it (`_log_mixture`).
 :func:`plan` lays out once every block a list of pairs needs, in tiles of one
-size of KDE, which :func:`tiles` evaluates on any fit of those sets and
-:func:`log_ratios` turns into each set's log ratios as one array."""
+size of KDE cut at a window that suits the branch reducing their rows
+(`_packed`: half `_LSE_BLOCK` for long rows, `_STACK_BLOCK` for short ones),
+which :func:`tiles` evaluates on any fit of those sets and :func:`log_ratios`
+turns into each set's log ratios as one array."""
 
 from __future__ import annotations
 
@@ -83,20 +86,27 @@ def _silverman_factor(n: int, d: int) -> float:
     return (4.0 / ((d + 2) * n)) ** (1.0 / (d + 4))
 
 
+def _variance_floor(mean_var: float) -> float:
+    """The least bandwidth variance of the Silverman rules: 1e-12 * the mean per-dimension
+    variance, or 1e-12 if every dimension is constant. A multiple of the data's own scale,
+    so scaling the features by c scales every bandwidth by c**2."""
+    return 1e-12 * (mean_var or 1.0)
+
+
 def silverman_bandwidth(samples) -> Bandwidth:
     """Per-dimension rule-of-thumb bandwidth.
 
     diag_j = max((sd_j * (4 / ((D+2) n))^(1/(D+4)))^2, floor) with the sample
-    standard deviation taken with an (n-1) denominator. The floor,
-    1e-12 * (1 + mean per-dimension variance), keeps constant dimensions
-    usable.
+    standard deviation taken with an (n-1) denominator. The floor keeps
+    constant dimensions usable: 1e-12 * the mean per-dimension variance
+    (:func:`_variance_floor`), so it scales with the units of the features.
     """
     mat = _as_sample_matrix(samples)
     n, d = mat.shape
     with np.errstate(over="ignore"):  # an overflowed variance is inf, and Bandwidth rejects it
         sd = mat.std(axis=0, ddof=1)
         h2 = (sd * _silverman_factor(n, d)) ** 2
-        floor = 1e-12 * (1.0 + float(np.mean(sd**2)))
+        floor = _variance_floor(float(np.mean(sd**2)))
     return Bandwidth(np.maximum(h2, floor))
 
 
@@ -112,8 +122,7 @@ def isotropic_silverman_bandwidth(samples) -> Bandwidth:
     with np.errstate(over="ignore"):  # as in silverman_bandwidth
         mean_var = float(np.mean(mat.var(axis=0, ddof=1)))
     h2 = mean_var * _silverman_factor(n, d) ** 2
-    floor = 1e-12 * (1.0 + mean_var)
-    return Bandwidth(np.full(d, max(h2, floor)))
+    return Bandwidth(np.full(d, max(h2, _variance_floor(mean_var))))
 
 
 @dataclass(frozen=True)
@@ -197,9 +206,16 @@ def _log_kernel_matrix(points: np.ndarray, centre: np.ndarray, scale: np.ndarray
 # Entries per chunk of `_log_kernel_matrix`: 512 KiB of float64, so a large block's
 # GEMM output, reduced in place, stays in cache and no m x n matrix is held.
 _LSE_BLOCK = 2**16
-# Window of `tiles`: 64 KiB of float64, under glibc's 128 KiB mmap threshold; tiling
-# 100 x 100 blocks to 600 x 100 (512 KiB) raised peak RSS and time on a 2-core x86 host.
+# Window of a tile of short rows (`_packed`): 64 KiB of float64, under glibc's 128 KiB mmap
+# threshold. The short-row branch of `_row_logsumexp` copies its tile transposed, and that copy
+# costs 1.3x as much per entry at 2**15 entries as at 2**13 on a 2-core x86 host.
 _STACK_BLOCK = 2**13
+
+
+def _long_rows(width: int) -> bool:
+    """Whether rows of `width` entries are long: :func:`_row_logsumexp` finds their maxima by
+    index, with no transposed copy, so :func:`_packed` tiles them up to half `_LSE_BLOCK`."""
+    return width >= 48
 
 
 def _clamp_above_zero(a: np.ndarray, a_max: np.ndarray) -> int:
@@ -226,8 +242,10 @@ def _row_logsumexp(a: np.ndarray, in_place: bool = False) -> np.ndarray:
     rows find one maximum by its index (a NaN is the first argmax) and drop it from the shifted
     copy; a row whose rest still holds an entry >= 0 ties it (a - max is exact in sign), and only
     such rows count and drop their other maxima, so no mask of the whole chunk is formed. A clamped
-    row drops each of its maxima, which are its entries that were >= 0, whichever it drops first."""
-    if a.shape[1] < 48 and a.size <= _LSE_BLOCK // 2:
+    row drops each of its maxima, which are its entries that were >= 0, whichever it drops first.
+    Rows of 48 entries or more are shifted under a ufunc buffer of 16 * (width // 16) entries, at
+    most one row, and the caller's buffer size is restored after, also on an error."""
+    if not _long_rows(a.shape[1]) and a.size <= _LSE_BLOCK // 2:
         t = a.T.copy()
         a_max = t.max(axis=0)
         if _clamp_above_zero(a, a_max):
@@ -240,7 +258,14 @@ def _row_logsumexp(a: np.ndarray, in_place: bool = False) -> np.ndarray:
         first = a.argmax(axis=1)
         a_max = a[rows, first]
         _clamp_above_zero(a, a_max)
-        rest = np.subtract(a, np.where(a_max == -np.inf, 0.0, a_max)[:, None], out=a if in_place else None)
+        shift = np.where(a_max == -np.inf, 0.0, a_max)[:, None]
+        # A buffer of at most one row keeps numpy from copying the broadcast shift row after row into
+        # its ufunc buffer. Only this elementwise step runs under it, so no reduction's order changes.
+        size = np.setbufsize(16 * (a.shape[1] // 16)) if _long_rows(a.shape[1]) else np.getbufsize()
+        try:
+            rest = np.subtract(a, shift, out=a if in_place else None)
+        finally:
+            np.setbufsize(size)
         rest[rows, first] = -np.inf
         count = np.ones(len(a))
         ties = np.flatnonzero(rest[rows, rest.argmax(axis=1)] >= 0)  # argmax: numpy reduces rows by max slowly
@@ -281,11 +306,14 @@ def _log_mixture(log_norm, *args) -> tuple[np.ndarray, object, np.ndarray]:
 
 
 def _packed(blocks, width: int):
-    """`blocks` (n, b, s) of a KDE of `width` samples in tiles: a block that would carry
-    a tile past `_STACK_BLOCK` entries starts the next, so a larger tile is one block."""
+    """`blocks` (n, b, s) of a KDE of `width` samples in tiles: a block that would carry a tile
+    past its window starts the next, so a larger tile is one block. The window suits the branch
+    of :func:`_row_logsumexp` that reduces the tile: half `_LSE_BLOCK` entries for long rows
+    (:func:`_long_rows`), so a tile is never cut into chunks, else `_STACK_BLOCK`."""
+    window = _LSE_BLOCK // 2 if _long_rows(width) else _STACK_BLOCK
     tile, entries = [], 0
     for block in blocks:
-        if tile and entries + block[0] * width > _STACK_BLOCK:
+        if tile and entries + block[0] * width > window:
             yield tile
             tile, entries = [], 0
         tile.append(block)
@@ -299,10 +327,11 @@ Plan = namedtuple("Plan", "tiles sets rows")
 
 def plan(kdes, pairs) -> Plan:
     """The tiles of the blocks (KDE b, set s) that `pairs` of `kdes` ((model, k) per set) need, b at b and at each
-    distinct partner: a model's blocks by set size, cut by :func:`_packed`. A tile holds its `blocks` (b, s) in row
-    order, (count, n, k) per run of count blocks of n rows (k: their KDEs on the model's axis), each row's KDE
-    (`at`, a slice if it has one, broadcast) and its `rows` among the plan's; a plan, its tiles, (s, its own block's
-    rows, its partners r, theirs) per set s and its row count. It reads only which sets share a model, and sizes."""
+    distinct partner: a model's blocks by set size, cut by :func:`_packed` at the window of their row length. A tile
+    holds its `blocks` (b, s) in row order, (count, n, k) per run of count blocks of n rows (k: their KDEs on the
+    model's axis), each row's KDE (`at`, a slice if it has one, broadcast) and its `rows` among the plan's; a plan,
+    its tiles, (s, its own block's rows, its partners r, theirs) per set s and its row count. It reads only which
+    sets share a model, and sizes."""
     groups, tiled, rows, stop = {}, [], {}, 0  # id of a model: its blocks (n_s, b, s); s: {b: rows of (b, s)}
     for i, j in pairs:
         for b, s in ((i, i), (i, j), (j, j), (j, i)):

@@ -33,9 +33,23 @@ class TestSilvermanBandwidth:
         mat = np.column_stack([rng.standard_normal(50), np.full(50, 3.0)])
         bw = silverman_bandwidth(mat)
         sd = mat.std(axis=0, ddof=1)
-        floor = 1e-12 * (1.0 + np.mean(sd**2))
+        floor = 1e-12 * np.mean(sd**2)
         assert bw.diag[1] == pytest.approx(floor, abs=0)  # the default abs=1e-12 would span the whole floor
         assert bw.diag[1] > 0
+
+    @pytest.mark.parametrize("rule", [silverman_bandwidth, isotropic_silverman_bandwidth])
+    def test_all_constant_dimensions_hit_the_unit_floor(self, rule):
+        bw = rule(np.full((20, 3), 5.0))
+        np.testing.assert_array_equal(bw.diag, 1e-12)
+
+    @pytest.mark.parametrize("rule", [silverman_bandwidth, isotropic_silverman_bandwidth])
+    @pytest.mark.parametrize("k", [-400, -20, 20, 400])
+    def test_floor_scales_with_the_features(self, rule, k):
+        """Scaling by 2**k is exact, so each variance, and the floor with it, scales by 4**k
+        exactly: small units no longer smooth a constant column to a fixed width."""
+        rng = np.random.default_rng(4)
+        mat = np.column_stack([rng.standard_normal(30), np.full(30, 3.0), rng.standard_normal(30)])
+        assert np.array_equal(rule(np.ldexp(mat, k)).diag, np.ldexp(rule(mat).diag, 2 * k))
 
     @pytest.mark.parametrize("scale", [0.5, 2.0, 100.0])
     def test_homogeneous_in_sample_scale(self, scale):
@@ -166,8 +180,9 @@ class TestRowLogSumExp:
 
     # Widths on both sides of 48 (the long-row branch) and chunks on both sides of half `_LSE_BLOCK`
     # (32768 entries): 600 x 40 and 900 x 40 are short and long rows of 40, 20 x 2000 a long chunk.
-    @pytest.mark.parametrize("m, n", [(30, 47), (30, 48), (30, 49), (100, 100), (600, 40), (900, 40),
-                                      (20, 2000), (3, 40000)])
+    # Long rows are shifted under a ufunc buffer of 16 * (width // 16): 48, 48, 64, 96 and 2000 here.
+    @pytest.mark.parametrize("m, n", [(30, 47), (30, 48), (30, 49), (30, 63), (30, 64), (100, 100), (600, 40),
+                                      (900, 40), (20, 2000), (3, 40000)])
     @pytest.mark.parametrize("case", ["rounded", "duplicate_columns", "clamped_zeros", "signed_zeros"])
     def test_long_rows_equal_scipy_bit_for_bit(self, m, n, case):
         """Tied maxima in each branch: rounded values, duplicated columns, several
@@ -198,6 +213,25 @@ class TestRowLogSumExp:
         want = logsumexp(a, axis=1)
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("m, n", [(3, 47), (900, 40), (300, 100), (20, 2000)])
+    @pytest.mark.parametrize("nan", [False, True])
+    def test_leaves_the_ufunc_buffer_as_it_was(self, m, n, nan):
+        """The long-row shift runs under a smaller ufunc buffer and restores the caller's,
+        also when the reduction then fails on a NaN."""
+        from statdiv.density import _row_logsumexp
+
+        a = -np.random.default_rng(n).exponential(5.0, size=(m, n))
+        a[1, 5] = np.nan if nan else a[1, 5]
+        for size in (np.getbufsize(), 2**14):
+            with np.errstate():  # restores the bufsize on exit
+                np.setbufsize(size)
+                if nan:
+                    with pytest.raises(ValueError, match="log kernel is NaN"):
+                        _row_logsumexp(a.copy(), in_place=True)
+                else:
+                    _row_logsumexp(a.copy(), in_place=True)
+                assert np.getbufsize() == size
 
     @pytest.mark.parametrize("m, n", [(3, 47), (3, 48), (20, 2000)])
     def test_nan_in_a_row_with_ties_is_an_error(self, m, n):

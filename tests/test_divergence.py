@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from statdiv import oracles
@@ -494,13 +494,29 @@ class TestMatrixProperties:
         if kind is DivergenceKind.HELLINGER_SQUARED:
             assert np.all(values <= 2.0)
 
+    # Scaling by 2**k is exact on the inputs and the bandwidths, so only the log normalizers
+    # round: 1.2e-13 relative at worst over 300 examples. A set that varies in no dimension
+    # keeps the absolute floor 1e-12, so the sets here each vary in some dimension.
+    @pytest.mark.parametrize("kind", KINDS)
+    @PROPERTY_SETTINGS
+    @given(sets=adversarial_sets(), k=st.integers(-400, 400))
+    def test_estimates_do_not_depend_on_the_units(self, kind, sets, k):
+        assume(all(np.ptp(s, axis=0).any() for s in sets))
+        np.testing.assert_allclose(divergence_matrix([np.ldexp(s, k) for s in sets], kind).values,
+                                   divergence_matrix(sets, kind).values, rtol=1e-12, atol=0.0)
+
+
+# Sizes of short rows (up to 40) or long ones (48-120), whose tiles stack
+# several blocks up to half `_LSE_BLOCK` entries.
+SHORT_OR_LONG_ROWS = st.integers(2, 40) | st.integers(48, 120)
+
 
 class TestTileProperties:
     """The tiles on sets that share sizes, where one batched matmul serves
-    several blocks and one fit several sets."""
+    several blocks and one fit several sets, in tiles of short or long rows."""
 
     @PROPERTY_SETTINGS
-    @given(sets=adversarial_sets(pool=2))
+    @given(sets=adversarial_sets(pool=2, sizes=SHORT_OR_LONG_ROWS))
     def test_each_log_ratio_row_is_its_blocks_alone(self, sets):
         bandwidths = resolve_bandwidths(sets, "silverman")
         models = [DensityModel(s, bw) for s, bw in zip(sets, bandwidths)]
@@ -510,8 +526,18 @@ class TestTileProperties:
             for r, row in zip(partners, z):
                 np.testing.assert_array_equal(row, own - log_density_batch(models[r], sets[s]))
 
+    @pytest.mark.parametrize("kind", KINDS)
     @PROPERTY_SETTINGS
-    @given(sets=adversarial_sets(pool=2), data=st.data())
+    @given(sets=adversarial_sets(pool=2, sizes=SHORT_OR_LONG_ROWS), data=st.data())
+    def test_matrix_is_exactly_symmetric_and_zero_at_a_copy(self, kind, sets, data):
+        k = data.draw(st.integers(0, len(sets) - 1))
+        sets.append(sets[k].copy())
+        values = divergence_matrix(sets, kind).values
+        assert values.tobytes() == values.T.tobytes()
+        assert values[k, -1] == 0.0
+
+    @PROPERTY_SETTINGS
+    @given(sets=adversarial_sets(pool=2, sizes=SHORT_OR_LONG_ROWS), data=st.data())
     def test_duplicated_set_gives_zero_log_ratios(self, sets, data):
         k = data.draw(st.integers(0, len(sets) - 1))
         at = data.draw(st.integers(0, len(sets)))
@@ -528,7 +554,8 @@ class TestTileProperties:
     # 1e-12 of the largest entry however the blocks are grouped.
     @pytest.mark.parametrize("kind", KINDS)
     @PROPERTY_SETTINGS
-    @given(sets=adversarial_sets(pool=1, offsets=(0.0,), min_dim=2, degenerate=False), data=st.data())
+    @given(sets=adversarial_sets(pool=1, offsets=(0.0,), min_dim=2, degenerate=False, sizes=SHORT_OR_LONG_ROWS),
+           data=st.data())
     def test_dr_gradient_is_the_sum_of_one_pair_gradients(self, kind, sets, data):
         count, dim = len(sets), sets[0].shape[1]
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -628,37 +655,44 @@ class TestCentring:
         assert estimator(p + offset, q + offset) == pytest.approx(estimator(p, q), rel=rel, abs=0.0)
 
 
+@pytest.fixture
+def tile_calls(monkeypatch):
+    """(rows, KDE size, [(count, n) per run]) per `_log_kernel_matrix` call, which is one per tile."""
+    from statdiv import density
+
+    calls = []
+    kernel = density._log_kernel_matrix
+
+    def spying(points, centre, scale, runs):
+        calls.append((points.shape[0], runs[0][2].shape[2], [(count, n) for count, n, _ in runs]))
+        return kernel(points, centre, scale, runs)
+
+    monkeypatch.setattr(density, "_log_kernel_matrix", spying)
+    return calls
+
+
+def shapes(calls):
+    """(rows, KDE size) per tile of the `tile_calls` spy."""
+    return [(rows, cols) for rows, cols, _ in calls]
+
+
 class TestKernelBlockCount:
     """One `_log_kernel_matrix` call per tile: the blocks of the KDEs of one
-    size, cut at the `_STACK_BLOCK` window."""
+    size, cut at the window of their row length."""
 
-    @pytest.fixture
-    def blocks(self, monkeypatch):
-        from statdiv import density
-
-        calls = []
-        kernel = density._log_kernel_matrix
-
-        def counting(points, centre, scale, runs):
-            calls.append((points.shape[0], runs[0][2].shape[2]))  # rows, KDE size
-            return kernel(points, centre, scale, runs)
-
-        monkeypatch.setattr(density, "_log_kernel_matrix", counting)
-        return calls
-
-    def test_symmetric_pair_forms_two_tiles(self, blocks):
+    def test_symmetric_pair_forms_two_tiles(self, tile_calls):
         # sets of two sizes: each KDE at the 30 + 20 samples of both sets
         rng = np.random.default_rng(5)
         p, q = rng.standard_normal((30, 2)), rng.standard_normal((20, 2)) + 0.5
         hellinger_empirical(p, q)
-        assert blocks == [(50, 30), (50, 20)]
+        assert shapes(tile_calls) == [(50, 30), (50, 20)]
 
-    def test_equal_sizes_form_one_tile(self, blocks):
+    def test_equal_sizes_form_one_tile(self, tile_calls):
         # both KDEs at both sets: four 20 x 20 blocks
         rng = np.random.default_rng(5)
         p, q = rng.standard_normal((20, 2)), rng.standard_normal((20, 2)) + 0.5
         hellinger_empirical(p, q)
-        assert blocks == [(80, 20)]
+        assert shapes(tile_calls) == [(80, 20)]
 
     @staticmethod
     def matrix_of_small_sets():
@@ -669,44 +703,39 @@ class TestKernelBlockCount:
         divergence_matrix(sets, DivergenceKind.JEFFREY)
         return sizes
 
-    def test_matrix_of_small_sets_forms_one_tile_per_size(self, blocks, monkeypatch):
+    def test_matrix_of_small_sets_forms_one_tile_per_size(self, tile_calls, monkeypatch):
         from statdiv import density
 
-        monkeypatch.setattr(density, "_STACK_BLOCK", 2**40)  # never cut
+        monkeypatch.setattr(density, "_STACK_BLOCK", 2**40)  # short rows never cut; the 56-sample KDE's tile fits its window
         sizes = self.matrix_of_small_sets()
         # each KDE at every set, so each size's tile has all samples once per KDE
-        assert sorted(blocks) == sorted((sizes.count(n) * sum(sizes), n) for n in set(sizes))
+        assert sorted(shapes(tile_calls)) == sorted((sizes.count(n) * sum(sizes), n) for n in set(sizes))
 
-    def test_tiles_are_cut_at_the_window(self, blocks):
-        from statdiv.density import _STACK_BLOCK
+    def test_tiles_are_cut_at_the_window(self, tile_calls):
+        """A tile of several blocks stays within its window: `_STACK_BLOCK` entries for rows
+        under 48, half `_LSE_BLOCK` for longer ones. The next tile of its KDE size starts with
+        a block that would have carried it past the window."""
+        from statdiv.density import _LSE_BLOCK, _STACK_BLOCK
 
         sizes = self.matrix_of_small_sets()
-        assert sum(rows * cols for rows, cols in blocks) == sum(sizes) ** 2  # each block once
-        assert len(blocks) > len(set(sizes))
-        assert all(rows * cols < _STACK_BLOCK + cols * max(sizes) for rows, cols in blocks)
+        assert sum(rows * cols for rows, cols in shapes(tile_calls)) == sum(sizes) ** 2  # each block once
+        assert len(tile_calls) > len(set(sizes))
+        assert {cols for _, cols, _ in tile_calls} == set(sizes)
+        assert max(sizes) >= 48 > min(sizes)  # both windows
+        for (rows, cols, runs), following in zip(tile_calls, tile_calls[1:] + [None]):
+            window = _LSE_BLOCK // 2 if cols >= 48 else _STACK_BLOCK
+            assert rows * cols <= window or runs == [(1, rows)]
+            if following is not None and following[1] == cols:
+                assert (rows + following[2][0][1]) * cols > window
 
 
 class TestKernelBlockMemory:
     """No tile grows past what one set's own block already needs."""
 
-    @pytest.fixture
-    def shapes(self, monkeypatch):
-        from statdiv import density
-
-        calls = []
-        kernel = density._log_kernel_matrix
-
-        def spying(points, centre, scale, runs):
-            calls.append((points.shape[0], runs[0][2].shape[2]))  # rows, KDE size
-            return kernel(points, centre, scale, runs)
-
-        monkeypatch.setattr(density, "_log_kernel_matrix", spying)
-        return calls
-
-    def test_large_sets_are_evaluated_alone(self, shapes):
+    def test_large_sets_are_evaluated_alone(self, tile_calls):
         p, q = gaussian_pair(7, 2000)
         hellinger_empirical(p, q)
-        assert shapes == [(2000, 2000)] * 4
+        assert shapes(tile_calls) == [(2000, 2000)] * 4
 
     def test_large_pair_holds_one_block_at_a_time(self):
         import tracemalloc
@@ -738,21 +767,13 @@ class TestKernelBlockMemory:
             tracemalloc.stop()
         assert peak <= 2 * _LSE_BLOCK * 8
 
-    def test_a_block_that_would_carry_a_tile_past_the_window_starts_the_next(self, monkeypatch):
+    def test_a_block_that_would_carry_a_tile_past_the_window_starts_the_next(self, tile_calls):
         # KDE 1 (2000 samples) at 3 points, then at 2000: a tile over `_LSE_BLOCK` entries is one block
         from statdiv import density
 
-        calls = []
-        kernel = density._log_kernel_matrix
-
-        def spying(points, centre, scale, runs):
-            calls.append((points.shape[0], runs[0][2].shape[2], [(count, n) for count, n, _ in runs]))
-            return kernel(points, centre, scale, runs)
-
-        monkeypatch.setattr(density, "_log_kernel_matrix", spying)
         hellinger_empirical(gaussian_pair(9, 3)[0], gaussian_pair(9, 2000)[1])
-        assert sorted(calls) == [(3, 2000, [(1, 3)]), (2000, 2000, [(1, 2000)]), (2003, 3, [(1, 3), (1, 2000)])]
-        assert all(runs == [(1, rows)] for rows, n_b, runs in calls if rows * n_b > density._LSE_BLOCK)
+        assert sorted(tile_calls) == [(3, 2000, [(1, 3)]), (2000, 2000, [(1, 2000)]), (2003, 3, [(1, 3), (1, 2000)])]
+        assert all(runs == [(1, rows)] for rows, n_b, runs in tile_calls if rows * n_b > density._LSE_BLOCK)
 
     @pytest.mark.parametrize("kind", list(DivergenceKind))
     def test_chunked_blocks_equal_each_block_alone(self, kind):
@@ -773,7 +794,9 @@ class TestKernelBlockMemory:
         assert square[2, 3] == 0.0
         assert cross_divergence_matrix(sets, sets, kind).tobytes() == square.tobytes()
 
-    def test_tiles_stay_within_the_lse_block(self, shapes):
+    def test_tiles_stay_within_the_lse_block(self, tile_calls):
+        """The `match` benchmark's shape: 100 x 100 blocks are long rows, stacked three to a
+        tile within half `_LSE_BLOCK` entries, so no tile is cut into chunks."""
         from statdiv.density import _LSE_BLOCK
 
         rng = np.random.default_rng(8)
@@ -781,6 +804,6 @@ class TestKernelBlockMemory:
         probe = [random_set(rng, n=100, dim=10) for _ in range(16)]
         divergence_matrix(gallery, DivergenceKind.HELLINGER_SQUARED)
         cross_divergence_matrix(gallery, probe, DivergenceKind.HELLINGER_SQUARED)
-        assert shapes
-        assert max(rows * cols for rows, cols in shapes) <= _LSE_BLOCK
-        assert set(shapes) == {(100, 100)}  # above _STACK_BLOCK, so each block is a tile alone
+        assert 3 * 100 * 100 <= _LSE_BLOCK // 2 < 4 * 100 * 100
+        # the square's 16 x 16 blocks, then the cross's 2 x 16 x 16 plus each set's own: 3 a tile, 1 left
+        assert shapes(tile_calls) == [(300, 100)] * 85 + [(100, 100)] + [(300, 100)] * 181 + [(100, 100)]
