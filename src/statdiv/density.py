@@ -7,12 +7,11 @@ whitened anchors (`_anchors`) are computed once. A block of log kernels, a
 row per point and a column per sample, is a centred GEMM on those anchors
 (`_log_kernel_matrix`), its rows reduced by a log-sum-exp bit-equal to
 `scipy.special.logsumexp` of the block clamped at 0 (`_row_logsumexp`, which
-finds a long row's maximum by its index and subtracts it outside numpy's
-buffered broadcast, clamps only the rows whose maximum rounds above 0, and
-counts tied maxima only on the rows that have them), so densities never
-underflow to 0, chunk by chunk of rows in one buffer, so no large block is
-held whole: a block of several chunks is reduced in that buffer itself and
-formed again for a caller that needs it (`_log_mixture`).
+finds a long row's maximum by its index, clamps only the rows whose maximum
+rounds above 0, and counts tied maxima only on the rows that have them), so
+densities never underflow to 0, chunk by chunk of rows in one buffer, so no
+large block is held whole: a block of several chunks is reduced in that buffer
+itself and formed again for a caller that needs it (`_log_mixture`).
 :func:`plan` lays out once every block a list of pairs needs, in tiles of one
 size of KDE cut at a window that suits the branch reducing their rows
 (`_packed`: half `_LSE_BLOCK` for long rows, `_STACK_BLOCK` for short ones),
@@ -88,9 +87,11 @@ def _silverman_factor(n: int, d: int) -> float:
 
 def _variance_floor(mean_var: float) -> float:
     """The least bandwidth variance of the Silverman rules: 1e-12 * the mean per-dimension
-    variance, or 1e-12 if every dimension is constant. A multiple of the data's own scale,
-    so scaling the features by c scales every bandwidth by c**2."""
-    return 1e-12 * (mean_var or 1.0)
+    variance, or 1e-12 if every dimension is constant (or its variance underflows to 0). A
+    multiple of the data's own scale, so scaling the features by c scales every bandwidth by
+    c**2, down to a mean variance of about 2e-296, where the floor is the smallest normal float:
+    a zero or subnormal bandwidth would be refused or lose its precision."""
+    return max(1e-12 * mean_var, np.finfo(float).tiny) if mean_var else 1e-12
 
 
 def silverman_bandwidth(samples) -> Bandwidth:
@@ -242,9 +243,7 @@ def _row_logsumexp(a: np.ndarray, in_place: bool = False) -> np.ndarray:
     rows find one maximum by its index (a NaN is the first argmax) and drop it from the shifted
     copy; a row whose rest still holds an entry >= 0 ties it (a - max is exact in sign), and only
     such rows count and drop their other maxima, so no mask of the whole chunk is formed. A clamped
-    row drops each of its maxima, which are its entries that were >= 0, whichever it drops first.
-    Rows of 48 entries or more are shifted under a ufunc buffer of 16 * (width // 16) entries, at
-    most one row, and the caller's buffer size is restored after, also on an error."""
+    row drops each of its maxima, which are its entries that were >= 0, whichever it drops first."""
     if not _long_rows(a.shape[1]) and a.size <= _LSE_BLOCK // 2:
         t = a.T.copy()
         a_max = t.max(axis=0)
@@ -258,14 +257,7 @@ def _row_logsumexp(a: np.ndarray, in_place: bool = False) -> np.ndarray:
         first = a.argmax(axis=1)
         a_max = a[rows, first]
         _clamp_above_zero(a, a_max)
-        shift = np.where(a_max == -np.inf, 0.0, a_max)[:, None]
-        # A buffer of at most one row keeps numpy from copying the broadcast shift row after row into
-        # its ufunc buffer. Only this elementwise step runs under it, so no reduction's order changes.
-        size = np.setbufsize(16 * (a.shape[1] // 16)) if _long_rows(a.shape[1]) else np.getbufsize()
-        try:
-            rest = np.subtract(a, shift, out=a if in_place else None)
-        finally:
-            np.setbufsize(size)
+        rest = np.subtract(a, np.where(a_max == -np.inf, 0.0, a_max)[:, None], out=a if in_place else None)
         rest[rows, first] = -np.inf
         count = np.ones(len(a))
         ties = np.flatnonzero(rest[rows, rest.argmax(axis=1)] >= 0)  # argmax: numpy reduces rows by max slowly

@@ -436,6 +436,18 @@ class TestDivergenceMatrix:
         with pytest.raises(ValueError, match=rf"^set {name}: bandwidth diagonal entries must be positive and finite$"):
             divergence_matrix(sets, kind, policy)
 
+    @pytest.mark.parametrize("kind, policy", [(DivergenceKind.HELLINGER_SQUARED, "silverman"),
+                                              (DivergenceKind.JEFFREY, "silverman"),
+                                              (DivergenceKind.HELLINGER_SQUARED, "isotropic")])
+    def test_matrix_of_a_set_whose_variance_underflows_is_estimated(self, kind, policy):
+        """The mirror of the overflow above: the floor stays a positive normal float, so a
+        set of scale 1e-160 with a constant column gets a bandwidth and an estimate."""
+        rng = np.random.default_rng(17)
+        sets = [rng.standard_normal((20, 3)), 1e-160 * rng.standard_normal((20, 3))]
+        sets[1][:, 1] = 0.0
+        values = divergence_matrix(sets, kind, policy).values
+        assert np.all(np.isfinite(values)) and values[0, 1] > 0
+
     def test_matrix_invariant_rejects_asymmetry(self):
         bad = np.array([[0.0, 1.0], [0.5, 0.0]])
         with pytest.raises(ValueError, match="not symmetric"):
@@ -495,8 +507,10 @@ class TestMatrixProperties:
             assert np.all(values <= 2.0)
 
     # Scaling by 2**k is exact on the inputs and the bandwidths, so only the log normalizers
-    # round: 1.2e-13 relative at worst over 300 examples. A set that varies in no dimension
-    # keeps the absolute floor 1e-12, so the sets here each vary in some dimension.
+    # round: the worst seen over 300 examples was 1.2e-13 relative. It holds while every
+    # variance and 1e-12 of the mean variance are normal floats (sets of unit scale: k in
+    # about [-490, 509]). A set that varies in no dimension keeps the absolute floor 1e-12,
+    # so the sets here each vary in some dimension.
     @pytest.mark.parametrize("kind", KINDS)
     @PROPERTY_SETTINGS
     @given(sets=adversarial_sets(), k=st.integers(-400, 400))
@@ -706,7 +720,8 @@ class TestKernelBlockCount:
     def test_matrix_of_small_sets_forms_one_tile_per_size(self, tile_calls, monkeypatch):
         from statdiv import density
 
-        monkeypatch.setattr(density, "_STACK_BLOCK", 2**40)  # short rows never cut; the 56-sample KDE's tile fits its window
+        monkeypatch.setattr(density, "_STACK_BLOCK", 2**40)  # short rows never cut
+        monkeypatch.setattr(density, "_LSE_BLOCK", 2**41)  # nor long ones, nor a block cut into chunks
         sizes = self.matrix_of_small_sets()
         # each KDE at every set, so each size's tile has all samples once per KDE
         assert sorted(shapes(tile_calls)) == sorted((sizes.count(n) * sum(sizes), n) for n in set(sizes))
